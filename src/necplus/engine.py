@@ -7,8 +7,6 @@ persistence.
 from __future__ import annotations
 
 import hashlib
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -125,11 +123,10 @@ def validation_windows(features: np.ndarray, labels: np.ndarray,
 
 
 def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
-              split: sampling.Split, parallel: bool = False):
+              split: sampling.Split):
     """Train the N, E, and C members; returns ({name: NetStack}, {name: log}).
 
-    The three trainings are independent and deterministic per member seed,
-    so parallel and sequential scheduling yield identical parameters.
+    The three trainings are independent and deterministic per member seed.
     """
     labels = np.asarray(labels, dtype=bool)
     val = validation_windows(features, labels, split.val_sections,
@@ -149,12 +146,7 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
                           alpha=config.alpha, beta=config.beta)
         return train(model, samples, val, cfg)
 
-    if parallel:
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            futures = {name: pool.submit(run_member, name) for name in MEMBERS}
-            results = {name: fut.result() for name, fut in futures.items()}
-    else:
-        results = {name: run_member(name) for name in MEMBERS}
+    results = {name: run_member(name) for name in MEMBERS}
     models = {name: res[0] for name, res in results.items()}
     logs = {name: res[1] for name, res in results.items()}
     return models, logs
@@ -326,10 +318,8 @@ def load_run(run_dir: str | Path) -> RunArtifacts:
     digest = config_hash(config)
     models = {}
     for name in MEMBERS:
-        model = load_checkpoint(run_dir / f"{name}.ckpt")
-        with np.load(run_dir / f"{name}.ckpt") as data:
-            stored = json.loads(bytes(data["meta"]).decode())
-        if stored.get("extra", {}).get("config_hash") != digest:
+        model, meta = load_checkpoint(run_dir / f"{name}.ckpt")
+        if meta.get("extra", {}).get("config_hash") != digest:
             raise CheckpointError(
                 f"{name}.ckpt was trained under a different config (hash mismatch)")
         models[name] = model

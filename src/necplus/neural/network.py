@@ -1,6 +1,13 @@
 """Stacked-LSTM networks with a fully-connected head, implemented directly
 in numpy with analytic backpropagation through time.
 
+The LSTM kernel works time-major: the input projection of all steps is one
+GEMM before the recurrence, and the weight gradients are GEMMs over all
+steps after it, so the Python loop over timesteps holds only the true
+h -> h dependency. Every sigmoid uses the form 0.5 + 0.5 tanh(z/2), which
+needs no masks and cannot overflow; inside the kernel one tanh covers all
+four gate blocks of a step.
+
 A :class:`NetStack` holds one of the three member models: the normal (N) and
 extreme (E) regressors use 3 tapering affine layers after the top LSTM; the
 classifier (C) uses a single affine layer of f units under a sigmoid.
@@ -23,81 +30,132 @@ HEAD_KINDS = ("normal", "extreme", "classifier")
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # tanh form: no masks, no overflow for any z
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
+
+
+def _gate_blocks(a):
+    """Views of the input, forget, candidate and output gate blocks along
+    the last (4W) axis."""
+    width = a.shape[-1] // 4
+    return [a[..., k * width:(k + 1) * width] for k in range(4)]
+
+
+def _gate_affine(width: int):
+    """Per-column (scale, shift) over the i, f, g, o gate blocks.
+
+    With sigmoid(z) = 0.5 + 0.5 tanh(z/2), scaling the i/f/o pre-activations
+    by 1/2 (exact: a power of two) lets one tanh serve all four gates; the
+    shift then turns the i/f/o columns from tanh into sigmoid values, while
+    g keeps scale 1 and shift 0.
+    """
+    scale = np.full(4 * width, 0.5)
+    shift = np.full(4 * width, 0.5)
+    scale[2 * width:3 * width] = 1.0
+    shift[2 * width:3 * width] = 0.0
+    return scale, shift
 
 
 def lstm_forward(w_x, w_h, b, x):
     """Run one LSTM layer over a batch of sequences.
 
     x has shape (B, T, D); returns all hidden states (B, T, W) plus the
-    per-step cache needed for backpropagation. Initial hidden and cell
-    states are zero.
+    cache needed for backpropagation. Initial hidden and cell states are
+    zero. Gate order along the 4W axis is input, forget, candidate, output.
+
+    The input projection x @ w_x.T + b of all T steps is one GEMM before
+    the recurrence. Each step adds h @ w_h.T and applies one tanh to the
+    whole gate block, the sigmoids in their tanh form (see `_gate_affine`).
+    Everything is time-major: the hidden states are returned as a (B, T, W)
+    view of a (T, B, W) array, and the cache is (gates, cells, tanh_c) with
+    gates (T, B, 4W) the activated i/f/g/o values, cells (T+1, B, W) the
+    cell states with cells[0] = 0, and tanh_c (T, B, W) their tanh.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != w_x.shape[1]:
         raise DimensionError(
             f"input shape {x.shape} incompatible with weight shape {w_x.shape}")
-    batch, steps, _ = x.shape
+    batch, steps, d_in = x.shape
     width = w_h.shape[1]
-    h = np.zeros((batch, width))
-    c = np.zeros((batch, width))
-    hidden = np.empty((batch, steps, width))
-    cache = []
+    scale, shift = _gate_affine(width)
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, d_in)
+    gates = np.empty((steps, batch, 4 * width))
+    np.matmul(x_tm, (w_x * scale[:, None]).T, out=gates.reshape(-1, 4 * width))
+    gates += b * scale
+    w_h_t = (w_h * scale[:, None]).T
+    # full rows: a contiguous operand is faster than a broadcast one
+    scale_rows = np.tile(scale, (batch, 1))
+    shift_rows = np.tile(shift, (batch, 1))
+    cells = np.zeros((steps + 1, batch, width))
+    tanh_c = np.empty((steps, batch, width))
+    hidden = np.empty((steps, batch, width))
+    gi, gf, gg, go = _gate_blocks(gates)
+    input_part = np.empty((batch, width))
     for t in range(steps):
-        z = x[:, t] @ w_x.T + h @ w_h.T + b
-        gi = _sigmoid(z[:, :width])
-        gf = _sigmoid(z[:, width:2 * width])
-        gg = np.tanh(z[:, 2 * width:3 * width])
-        go = _sigmoid(z[:, 3 * width:])
-        c_new = gf * c + gi * gg
-        tc = np.tanh(c_new)
-        h = go * tc
-        hidden[:, t] = h
-        cache.append((gi, gf, gg, go, c, tc))
-        c = c_new
-    return hidden, cache
+        z = gates[t]
+        if t:
+            z += hidden[t - 1] @ w_h_t
+        np.tanh(z, out=z)
+        z *= scale_rows
+        z += shift_rows
+        np.multiply(gf[t], cells[t], out=cells[t + 1])
+        cells[t + 1] += np.multiply(gi[t], gg[t], out=input_part)
+        np.tanh(cells[t + 1], out=tanh_c[t])
+        np.multiply(go[t], tanh_c[t], out=hidden[t])
+    return hidden.transpose(1, 0, 2), (gates, cells, tanh_c)
 
 
 def lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
     """Backpropagate through one LSTM layer.
 
     d_hidden (B, T, W) is the gradient w.r.t. every hidden state; returns
-    (d_wx, d_wh, d_b, d_x).
+    (d_wx, d_wh, d_b, d_x). The cache of `lstm_forward` is read, never
+    written.
+
+    The local derivatives of all four gates for all steps are formed first
+    in one time-major dz (T, B, 4W). The loop over steps then keeps only the
+    dh/dc recurrence: it scales dz[t] in place by dc (i, f, g) or dh (o) and
+    feeds dz[t] @ w_h back. The weight, bias and input gradients are single
+    GEMMs or reductions over all steps after the loop.
     """
-    batch, steps, _ = x.shape
-    width = w_h.shape[1]
-    d_wx = np.zeros_like(w_x)
-    d_wh = np.zeros_like(w_h)
-    d_b = np.zeros(4 * width)
-    d_x = np.zeros_like(x)
+    gates, cells, tanh_c = cache
+    steps, batch, four_w = gates.shape
+    width = four_w // 4
+    d_in = x.shape[2]
+    gi, gf, gg, go = _gate_blocks(gates)
+    dz = np.empty_like(gates)
+    dz_i, dz_f, dz_g, dz_o = _gate_blocks(dz)
+    # sigmoid' = s(1 - s) on every block, then tanh' = 1 - g^2 on g
+    np.subtract(1.0, gates, out=dz)
+    dz *= gates
+    np.multiply(gg, gg, out=dz_g)
+    np.subtract(1.0, dz_g, out=dz_g)
+    # times the factor each gate meets in dc (i, f, g) or in dh (o)
+    dz_i *= gg
+    dz_f *= cells[:-1]
+    dz_g *= gi
+    dz_o *= tanh_c
+    # dh reaches dc through h = o * tanh(c)
+    dc_dh = np.multiply(tanh_c, tanh_c)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= go
+    d_hidden = d_hidden.transpose(1, 0, 2)
     dh_next = np.zeros((batch, width))
     dc_next = np.zeros((batch, width))
     for t in reversed(range(steps)):
-        gi, gf, gg, go, c_prev, tc = cache[t]
-        dh = d_hidden[:, t] + dh_next
-        do = dh * tc
-        dc = dh * go * (1.0 - tc * tc) + dc_next
-        di = dc * gg
-        df = dc * c_prev
-        dg = dc * gi
-        dc_next = dc * gf
-        dz = np.concatenate([
-            di * gi * (1.0 - gi),
-            df * gf * (1.0 - gf),
-            dg * (1.0 - gg * gg),
-            do * go * (1.0 - go),
-        ], axis=1)
-        h_prev = hidden[:, t - 1] if t > 0 else np.zeros((batch, width))
-        d_wx += dz.T @ x[:, t]
-        d_wh += dz.T @ h_prev
-        d_b += dz.sum(axis=0)
-        d_x[:, t] = dz @ w_x
-        dh_next = dz @ w_h
+        dh = d_hidden[t] + dh_next
+        dc = dh * dc_dh[t]
+        dc += dc_next
+        dz[t] *= np.concatenate((dc, dc, dc, dh), axis=1)
+        np.multiply(dc, gf[t], out=dc_next)
+        dh_next = dz[t] @ w_h
+    dz_flat = dz.reshape(-1, four_w)
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, d_in)
+    h_prev = hidden.transpose(1, 0, 2)[:-1].reshape(-1, width)
+    d_wx = dz_flat.T @ x_tm
+    d_wh = dz[1:].reshape(-1, four_w).T @ h_prev
+    d_b = dz_flat.sum(axis=0)
+    d_x = (dz_flat @ w_x).reshape(steps, batch, d_in).transpose(1, 0, 2)
     return d_wx, d_wh, d_b, d_x
 
 
@@ -310,7 +368,9 @@ def save_checkpoint(path: str | Path, model: NetStack,
         np.savez(fh, meta=meta_bytes, **arrays)
 
 
-def load_checkpoint(path: str | Path) -> NetStack:
+def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
+    """Read a checkpoint written by `save_checkpoint`; returns the model and
+    the stored meta (with the caller's `extra_meta` under "extra")."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"missing checkpoint {path}")
@@ -327,4 +387,4 @@ def load_checkpoint(path: str | Path) -> NetStack:
                 model.params[key] = data[f"param_{key}"]
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
-    return model
+    return model, meta

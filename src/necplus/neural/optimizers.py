@@ -41,11 +41,3 @@ class Adam:
             m_hat = self.m[key] / (1 - self.beta1 ** self.t)
             v_hat = self.v[key] / (1 - self.beta2 ** self.t)
             params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def clip_by_global_norm(grads: dict, max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
-        factor = max_norm / total
-        for key in grads:
-            grads[key] *= factor

@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import TrainingFailureError
 from .losses import classifier_loss, masked_mse_loss
 from .network import NetStack
-from .optimizers import Adam, Sgd, clip_by_global_norm
+from .optimizers import Adam, Sgd
 
 
 @dataclass
@@ -22,7 +22,6 @@ class TrainConfig:
     max_epochs: int = 50
     early_stop_patience: int = 3
     seed: int = 0
-    clip_norm: float | None = None
     alpha: float = 1.0
     beta: float = 1.0
 
@@ -88,8 +87,6 @@ def train(model: NetStack, samples, val_windows, cfg: TrainConfig):
             loss, grads = model.loss_and_grads(
                 x[idx], target[idx], mask[idx], kind,
                 alpha=cfg.alpha, beta=cfg.beta)
-            if cfg.clip_norm is not None:
-                clip_by_global_norm(grads, cfg.clip_norm)
             sgd.step(model.params, grads, model.recurrent_keys)
             adam.step(model.params, grads, model.fc_keys)
             epoch_loss += loss

@@ -128,18 +128,6 @@ class TestAssembleFeatures:
 
 
 class TestTrainNec:
-    def test_parallel_matches_sequential(self):
-        config, features, labels, split, _ = training_inputs()
-        seq, _ = engine.train_nec(config, features, labels, split,
-                                  parallel=False)
-        par, _ = engine.train_nec(config, features, labels, split,
-                                  parallel=True)
-        for name in engine.MEMBERS:
-            for key in seq[name].params:
-                np.testing.assert_array_equal(seq[name].params[key],
-                                              par[name].params[key],
-                                              err_msg=f"{name}.{key}")
-
     def test_head_kinds(self):
         config, features, labels, split, _ = training_inputs()
         models, logs = engine.train_nec(config, features, labels, split)
