@@ -1,13 +1,17 @@
-"""Batch command-line frontend.
+"""Batch command-line frontend: argument parsing and printing only.
 
 Subcommands: synth, preprocess, fit-gmm, train, predict, evaluate,
-plotdata. Exit codes: 0 success, 1 domain error, 2 usage error. All
-randomness flows from named seeds in arguments or the run config.
+plotdata. Each one parses its arguments, calls the library (`series` for
+the CSV files, `engine` for training, forecasting and the holdout
+sections) and prints or writes the result. Exit codes: 0 success, 1 domain
+error, 2 usage error. All randomness flows from named seeds in arguments or
+the run config.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import sys
@@ -15,54 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import distributions, engine, evaluation, kvtext, sampling, series, synth
+from . import distributions, engine, evaluation, sampling, series, synth
 from .errors import ConfigError, DimensionError, NecError
-
-
-def _read_exog(paths: list[str], expected_len: int) -> list[np.ndarray]:
-    """Exogenous channels are z-scored (not differenced) and trimmed by one
-    point so they align with the standardized primary series."""
-    channels = []
-    for path in paths:
-        raw = series.read_series_csv(path)
-        if len(raw) != expected_len + 1:
-            raise DimensionError(
-                f"{path}: exogenous series length {len(raw)} does not match "
-                f"primary series length {expected_len + 1}")
-        vals = raw.values[1:]
-        std = np.std(vals)
-        channels.append((vals - np.mean(vals)) / (std if std > 0 else 1.0))
-    return channels
-
-
-def _load_preprocessed(in_dir: Path, with_timestamps: bool = False):
-    std_values = []
-    labels = []
-    stamps = []
-    with (in_dir / "preprocessed.csv").open() as fh:
-        fh.readline()
-        for line in fh:
-            ts, val, ext = line.strip().split(",")
-            std_values.append(float(val))
-            labels.append(ext == "1")
-            if with_timestamps:
-                stamps.append(ts)
-    meta, epsilon = series.read_transform_meta(in_dir / "transform.meta")
-    std = series.StandardizedSeries(values=np.array(std_values), **meta)
-    if with_timestamps:
-        return std, np.array(labels, dtype=bool), epsilon, stamps
-    return std, np.array(labels, dtype=bool), epsilon
 
 
 def cmd_synth(args) -> int:
     raw, onsets = synth.generate(args.seed, args.length, args.spike_rate,
                                  args.spike_shape)
     series.write_series_csv(args.out, raw)
-    sidecar = Path(args.out).with_suffix(".spikes.csv")
-    with sidecar.open("w") as fh:
-        fh.write("spike_index\n")
-        for onset in onsets:
-            fh.write(f"{int(onset)}\n")
+    np.savetxt(Path(args.out).with_suffix(".spikes.csv"), onsets, fmt="%d",
+               header="spike_index", comments="")
     print(f"wrote {args.length} points to {args.out} ({len(onsets)} spikes)")
     return 0
 
@@ -83,7 +49,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_fit_gmm(args) -> int:
-    std, _, _ = _load_preprocessed(Path(args.in_dir))
+    std = series.read_preprocessed(args.in_dir)[0]
     model = distributions.fit_gmm(std.values, args.components, seed=args.seed)
     distributions.save_gmm(Path(args.in_dir) / "gmm.model", model)
     trace = model.log_likelihood_trace
@@ -95,28 +61,16 @@ def cmd_fit_gmm(args) -> int:
 def cmd_train(args) -> int:
     config = engine.load_config(args.config)
     in_dir = Path(args.data)
-    std, labels, epsilon = _load_preprocessed(in_dir)
+    std, labels, epsilon, _ = series.read_preprocessed(in_dir)
     if abs(epsilon - config.epsilon) > 1e-12:
         raise ConfigError(
             f"config epsilon {config.epsilon} != preprocessing epsilon {epsilon}")
     gmm_path = in_dir / "gmm.model"
-    if gmm_path.exists():
-        gmm = distributions.load_gmm(gmm_path)
-    else:
-        gmm = distributions.fit_gmm(std.values, config.gmm_components,
-                                    seed=config.gmm_seed)
-    exog = _read_exog(args.exog or [], len(std))
-    if len(exog) != config.n_exogenous:
-        raise ConfigError(
-            f"config declares {config.n_exogenous} exogenous channels, "
-            f"got {len(exog)}")
+    gmm = (distributions.load_gmm(gmm_path) if gmm_path.exists() else
+           distributions.fit_gmm(std.values, config.gmm_components, seed=config.gmm_seed))
+    exog = series.read_exog(args.exog, len(std), config.n_exogenous)
     features = engine.assemble_features(std.values, gmm, exog)
-    spec = sampling.SplitSpec(h=config.h, f=config.f,
-                              holdout_sections=config.holdout_sections,
-                              val_ranges=config.val_ranges,
-                              test_ranges=config.test_ranges,
-                              seed=config.split_seed)
-    split = sampling.make_split(len(std), spec)
+    split = sampling.make_split(len(std), config.split_spec())
     models, logs = engine.train_nec(config, features, labels, split)
     engine.save_run(args.out, config, gmm, std, models, logs)
     sampling.dump_split_csv(Path(args.out) / "split.csv", split)
@@ -131,146 +85,73 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     run = engine.load_run(args.run_dir)
     config = run.config
-    raw = series.read_series_csv(args.input)
-    filled = series.fill_gaps(raw)
-    std_vals = (np.diff(filled.values) - run.transform.location) / run.transform.scale
-    exog = _read_exog(args.exog or [], len(std_vals))
-    if len(exog) != config.n_exogenous:
-        raise ConfigError(
-            f"run was trained with {config.n_exogenous} exogenous channels, "
-            f"got {len(exog)}")
-    features = engine.assemble_features(std_vals, run.gmm, exog)
-    origin = _origin_index(filled, args.origin_timestamp)
+    filled = series.fill_gaps(series.read_series_csv(args.input))
+    std = series.standardize(filled, run.transform.location, run.transform.scale)
+    exog = series.read_exog(args.exog, len(std), config.n_exogenous)
+    features = engine.assemble_features(std.values, run.gmm, exog)
+    origin = series.origin_index(filled, args.origin_timestamp)
     if origin - config.h < 0:
-        raise DimensionError(
-            f"need {config.h} history steps before the forecast origin")
-    window = features[origin - config.h:origin]
-    bundle = engine.predict(run.models, window, anchor=filled.values[origin],
+        raise DimensionError(f"need {config.h} history steps before the forecast origin")
+    bundle = engine.predict(run.models, features[origin - config.h:origin],
+                            anchor=filled.values[origin],
                             transform=run.transform,
                             threshold=config.gate_threshold,
                             soft_gate=config.soft_gate)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
+    with _output(args.out) as out:
         out.write("step,n,e,c_prob,gate,composed,raw\n")
         for i in range(config.f):
             out.write(f"{i},{float(bundle.n_pred[i])!r},{float(bundle.e_pred[i])!r},"
                       f"{float(bundle.c_prob[i])!r},{int(bundle.gate[i])},"
                       f"{float(bundle.composed[i])!r},{float(bundle.raw_scale[i])!r}\n")
-    finally:
-        if args.out is not None:
-            out.close()
     return 0
 
 
-def _origin_index(raw: series.RawSeries, timestamp: str | None) -> int:
-    """Index of the last known raw value; the forecast covers the next f
-    standardized steps. Defaults to the series end minus nothing (last h
-    window ends at the final observation)."""
-    if timestamp is None:
-        return len(raw) - 1
-    target = series._parse_timestamp(timestamp)
-    idx = np.searchsorted(raw.timestamps, target)
-    if idx >= len(raw) or raw.timestamps[idx] != target:
-        raise ConfigError(f"timestamp {timestamp} not present in input series")
-    return int(idx)
+def _output(path: str | None):
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
 
 
-def _section_eval(run: engine.RunArtifacts, features, labels, raw_values,
-                  sections):
-    """Predict every holdout section; returns per-section raw predictions,
-    truths, labels, and the persistence baseline."""
-    config = run.config
-    results = []
-    for start, stop in sections:
-        origin = start - config.h
-        if origin < 0:
-            raise ConfigError(f"section at {start} has no {config.h}-step history")
-        window = features[origin:start]
-        anchor = raw_values[start]  # std index i pairs raw[i] -> raw[i+1]
-        bundle = engine.predict(run.models, window, anchor=anchor,
-                                transform=run.transform,
-                                threshold=config.gate_threshold,
-                                soft_gate=config.soft_gate)
-        truth = raw_values[start + 1:stop + 1]
-        baseline = evaluation.persistence_forecast(raw_values[:start + 1],
-                                                   config.f)
-        results.append((bundle, truth, labels[start:stop], baseline))
-    return results
+def _holdout(args, which: str):
+    """(run, its `which` sections, features, labels, raw values, timestamps)."""
+    run = engine.load_run(args.run_dir)
+    std, labels, _, stamps = series.read_preprocessed(args.data)
+    exog = series.read_exog(args.exog, len(std), run.config.n_exogenous)
+    features = engine.assemble_features(std.values, run.gmm, exog)
+    split = sampling.make_split(len(std), run.config.split_spec())
+    sections = split.val_sections if which == "val" else split.test_sections
+    return run, sections, features, labels, series.reconstruct_raw(std), stamps
 
 
 def cmd_evaluate(args) -> int:
-    run = engine.load_run(args.run_dir)
-    config = run.config
-    std, labels, _ = _load_preprocessed(Path(args.data))
-    exog = _read_exog(args.exog or [], len(std))
-    features = engine.assemble_features(std.values, run.gmm, exog)
-    raw_values = _reconstruct_raw(std)
-    spec = sampling.SplitSpec(h=config.h, f=config.f,
-                              holdout_sections=config.holdout_sections,
-                              val_ranges=config.val_ranges,
-                              test_ranges=config.test_ranges,
-                              seed=config.split_seed)
-    split = sampling.make_split(len(std), spec)
-    sections = split.val_sections if args.split == "val" else split.test_sections
-    results = _section_eval(run, features, labels, raw_values, sections)
-    preds = np.concatenate([r[0].raw_scale for r in results])
-    truths = np.concatenate([r[1] for r in results])
-    sec_labels = np.concatenate([r[2] for r in results])
-    report = evaluation.per_class_report(preds, truths, sec_labels)
+    run, sections, features, labels, raw_values, _ = _holdout(args, args.split)
+    bundle, truth, sec_labels, baseline = engine.forecast_sections(
+        run, features, labels, raw_values, sections)
+    pred, sensor = bundle.raw_scale, run.transform.source_id
     print(evaluation.CSV_HEADER)
-    print(report.csv_row(Path(args.run_dir).name, run.transform.source_id))
+    print(evaluation.per_class_report(pred, truth, sec_labels)
+          .csv_row(Path(args.run_dir).name, sensor))
     if args.baseline:
-        base = np.concatenate([r[3] for r in results])
-        base_report = evaluation.per_class_report(base, truths, sec_labels)
-        print(base_report.csv_row("persistence", run.transform.source_id))
+        print(evaluation.per_class_report(baseline, truth, sec_labels)
+              .csv_row("persistence", sensor))
         if args.wilcoxon:
-            pairs = [(evaluation.rmse(r[0].raw_scale, r[1]),
-                      evaluation.rmse(r[3], r[1])) for r in results]
-            result = evaluation.wilcoxon_signed_rank(np.array(pairs))
+            result = evaluation.wilcoxon_signed_rank(np.column_stack(
+                [evaluation.row_rmse(pred, truth), evaluation.row_rmse(baseline, truth)]))
             print(f"wilcoxon,T={result.statistic},p={result.p_value!r},n={result.n}")
     return 0
 
 
-def _reconstruct_raw(std: series.StandardizedSeries) -> np.ndarray:
-    """Raw series from the stored transform; raw[0] is unknown to the
-    preprocessed artifacts, so rebuild from the anchor backwards."""
-    increments = std.values * std.scale + std.location
-    raw = np.empty(len(std) + 1)
-    raw[0] = std.anchor - float(np.sum(increments))
-    raw[1:] = raw[0] + np.cumsum(increments)
-    return raw
-
-
 def cmd_plotdata(args) -> int:
-    run = engine.load_run(args.run_dir)
-    config = run.config
-    std, labels, _, stamps = _load_preprocessed(Path(args.data), with_timestamps=True)
-    exog = _read_exog(args.exog or [], len(std))
-    features = engine.assemble_features(std.values, run.gmm, exog)
-    raw_values = _reconstruct_raw(std)
-    spec = sampling.SplitSpec(h=config.h, f=config.f,
-                              holdout_sections=config.holdout_sections,
-                              val_ranges=config.val_ranges,
-                              test_ranges=config.test_ranges,
-                              seed=config.split_seed)
-    split = sampling.make_split(len(std), spec)
-    sections = split.test_sections
+    run, sections, features, labels, raw_values, stamps = _holdout(args, "test")
     if not (0 <= args.section < len(sections)):
         raise ConfigError(
             f"section index {args.section} out of range (0..{len(sections) - 1})")
-    result = _section_eval(run, features, labels, raw_values,
-                           [sections[args.section]])[0]
-    bundle, truth, _, baseline = result
     start = sections[args.section][0]
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
+    bundle, truth, _, baseline = engine.forecast_sections(
+        run, features, labels, raw_values, [sections[args.section]])
+    with _output(args.out) as out:
         out.write("timestamp,truth,nec_plus,baseline\n")
-        for i in range(config.f):
-            out.write(f"{stamps[start + i]},{float(truth[i])!r},"
-                      f"{float(bundle.raw_scale[i])!r},{float(baseline[i])!r}\n")
-    finally:
-        if args.out is not None:
-            out.close()
+        for i in range(run.config.f):
+            out.write(f"{stamps[start + i]},{float(truth[0, i])!r},"
+                      f"{float(bundle.raw_scale[0, i])!r},{float(baseline[0, i])!r}\n")
     return 0
 
 

@@ -174,12 +174,18 @@ def gaussian_pdf(x, location: float, scale: float):
 # GMM
 
 
+def _gmm_log_joint(weights, means, variances, x: np.ndarray) -> np.ndarray:
+    """log(weight * normal density), one row per component, in the log
+    domain because tails sit ~100 sigma out."""
+    return np.log(weights)[:, None] + (
+        -0.5 * (x[None, :] - means[:, None]) ** 2 / variances[:, None]
+        - 0.5 * np.log(2 * np.pi * variances[:, None]))
+
+
 def _gmm_log_density(model: GmmModel, x: np.ndarray) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    lw = np.log(model.weights)[:, None]
-    lp = (-0.5 * (x[None, :] - model.means[:, None]) ** 2 / model.variances[:, None]
-          - 0.5 * np.log(2 * np.pi * model.variances[:, None]))
-    return logsumexp(lw + lp, axis=0)
+    return logsumexp(_gmm_log_joint(model.weights, model.means, model.variances, x),
+                     axis=0)
 
 
 def fit_gmm(xs, n_components: int, seed: int = 0,
@@ -214,11 +220,7 @@ def fit_gmm(xs, n_components: int, seed: int = 0,
     trace = []
     prev_ll = -np.inf
     for _ in range(max_iter):
-        # E step in the log domain: tails sit ~100 sigma out
-        lw = np.log(weights)[:, None]
-        lp = (-0.5 * (xs[None, :] - means[:, None]) ** 2 / variances[:, None]
-              - 0.5 * np.log(2 * np.pi * variances[:, None]))
-        joint = lw + lp
+        joint = _gmm_log_joint(weights, means, variances, xs)  # E step
         norm = logsumexp(joint, axis=0)
         resp = np.exp(joint - norm[None, :])
         ll = float(np.sum(norm))

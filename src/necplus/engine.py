@@ -1,7 +1,7 @@
 """Orchestration of the three-member forecaster: feature assembly with the
 mixture-density indicator and exogenous channels, training of the
-normal/extreme/classifier triple, gated inference composition, and run
-persistence.
+normal/extreme/classifier triple, gated inference composition, batched
+forecasts of the holdout sections, and run persistence.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import distributions, kvtext, series, sampling
+from . import distributions, evaluation, kvtext, series, sampling
 from .errors import AlignmentError, CheckpointError, ConfigError, DimensionError
 from .neural import (
     NetStack,
@@ -70,6 +70,9 @@ class NecConfig:
             raise ConfigError("need at least one mixture component")
         if self.alpha < 1 or not (0.0 <= self.beta <= 1.0):
             raise ConfigError("need alpha >= 1 and beta in [0, 1]")
+        if self.n.oversampling_os != 0.0:
+            raise ConfigError("n_oversampling_os must be 0: "
+                              "the normal model never oversamples")
         for name in MEMBERS:
             spec = getattr(self, name)
             if not (0.0 <= spec.oversampling_os <= 1.0):
@@ -78,11 +81,18 @@ class NecConfig:
                    spec.volume, spec.patience) < 1:
                 raise ConfigError(f"{name} model spec fields must be positive")
 
+    def split_spec(self) -> sampling.SplitSpec:
+        return sampling.SplitSpec(
+            h=self.h, f=self.f, holdout_sections=self.holdout_sections,
+            val_ranges=self.val_ranges, test_ranges=self.test_ranges,
+            seed=self.split_seed)
+
 
 @dataclass(frozen=True)
 class ForecastBundle:
     """Per-horizon-point member predictions, gate decision, composed output,
-    and the inverse-transformed raw-scale forecast."""
+    and the inverse-transformed raw-scale forecast: (f,) for one window,
+    (S, f) for a stack of S."""
 
     n_pred: np.ndarray
     e_pred: np.ndarray
@@ -111,15 +121,21 @@ def _member_model(config: NecConfig, name: str) -> NetStack:
                     n_layers=spec.layers, horizon=config.f, seed=spec.seed)
 
 
+def _section_starts(sections, h: int, f: int, n: int) -> np.ndarray:
+    """First index of each holdout section of an n-step series, checked to
+    have h steps before it and f steps from it."""
+    starts = np.array([start for start, _ in sections], dtype=np.int64)
+    for start in starts:
+        if not h <= start <= n - f:
+            raise ConfigError(
+                f"holdout section at {start} does not fit h={h}, f={f} in {n} steps")
+    return starts
+
+
 def validation_windows(features: np.ndarray, labels: np.ndarray,
                        sections, h: int, f: int) -> list[sampling.SampleWindow]:
-    windows = []
-    for start, _ in sections:
-        origin = start - h
-        if origin < 0:
-            raise ConfigError(f"holdout section at {start} has no {h}-step history")
-        windows.append(sampling.make_window(features, labels, origin, h, f))
-    return windows
+    return [sampling.make_window(features, labels, int(start) - h, h, f)
+            for start in _section_starts(sections, h, f, len(features))]
 
 
 def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
@@ -146,24 +162,24 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
                           alpha=config.alpha, beta=config.beta)
         return train(model, samples, val, cfg)
 
-    results = {name: run_member(name) for name in MEMBERS}
-    models = {name: res[0] for name, res in results.items()}
-    logs = {name: res[1] for name, res in results.items()}
-    return models, logs
+    models, logs = zip(*(run_member(name) for name in MEMBERS))
+    return dict(zip(MEMBERS, models)), dict(zip(MEMBERS, logs))
 
 
-def predict(models: dict, window: np.ndarray, anchor: float,
+def predict(models: dict, window: np.ndarray, anchor,
             transform: series.StandardizedSeries, threshold: float = 0.5,
             soft_gate: bool = False) -> ForecastBundle:
-    """Run the three members on one h-step feature window and compose.
+    """Run the three members on one h-step feature window (h, channels), or
+    on a stack of S windows (S, h, channels) with S anchors, and compose.
 
     Hard gating picks the extreme regressor wherever the classifier
     probability exceeds the threshold; composition happens on the
     standardized scale and the inversion to raw scale comes last.
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise DimensionError(f"expected a 2-D (h, channels) window, got {window.shape}")
+    if window.ndim not in (2, 3):
+        raise DimensionError(
+            f"expected (h, channels) or (S, h, channels), got {window.shape}")
     n_pred = models["n"].forward(window)
     e_pred = models["e"].forward(window)
     c_prob = models["c"].forward(window)
@@ -177,12 +193,37 @@ def predict(models: dict, window: np.ndarray, anchor: float,
                           gate=gate, composed=composed, raw_scale=raw)
 
 
+def forecast_sections(run: RunArtifacts, features: np.ndarray, labels,
+                      raw_values: np.ndarray, sections):
+    """Forecast every section [start, start + f) in one batched predict:
+    (bundle, truth, labels, persistence baseline), all (S, f).
+
+    Standardized index i pairs raw[i] -> raw[i+1], so a section is forecast
+    from features[start - h:start] anchored at raw[start], and its truth is
+    raw[start + 1:start + f + 1].
+    """
+    config = run.config
+    if not sections:
+        raise ConfigError("no holdout sections to forecast")
+    starts = _section_starts(sections, config.h, config.f, len(features))
+    steps = starts[:, None] + np.arange(config.f)
+    windows = features[starts[:, None] + np.arange(-config.h, 0)]
+    bundle = predict(run.models, windows, raw_values[starts], run.transform,
+                     threshold=config.gate_threshold, soft_gate=config.soft_gate)
+    return (bundle, raw_values[steps + 1], np.asarray(labels, dtype=bool)[steps],
+            evaluation.persistence_forecast(raw_values[starts, None], config.f))
+
+
 # ---------------------------------------------------------------------------
 # Run persistence
 
 
 def _ranges_text(ranges) -> str:
     return ";".join(f"{a}-{b}" for a, b in ranges)
+
+
+_BOOLS = {"0": False, "1": True, "false": False, "true": True,
+          "False": False, "True": True}
 
 
 def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
@@ -203,7 +244,7 @@ CONFIG_KEYS = {
     "loss_alpha": ("alpha", float),
     "loss_beta": ("beta", float),
     "gate_threshold": ("gate_threshold", float),
-    "soft_gate": ("soft_gate", lambda s: s in ("1", "true", "True")),
+    "soft_gate": ("soft_gate", lambda s: _BOOLS[str(s)]),
     "n_exogenous": ("n_exogenous", int),
     "holdout_sections": ("holdout_sections", int),
     "val_ranges": ("val_ranges", _parse_ranges),
@@ -248,16 +289,17 @@ def config_from_pairs(pairs: dict) -> NecConfig:
     kwargs: dict = {}
     specs = {name: {} for name in MEMBERS}
     for key, raw in pairs.items():
-        if key in CONFIG_KEYS:
-            attr, conv = CONFIG_KEYS[key]
-            kwargs[attr] = conv(raw)
-            continue
         prefix, _, rest = key.partition("_")
-        if prefix in MEMBERS and rest in MODEL_KEYS:
-            attr, conv = MODEL_KEYS[rest]
-            specs[prefix][attr] = conv(raw)
-            continue
-        raise ConfigError(f"unknown config key {key!r}")
+        if key in CONFIG_KEYS:
+            (attr, conv), target = CONFIG_KEYS[key], kwargs
+        elif prefix in MEMBERS and rest in MODEL_KEYS:
+            (attr, conv), target = MODEL_KEYS[rest], specs[prefix]
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            target[attr] = conv(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
     defaults = NecConfig()
     for name in MEMBERS:
         if specs[name]:
@@ -313,8 +355,7 @@ def load_run(run_dir: str | Path) -> RunArtifacts:
             raise CheckpointError(f"run directory missing {required}")
     config = load_config(run_dir / "config")
     gmm = distributions.load_gmm(run_dir / "gmm.model")
-    meta, epsilon = series.read_transform_meta(run_dir / "transform.meta")
-    transform = series.StandardizedSeries(values=np.array([]), **meta)
+    transform, epsilon = series.read_transform_meta(run_dir / "transform.meta")
     digest = config_hash(config)
     models = {}
     for name in MEMBERS:

@@ -43,6 +43,11 @@ def rmse(pred, truth) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
+def row_rmse(pred, truth) -> np.ndarray:
+    """RMSE of each row of (S, f) forecasts: one score per section."""
+    return np.array([rmse(p, t) for p, t in zip(pred, truth)])
+
+
 def mape(pred, truth) -> float:
     """Mean absolute percentage error, in percent."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -116,12 +121,13 @@ def wilcoxon_signed_rank(pairs) -> WilcoxonResult:
         counts += shifted
     threshold = int(np.rint(2 * statistic))
     cdf = counts[:threshold + 1].sum() / 2.0 ** n
-    return WilcoxonResult(statistic=statistic, p_value=min(1.0, 2.0 * cdf), n=n)
+    return WilcoxonResult(statistic=statistic, p_value=float(min(1.0, 2.0 * cdf)), n=n)
 
 
 def persistence_forecast(history, f: int) -> np.ndarray:
-    """Repeat the last observed raw value f times; sanity-floor baseline."""
+    """Repeat the last observed raw value f times; sanity-floor baseline.
+    A stack of histories (S, n) gives (S, f)."""
     history = np.asarray(history, dtype=np.float64)
     if history.size < 1 or f < 1:
         raise InvalidInputError("need non-empty history and f >= 1")
-    return np.full(f, history[-1])
+    return np.repeat(history[..., -1:], f, axis=-1)

@@ -301,13 +301,6 @@ class NetStack:
             raise DimensionError(f"unknown loss kind {loss_kind!r}")
         return loss, self.backward(cache, d_out)
 
-    def clone(self) -> "NetStack":
-        other = NetStack.__new__(NetStack)
-        other.__dict__.update({k: v for k, v in self.__dict__.items()
-                               if k != "params"})
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        return other
-
 
 # ---------------------------------------------------------------------------
 # Gradient checking

@@ -1,5 +1,5 @@
 """Raw-series ingestion, gap filling, the difference-standardize transform
-and its inverse, and extreme labeling.
+and its inverse, extreme labeling, and the preprocessed CSV both ways.
 
 All operations are pure: they return new immutable value objects and never
 mutate their inputs.
@@ -16,7 +16,9 @@ import numpy as np
 from . import kvtext
 from .errors import (
     BoundaryGapError,
+    ConfigError,
     DegenerateSeriesError,
+    DimensionError,
     InvalidInputError,
     UnfillableGapError,
 )
@@ -164,14 +166,20 @@ def difference_standardize(series: RawSeries,
         raise InvalidInputError("series must be gap-filled before standardizing")
     if len(series) < 2:
         raise InvalidInputError("need at least 2 points to difference")
-    diffs = np.diff(series.values)
-    fit = diffs if fit_length is None else diffs[:max(fit_length - 1, 1)]
-    location = float(np.mean(fit))
+    fit = np.diff(series.values)
+    if fit_length is not None:
+        fit = fit[:max(fit_length - 1, 1)]
     scale = float(np.std(fit))
     if scale == 0.0:
         raise DegenerateSeriesError("all first differences identical; cannot standardize")
+    return standardize(series, float(np.mean(fit)), scale)
+
+
+def standardize(series: RawSeries, location: float,
+                scale: float) -> StandardizedSeries:
+    """First differences of a gap-filled series under a frozen location and scale."""
     return StandardizedSeries(
-        values=(diffs - location) / scale,
+        values=(np.diff(series.values) - location) / scale,
         location=location,
         scale=scale,
         anchor=float(series.values[-1]),
@@ -180,17 +188,29 @@ def difference_standardize(series: RawSeries,
 
 
 def invert_transform(preds, ref: StandardizedSeries,
-                     anchor_override: float | None = None) -> np.ndarray:
+                     anchor_override=None) -> np.ndarray:
     """Map standardized-difference predictions back to the raw scale.
 
     y_j = anchor + sum_{i<=j} (preds[i] * scale + location); the anchor is
-    the last ground-truth raw value before the forecast window.
+    the last ground-truth raw value before the forecast window. A stack of
+    forecasts (S, f) takes one anchor per row, (S,).
     """
     preds = np.asarray(preds, dtype=np.float64)
     if not np.all(np.isfinite(preds)):
         raise InvalidInputError("predictions must be finite")
-    anchor = ref.anchor if anchor_override is None else float(anchor_override)
-    return anchor + np.cumsum(preds * ref.scale + ref.location)
+    anchor = np.asarray(ref.anchor if anchor_override is None else anchor_override,
+                        dtype=np.float64)
+    if anchor.ndim and anchor.shape != preds.shape[:-1]:
+        raise InvalidInputError(f"{anchor.shape} anchors for {preds.shape} predictions")
+    return anchor[..., None] + np.cumsum(preds * ref.scale + ref.location, axis=-1)
+
+
+def reconstruct_raw(std: StandardizedSeries) -> np.ndarray:
+    """The raw series a standardized one came from. raw[0] is not stored, so
+    it is rebuilt backwards from the anchor, the last raw value."""
+    start = std.anchor - float(np.sum(std.values * std.scale + std.location))
+    return np.concatenate([[start], invert_transform(std.values, std,
+                                                     anchor_override=start)])
 
 
 def label_extremes(series: StandardizedSeries, epsilon: float) -> ExtremeLabels:
@@ -229,15 +249,51 @@ def read_series_csv(path: str | Path, sensor_id: str | None = None) -> RawSeries
         header = fh.readline().strip().split(",")
         if header[:2] != ["timestamp", "value"]:
             raise InvalidInputError(f"{path}: expected header 'timestamp,value'")
+        blank = 0  # for error messages; cheaper than numbering every line
         for line in fh:
             line = line.strip()
             if not line:
+                blank += 1
                 continue
             ts_text, _, val_text = line.partition(",")
-            timestamps.append(_parse_timestamp(ts_text))
-            values.append(float(val_text) if val_text else np.nan)
+            try:
+                timestamps.append(_parse_timestamp(ts_text))
+                values.append(float(val_text) if val_text else np.nan)
+            except (ValueError, OverflowError) as exc:
+                lineno = 2 + blank + len(values)  # header, blanks, parsed rows
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
     return RawSeries(sensor_id or path.stem, np.array(timestamps, dtype=np.int64),
                      np.array(values))
+
+
+def read_exog(paths, expected_len: int, count: int) -> list[np.ndarray]:
+    """Exogenous channels are z-scored (not differenced) and trimmed by one
+    point so they align with the standardized primary series. `count` is
+    the number of channels the config declares."""
+    if len(paths) != count:
+        raise ConfigError(f"config declares {count} exogenous channels, got {len(paths)}")
+    channels = []
+    for path in paths:
+        raw = read_series_csv(path)
+        if len(raw) != expected_len + 1:
+            raise DimensionError(
+                f"{path}: exogenous series length {len(raw)} does not match "
+                f"primary series length {expected_len + 1}")
+        vals = raw.values[1:]
+        std = np.std(vals)
+        channels.append((vals - np.mean(vals)) / (std if std > 0 else 1.0))
+    return channels
+
+
+def origin_index(raw: RawSeries, timestamp: str | None) -> int:
+    """Index of the last known raw value before the forecast; default: the end."""
+    if timestamp is None:
+        return len(raw) - 1
+    target = _parse_timestamp(timestamp)
+    idx = np.searchsorted(raw.timestamps, target)
+    if idx >= len(raw) or raw.timestamps[idx] != target:
+        raise ConfigError(f"timestamp {timestamp} not present in input series")
+    return int(idx)
 
 
 def write_series_csv(path: str | Path, series: RawSeries) -> None:
@@ -260,6 +316,26 @@ def write_preprocessed(out_dir: str | Path, series: RawSeries,
     kvtext.write(out_dir / "transform.meta", transform_meta(std, labels.epsilon))
 
 
+def read_preprocessed(in_dir: str | Path):
+    """Read what `write_preprocessed` wrote: (standardized series, extreme
+    labels as a bool array, epsilon, the timestamp text of each point)."""
+    path = Path(in_dir) / "preprocessed.csv"
+    stamps, values, labels = [], [], []
+    with path.open() as fh:
+        fh.readline()
+        for line in fh:
+            try:
+                ts, val, ext = line.strip().split(",")
+                values.append(float(val))
+            except ValueError as exc:  # the header and each parsed row are one line
+                lineno = len(values) + 2
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+            stamps.append(ts)
+            labels.append(ext == "1")
+    std, epsilon = read_transform_meta(Path(in_dir) / "transform.meta", values)
+    return std, np.array(labels, dtype=bool), epsilon, stamps
+
+
 def transform_meta(std: StandardizedSeries, epsilon: float) -> dict:
     return {
         "source_id": std.source_id,
@@ -270,13 +346,14 @@ def transform_meta(std: StandardizedSeries, epsilon: float) -> dict:
     }
 
 
-def read_transform_meta(path: str | Path) -> tuple[dict, float]:
-    """Return (kwargs for StandardizedSeries sans values, epsilon)."""
+def read_transform_meta(path: str | Path,
+                        values=()) -> tuple[StandardizedSeries, float]:
+    """Return (the stored transform as a StandardizedSeries of `values`,
+    epsilon)."""
     pairs = kvtext.read(path)
-    kwargs = {
-        "location": float(pairs["location"]),
-        "scale": float(pairs["scale"]),
-        "anchor": float(pairs["anchor"]),
-        "source_id": pairs.get("source_id", ""),
-    }
-    return kwargs, float(pairs["epsilon"])
+    std = StandardizedSeries(values=np.array(values, dtype=np.float64),
+                             location=float(pairs["location"]),
+                             scale=float(pairs["scale"]),
+                             anchor=float(pairs["anchor"]),
+                             source_id=pairs.get("source_id", ""))
+    return std, float(pairs["epsilon"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from necplus import distributions, engine, evaluation, kvtext, sampling, series
-from necplus.cli import _load_preprocessed, _reconstruct_raw, main
+from necplus.cli import main
 from necplus.errors import DegenerateSeriesError
 from necplus.neural import NetStack, gradient_check, masked_mse_loss
 
@@ -275,13 +275,10 @@ def test_9_desk_scale_end_to_end(tmp_path):
                  "--split", "test", "--baseline"]) == 0
 
     run = engine.load_run(run_dir)
-    std, labels, _ = _load_preprocessed(data)
+    std, labels, _, _ = series.read_preprocessed(data)
     features = engine.assemble_features(std.values, run.gmm)
-    raw_values = _reconstruct_raw(std)
-    split = sampling.make_split(len(std), sampling.SplitSpec(
-        h=config.h, f=config.f, holdout_sections=config.holdout_sections,
-        val_ranges=config.val_ranges, test_ranges=config.test_ranges,
-        seed=config.split_seed))
+    raw_values = series.reconstruct_raw(std)
+    split = sampling.make_split(len(std), config.split_spec())
 
     preds, truths, sec_labels, e_raws, n_raws = [], [], [], [], []
     for start, stop in split.test_sections:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from necplus import engine, kvtext
+from necplus import engine, evaluation, kvtext, sampling, series
 from necplus.cli import main
 
 
@@ -137,3 +137,102 @@ class TestPipeline:
                      "--out", str(tmp_path / "run")])
         assert code == 1
         assert "epsilon" in capsys.readouterr().err
+
+
+def per_section_rows(run_dir, data, split_name):
+    """The evaluate rows from one B=1 predict per holdout section, the way
+    the acceptance battery's end-to-end test computes its reference."""
+    run = engine.load_run(run_dir)
+    config = run.config
+    std, labels, _, _ = series.read_preprocessed(data)
+    features = engine.assemble_features(std.values, run.gmm)
+    raw_values = series.reconstruct_raw(std)
+    split = sampling.make_split(len(std), config.split_spec())
+    sections = split.val_sections if split_name == "val" else split.test_sections
+    preds, truths, sec_labels, bases, pairs = [], [], [], [], []
+    for start, stop in sections:
+        bundle = engine.predict(run.models, features[start - config.h:start],
+                                raw_values[start], run.transform,
+                                threshold=config.gate_threshold,
+                                soft_gate=config.soft_gate)
+        truth = raw_values[start + 1:stop + 1]
+        base = evaluation.persistence_forecast(raw_values[:start + 1], config.f)
+        preds.append(bundle.raw_scale)
+        truths.append(truth)
+        sec_labels.append(labels[start:stop])
+        bases.append(base)
+        pairs.append((evaluation.rmse(bundle.raw_scale, truth),
+                      evaluation.rmse(base, truth)))
+    truths, sec_labels = np.concatenate(truths), np.concatenate(sec_labels)
+    sensor = run.transform.source_id
+    wilcoxon = evaluation.wilcoxon_signed_rank(np.array(pairs))
+    return [evaluation.CSV_HEADER,
+            evaluation.per_class_report(np.concatenate(preds), truths, sec_labels)
+            .csv_row(run_dir.name, sensor),
+            evaluation.per_class_report(np.concatenate(bases), truths, sec_labels)
+            .csv_row("persistence", sensor),
+            f"wilcoxon,T={wilcoxon.statistic},p={wilcoxon.p_value},n={wilcoxon.n}"]
+
+
+def assert_rows_close(got, want):
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        got_fields = got_line.replace("=", ",").split(",")
+        want_fields = want_line.replace("=", ",").split(",")
+        assert len(got_fields) == len(want_fields), got_line
+        for g, w in zip(got_fields, want_fields):
+            try:
+                assert float(g) == pytest.approx(float(w), rel=1e-12), got_line
+            except ValueError:
+                assert g == w, got_line
+
+
+class TestEvaluateBatched:
+    @pytest.mark.parametrize("split_name", ["test", "val"])
+    def test_rows_equal_the_per_section_loop(self, pipeline, capsys, split_name):
+        _, _, data, run, _ = pipeline
+        capsys.readouterr()
+        assert main(["evaluate", "--run-dir", str(run), "--data", str(data),
+                     "--split", split_name, "--baseline", "--wilcoxon"]) == 0
+        got = capsys.readouterr().out.splitlines()
+        assert_rows_close(got, per_section_rows(run, data, split_name))
+
+    def test_wilcoxon_p_value_prints_as_a_plain_float(self, pipeline, capsys):
+        _, _, data, run, _ = pipeline
+        capsys.readouterr()
+        assert main(["evaluate", "--run-dir", str(run), "--data", str(data),
+                     "--baseline", "--wilcoxon"]) == 0
+        line = capsys.readouterr().out.splitlines()[3]
+        p_value = line.split("p=")[1].split(",")[0]
+        assert float(p_value) > 0 and "np." not in line
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("line", ["input_length_h abc", "val_ranges 1-x",
+                                      "soft_gate yes", "n_oversampling_os 0.5"])
+    def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, line):
+        _, _, data, _, _ = pipeline
+        config = tmp_path / "config"
+        write_config(config)
+        config.write_text(config.read_text() + line + "\n")
+        code = main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and line.split()[0] in err
+
+    def test_bad_series_cell_exits_one(self, tmp_path, capsys):
+        csv = tmp_path / "series.csv"
+        csv.write_text("timestamp,value\n2020-01-01T00:00:00Z,1.0\n"
+                       "2020-01-01T01:00:00Z,oops\n")
+        code = main(["preprocess", "--input", str(csv), "--out-dir",
+                     str(tmp_path / "data")])
+        assert code == 1
+        assert "series.csv:3" in capsys.readouterr().err
+
+    def test_evaluate_checks_the_exogenous_count(self, pipeline, capsys):
+        _, csv, data, run, _ = pipeline
+        code = main(["evaluate", "--run-dir", str(run), "--data", str(data),
+                     "--exog", str(csv)])
+        assert code == 1
+        assert "exogenous" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from necplus import distributions, engine, sampling, series
-from necplus.errors import CheckpointError, ConfigError
+from necplus import distributions, engine, evaluation, kvtext, sampling, series
+from necplus.errors import CheckpointError, ConfigError, DimensionError, NecError
 
 
 class StubModel:
@@ -45,11 +47,7 @@ def training_inputs(n=600, seed=0):
     gmm = distributions.fit_gmm(std_values, 1)
     features = engine.assemble_features(std_values, gmm)
     config = small_config()
-    spec = sampling.SplitSpec(h=config.h, f=config.f,
-                              holdout_sections=config.holdout_sections,
-                              val_ranges=config.val_ranges,
-                              test_ranges=config.test_ranges, seed=0)
-    split = sampling.make_split(n, spec)
+    split = sampling.make_split(n, config.split_spec())
     return config, features, labels, split, gmm
 
 
@@ -224,3 +222,147 @@ class TestRunPersistence:
             text.replace("loss_alpha 1.0", "loss_alpha 3.0"))
         with pytest.raises(CheckpointError, match="hash"):
             engine.load_run(tampered)
+
+
+class TestSplitSpec:
+    def test_fields_come_from_the_config(self):
+        config = small_config(split_seed=7)
+        assert config.split_spec() == sampling.SplitSpec(
+            h=12, f=4, holdout_sections=2, val_ranges=((100, 200),),
+            test_ranges=((300, 400),), seed=7)
+
+
+class TestConfigParsing:
+    def test_normal_model_oversampling_rejected(self):
+        # config_to_pairs never writes n_oversampling_os, so a run that
+        # oversampled N would be saved and hashed as one that did not
+        with pytest.raises(ConfigError, match="n_oversampling_os"):
+            engine.config_from_pairs({"n_oversampling_os": "0.5"})
+        with pytest.raises(ConfigError):
+            small_config(n=engine.ModelSpec(oversampling_os=0.5))
+        assert engine.config_from_pairs({"n_oversampling_os": "0"}) == engine.NecConfig()
+
+    @pytest.mark.parametrize("text,value", [("0", False), ("1", True),
+                                            ("false", False), ("true", True),
+                                            ("False", False), ("True", True)])
+    def test_soft_gate_values(self, text, value):
+        assert engine.config_from_pairs({"soft_gate": text}).soft_gate is value
+
+    @pytest.mark.parametrize("text", ["yes", "no", "", "TRUE", "2", "on"])
+    def test_soft_gate_rejects_other_text(self, text):
+        with pytest.raises(ConfigError, match="soft_gate"):
+            engine.config_from_pairs({"soft_gate": text})
+
+    @pytest.mark.parametrize("key,text", [
+        ("input_length_h", "abc"), ("loss_alpha", "1.0.0"), ("val_ranges", "1-x"),
+        ("test_ranges", "5"), ("e_hidden", "16.5"), ("c_oversampling_os", "")])
+    def test_malformed_value_names_the_key(self, key, text):
+        with pytest.raises(ConfigError, match=key):
+            engine.config_from_pairs({key: text})
+
+    def test_soft_gate_round_trips(self):
+        config = small_config(soft_gate=True)
+        assert engine.config_from_pairs(engine.config_to_pairs(config)) == config
+        text = kvtext.dumps(engine.config_to_pairs(config))
+        assert engine.config_from_pairs(kvtext.loads(text)) == config
+
+
+CONFIG_KEY_NAMES = sorted([*engine.CONFIG_KEYS,
+                           *(f"{m}_{k}" for m in engine.MEMBERS for k in engine.MODEL_KEYS)])
+VALUE_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs", "Zl", "Zp", "Cc")), max_size=12),
+    st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{0,3})?(e-?[0-9])?", fullmatch=True),
+    st.from_regex(r"([0-9x]{0,4}-[0-9x]{0,4};?){0,3}", fullmatch=True),
+    st.sampled_from(["0", "1", "true", "nan", "inf", "-1", "1e400", "24", "0.5"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.one_of(st.sampled_from(CONFIG_KEY_NAMES),
+                                 st.text(min_size=1, max_size=8)),
+                       VALUE_TEXT, max_size=6))
+def test_fuzzed_config_raises_only_domain_errors(pairs):
+    lines = [f"{key} {value}" for key, value in pairs.items()
+             if key.strip() and " " not in key and "\n" not in key]
+    try:
+        config = engine.config_from_pairs(kvtext.loads("\n".join(lines)))
+    except NecError:
+        return
+    assert isinstance(config, engine.NecConfig)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=200))
+def test_fuzzed_config_text_raises_only_domain_errors(text):
+    try:
+        engine.config_from_pairs(kvtext.loads(text))
+    except NecError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def holdout_run(trained_run):
+    run = engine.load_run(trained_run[0])
+    features = trained_run[3]
+    rng = np.random.default_rng(5)
+    raw_values = 100.0 + np.concatenate([[0.0], np.cumsum(rng.normal(size=len(features)))])
+    labels = np.abs(features[:, 0]) > 1.5
+    starts = np.sort(rng.choice(np.arange(run.config.h, len(features) - run.config.f),
+                                size=20, replace=False))
+    sections = tuple((int(s), int(s) + run.config.f) for s in starts)
+    return run, features, labels, raw_values, sections
+
+
+class TestBatchedForecast:
+    def test_stack_equals_single_windows(self, holdout_run):
+        run, features, _, raw_values, sections = holdout_run
+        h = run.config.h
+        starts = [s for s, _ in sections]
+        windows = np.stack([features[s - h:s] for s in starts])
+        batched = engine.predict(run.models, windows, raw_values[starts], run.transform)
+        singles = [engine.predict(run.models, features[s - h:s], raw_values[s],
+                                  run.transform) for s in starts]
+        assert batched.n_pred.shape == (len(starts), run.config.f)
+        np.testing.assert_array_equal(batched.gate, np.stack([b.gate for b in singles]))
+        for name in ("n_pred", "e_pred", "c_prob", "composed", "raw_scale"):
+            np.testing.assert_allclose(getattr(batched, name),
+                                       np.stack([getattr(b, name) for b in singles]),
+                                       rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_sections_equal_the_per_section_loop(self, holdout_run):
+        run, features, labels, raw_values, sections = holdout_run
+        bundle, truth, sec_labels, baseline = engine.forecast_sections(
+            run, features, labels, raw_values, sections)
+        config = run.config
+        for i, (start, stop) in enumerate(sections):
+            single = engine.predict(run.models, features[start - config.h:start],
+                                    raw_values[start], run.transform,
+                                    threshold=config.gate_threshold,
+                                    soft_gate=config.soft_gate)
+            np.testing.assert_array_equal(bundle.gate[i], single.gate)
+            np.testing.assert_allclose(bundle.raw_scale[i], single.raw_scale, rtol=1e-12)
+            np.testing.assert_array_equal(truth[i], raw_values[start + 1:stop + 1])
+            np.testing.assert_array_equal(sec_labels[i], labels[start:stop])
+            np.testing.assert_array_equal(
+                baseline[i], evaluation.persistence_forecast(raw_values[:start + 1],
+                                                             config.f))
+
+    def test_single_section_is_bit_identical_to_predict(self, holdout_run):
+        run, features, labels, raw_values, sections = holdout_run
+        start = sections[3][0]
+        bundle = engine.forecast_sections(run, features, labels, raw_values,
+                                          [sections[3]])[0]
+        single = engine.predict(run.models, features[start - run.config.h:start],
+                                raw_values[start], run.transform)
+        for name in ("n_pred", "e_pred", "c_prob", "gate", "composed", "raw_scale"):
+            np.testing.assert_array_equal(getattr(bundle, name)[0], getattr(single, name))
+
+    @pytest.mark.parametrize("sections", [(), ((5, 9),), ((597, 601),)])
+    def test_unforecastable_sections_rejected(self, holdout_run, sections):
+        run, features, labels, raw_values, _ = holdout_run
+        with pytest.raises(ConfigError, match="section"):
+            engine.forecast_sections(run, features, labels, raw_values, sections)
+
+    def test_wrong_rank_window_rejected(self, holdout_run):
+        run = holdout_run[0]
+        with pytest.raises(DimensionError):
+            engine.predict(run.models, np.zeros(12), 0.0, run.transform)

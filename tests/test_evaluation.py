@@ -15,6 +15,7 @@ from necplus.evaluation import (
     per_class_report,
     persistence_forecast,
     rmse,
+    row_rmse,
     wilcoxon_signed_rank,
 )
 
@@ -145,6 +146,15 @@ class TestWilcoxon:
         result = wilcoxon_signed_rank(pairs)
         assert result.p_value <= 1.0
 
+    @pytest.mark.parametrize("pairs", [[[1.0, 2.0], [2.0, 1.0]],
+                                       [[1.0, 2.0], [3.0, 5.0], [4.0, 4.5]]])
+    def test_result_fields_are_python_numbers(self, pairs):
+        # printed with repr by `necplus evaluate --wilcoxon`: p=0.5, not
+        # p=np.float64(0.5)
+        result = wilcoxon_signed_rank(np.array(pairs))
+        assert type(result.p_value) is float and type(result.statistic) is float
+        assert repr(result.p_value) == str(result.p_value)
+
 
 class TestPersistence:
     def test_repeats_last_value(self):
@@ -165,3 +175,18 @@ class TestPersistence:
     def test_empty_history_rejected(self):
         with pytest.raises(InvalidInputError):
             persistence_forecast([], 3)
+
+    def test_stack_of_histories(self):
+        histories = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        stacked = persistence_forecast(histories, 4)
+        assert stacked.shape == (2, 4)
+        for row, history in zip(stacked, histories):
+            np.testing.assert_array_equal(row, persistence_forecast(history, 4))
+
+
+def test_row_rmse_scores_each_row():
+    rng = np.random.default_rng(9)
+    pred, truth = rng.normal(size=(5, 7)), rng.normal(size=(5, 7))
+    scores = row_rmse(pred, truth)
+    assert scores.shape == (5,)
+    assert scores.tolist() == [rmse(p, t) for p, t in zip(pred, truth)]

@@ -7,6 +7,7 @@ from necplus.errors import (
     BoundaryGapError,
     DegenerateSeriesError,
     InvalidInputError,
+    NecError,
     UnfillableGapError,
 )
 from necplus.series import (
@@ -16,7 +17,11 @@ from necplus.series import (
     fill_gaps,
     invert_transform,
     label_extremes,
+    read_preprocessed,
     read_series_csv,
+    reconstruct_raw,
+    standardize,
+    write_preprocessed,
     write_series_csv,
 )
 
@@ -145,6 +150,43 @@ class TestInvertTransform:
         np.testing.assert_allclose(recovered, np.asarray(values)[1:],
                                    rtol=1e-9, atol=1e-6)
 
+    def test_stack_of_forecasts_equals_row_by_row(self):
+        rng = np.random.default_rng(3)
+        ref = difference_standardize(make_series(rng.normal(size=50)))
+        preds = rng.normal(size=(7, 9))
+        anchors = rng.normal(100.0, 10.0, size=7)
+        stacked = invert_transform(preds, ref, anchor_override=anchors)
+        rows = [invert_transform(p, ref, anchor_override=a)
+                for p, a in zip(preds, anchors)]
+        np.testing.assert_array_equal(stacked, np.stack(rows))
+
+    def test_stack_needs_one_anchor_per_row(self):
+        ref = difference_standardize(make_series([1.0, 2.0, 4.0]))
+        with pytest.raises(InvalidInputError, match="anchors"):
+            invert_transform(np.zeros((3, 4)), ref, anchor_override=np.zeros(2))
+
+
+class TestStandardize:
+    def test_frozen_parameters_reproduce_the_fit(self):
+        s = make_series(np.random.default_rng(4).normal(size=40).cumsum())
+        fitted = difference_standardize(s)
+        again = standardize(s, fitted.location, fitted.scale)
+        np.testing.assert_array_equal(again.values, fitted.values)
+        assert (again.location, again.scale, again.anchor, again.source_id) == (
+            fitted.location, fitted.scale, fitted.anchor, fitted.source_id)
+
+    def test_reconstruct_raw_inverts_the_transform(self):
+        values = np.random.default_rng(5).normal(50.0, 3.0, size=300)
+        std = difference_standardize(make_series(values))
+        raw = reconstruct_raw(std)
+        assert raw[-1] == values[-1]
+        np.testing.assert_allclose(raw, values, rtol=1e-12)
+        # same arithmetic as rebuilding raw[0] from the anchor, then summing on
+        increments = std.values * std.scale + std.location
+        start = std.anchor - float(np.sum(increments))
+        np.testing.assert_array_equal(raw, np.concatenate([[start],
+                                                           start + np.cumsum(increments)]))
+
 
 class TestLabelExtremes:
     def test_boundary_is_normal(self):
@@ -198,3 +240,64 @@ class TestCsv:
         path.write_text("time,val\n2020-01-01T00:00:00Z,1\n")
         with pytest.raises(InvalidInputError):
             read_series_csv(path)
+
+
+class TestPreprocessedCsv:
+    def test_round_trip(self, tmp_path):
+        raw = make_series(np.random.default_rng(6).normal(size=30).cumsum(), "r1")
+        std = difference_standardize(raw)
+        labels = label_extremes(std, 1.0)
+        write_preprocessed(tmp_path, raw, std, labels)
+        back, back_labels, epsilon, stamps = read_preprocessed(tmp_path)
+        np.testing.assert_array_equal(back.values, std.values)
+        assert (back.location, back.scale, back.anchor, back.source_id) == (
+            std.location, std.scale, std.anchor, "r1")
+        np.testing.assert_array_equal(back_labels, labels.labels)
+        assert epsilon == 1.0
+        assert len(stamps) == len(std) and stamps[0] == "1970-01-01T01:00:00Z"
+
+    def test_malformed_row_names_file_and_line(self, tmp_path):
+        raw = make_series([1.0, 2.0, 4.0, 3.0])
+        std = difference_standardize(raw)
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        path = tmp_path / "preprocessed.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "1970-01-01T02:00:00Z,x,0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match="preprocessed.csv:3"):
+            read_preprocessed(tmp_path)
+
+
+class TestMalformedSeriesCsv:
+    @pytest.mark.parametrize("row", ["2020-01-01T01:00:00Z,oops",
+                                     "yesterday,1.0", "2020-13-01T00:00:00Z,1"])
+    def test_bad_cell_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"timestamp,value\n2020-01-01T00:00:00Z,1.0\n{row}\n")
+        with pytest.raises(InvalidInputError, match="s.csv:3"):
+            read_series_csv(path)
+
+    def test_line_number_counts_skipped_blank_lines(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,value\n2020-01-01T00:00:00Z,1.0\n\n  \n"
+                        "2020-01-01T01:00:00Z,2.0\n2020-01-01T02:00:00Z,oops\n")
+        with pytest.raises(InvalidInputError, match="s.csv:6: .*oops"):
+            read_series_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(st.characters(exclude_categories=("Cs",)), max_size=30),
+        st.builds("{}T{:02d}:00:00{},{}".format,
+                  st.sampled_from(["2020-01-01", "0001-01-01", "9999-12-31", "2020-02-30"]),
+                  st.integers(0, 25), st.sampled_from(["Z", "", "+01:00", "-05:00", "ZZ"]),
+                  st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                            st.sampled_from(["", "oops", "1e999", "nan", "1,2"])))),
+        max_size=8))
+    def test_fuzzed_rows_raise_only_domain_errors(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("fuzz") / "s.csv"
+        path.write_text("timestamp,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        try:
+            series = read_series_csv(path)
+        except NecError:
+            return
+        assert len(series.timestamps) == len(series.values)
