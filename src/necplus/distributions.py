@@ -299,12 +299,14 @@ def load_gmm(path: str | Path) -> GmmModel:
     pairs = kvtext.read(path)
     if pairs.get("type") != "gmm":
         raise InvalidInputError(f"{path}: not a GMM model file")
-    m = int(pairs["components"])
-    return GmmModel(
-        weights=np.array([float(pairs[f"weight_{i}"]) for i in range(m)]),
-        means=np.array([float(pairs[f"mean_{i}"]) for i in range(m)]),
-        variances=np.array([float(pairs[f"variance_{i}"]) for i in range(m)]),
-    )
+    m = kvtext.get(pairs, "components", path, int)
+
+    def column(name):
+        return np.array([kvtext.get(pairs, f"{name}_{i}", path, float)
+                         for i in range(m)])
+
+    return GmmModel(weights=column("weight"), means=column("mean"),
+                    variances=column("variance"))
 
 
 def save_gev(path: str | Path, p: GevParams) -> None:
@@ -316,5 +318,5 @@ def load_gev(path: str | Path) -> GevParams:
     pairs = kvtext.read(path)
     if pairs.get("type") != "gev":
         raise InvalidInputError(f"{path}: not a GEV parameter file")
-    return GevParams(float(pairs["location"]), float(pairs["scale"]),
-                     float(pairs["shape"]))
+    return GevParams(*(kvtext.get(pairs, key, path, float)
+                       for key in ("location", "scale", "shape")))

@@ -17,6 +17,7 @@ from .errors import AlignmentError, CheckpointError, ConfigError, DimensionError
 from .neural import (
     NetStack,
     TrainConfig,
+    forward_members,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -171,6 +172,7 @@ def predict(models: dict, window: np.ndarray, anchor,
             soft_gate: bool = False) -> ForecastBundle:
     """Run the three members on one h-step feature window (h, channels), or
     on a stack of S windows (S, h, channels) with S anchors, and compose.
+    The members' LSTM layers run as one stack (`forward_members`).
 
     Hard gating picks the extreme regressor wherever the classifier
     probability exceeds the threshold; composition happens on the
@@ -180,9 +182,7 @@ def predict(models: dict, window: np.ndarray, anchor,
     if window.ndim not in (2, 3):
         raise DimensionError(
             f"expected (h, channels) or (S, h, channels), got {window.shape}")
-    n_pred = models["n"].forward(window)
-    e_pred = models["e"].forward(window)
-    c_prob = models["c"].forward(window)
+    n_pred, e_pred, c_prob = forward_members([models[m] for m in MEMBERS], window)
     gate = c_prob > threshold
     if soft_gate:
         composed = c_prob * e_pred + (1.0 - c_prob) * n_pred

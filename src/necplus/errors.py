@@ -5,6 +5,8 @@ map any library error to exit code 1 while argparse keeps code 2 for usage
 problems.
 """
 
+import contextlib
+
 
 class NecError(Exception):
     """Base class for all domain errors."""
@@ -23,7 +25,7 @@ class DegenerateSeriesError(NecError):
 
 
 class InvalidInputError(NecError):
-    """Non-finite or otherwise malformed numeric input."""
+    """Non-finite, malformed, incomplete or unreadable input."""
 
 
 class FitFailureError(NecError):
@@ -68,3 +70,15 @@ class UndefinedTestError(NecError):
 
 class CheckpointError(NecError):
     """A run artifact is missing, corrupt, or from an incompatible version."""
+
+
+@contextlib.contextmanager
+def reading(path):
+    """Turn a failure to open or decode the text file `path` inside the
+    block into an InvalidInputError that names the file."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: {exc.strerror or exc}") from None

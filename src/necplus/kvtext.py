@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .errors import InvalidInputError, reading
+
 
 def dumps(pairs: dict) -> str:
     lines = []
@@ -35,4 +37,17 @@ def write(path: str | Path, pairs: dict) -> None:
 
 
 def read(path: str | Path) -> dict[str, str]:
-    return loads(Path(path).read_text())
+    with reading(path):
+        return loads(Path(path).read_text())
+
+
+def get(pairs: dict[str, str], key: str, path, conv):
+    """conv(pairs[key]) of a file read from `path`; a missing key or a value
+    conv rejects raises InvalidInputError naming the file and the key."""
+    if key not in pairs:
+        raise InvalidInputError(f"{path}: missing key {key!r}")
+    try:
+        return conv(pairs[key])
+    except ValueError:
+        raise InvalidInputError(
+            f"{path}: bad value {pairs[key]!r} for key {key!r}") from None

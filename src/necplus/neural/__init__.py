@@ -1,5 +1,6 @@
 from .network import (
     NetStack,
+    forward_members,
     gradient_check,
     load_checkpoint,
     lstm_backward,
@@ -11,7 +12,7 @@ from .optimizers import Sgd, Adam
 from .training import TrainConfig, TrainLog, train
 
 __all__ = [
-    "NetStack", "lstm_forward", "lstm_backward", "gradient_check",
+    "NetStack", "forward_members", "lstm_forward", "lstm_backward", "gradient_check",
     "save_checkpoint", "load_checkpoint", "masked_mse_loss", "classifier_loss", "Sgd", "Adam",
     "TrainConfig", "TrainLog", "train",
 ]

@@ -159,6 +159,17 @@ def lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
     return d_wx, d_wh, d_b, d_x
 
 
+def _as_batch(x, input_dim: int):
+    """(x as a (B, h, input_dim) float batch, whether x was one window)."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 2
+    if single:
+        x = x[None]
+    if x.ndim != 3 or x.shape[2] != input_dim:
+        raise DimensionError(f"expected (*, h, {input_dim}) input, got {x.shape}")
+    return x, single
+
+
 class NetStack:
     """Stacked LSTM layers plus a fully-connected head."""
 
@@ -211,21 +222,27 @@ class NetStack:
     def forward(self, x, with_cache: bool = False):
         """Predict f values (probabilities for the classifier head) from a
         batch (B, h, input_dim) or a single window (h, input_dim)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 2
-        if single:
-            x = x[None]
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
-            raise DimensionError(
-                f"expected (*, h, {self.input_dim}) input, got {x.shape}")
+        x, single = _as_batch(x, self.input_dim)
         caches = []
         seq = x
         for layer in range(self.n_layers):
-            seq, cache = lstm_forward(self.params[f"lstm{layer}_wx"],
-                                      self.params[f"lstm{layer}_wh"],
-                                      self.params[f"lstm{layer}_b"], seq)
+            seq, cache = lstm_forward(*self._lstm_params(layer), seq)
             caches.append((seq, cache))
-        last = seq[:, -1]
+        activations = self._head(seq[:, -1])
+        out = activations[-1]
+        result = out[0] if single else out
+        if with_cache:
+            return result, {"x": x, "lstm": caches, "fc": activations,
+                            "single": single}
+        return result
+
+    def _lstm_params(self, layer: int):
+        return (self.params[f"lstm{layer}_wx"], self.params[f"lstm{layer}_wh"],
+                self.params[f"lstm{layer}_b"])
+
+    def _head(self, last) -> list[np.ndarray]:
+        """The FC head on the top layer's last hidden state (B, W): the
+        input and the output of every affine layer."""
         activations = [last]
         n_fc = len(self.fc_sizes) - 1
         out = last
@@ -236,11 +253,7 @@ class NetStack:
             elif i < n_fc - 1:
                 out = np.tanh(out)
             activations.append(out)
-        result = out[0] if single else out
-        if with_cache:
-            return result, {"x": x, "lstm": caches, "fc": activations,
-                            "single": single}
-        return result
+        return activations
 
     # -- backward ---------------------------------------------------------
 
@@ -300,6 +313,67 @@ class NetStack:
         else:
             raise DimensionError(f"unknown loss kind {loss_kind!r}")
         return loss, self.backward(cache, d_out)
+
+
+# ---------------------------------------------------------------------------
+# Inference over several members
+
+
+def _merge_layer(stacks, layer: int, bounds):
+    """One LSTM layer of several stacks as a single layer of their summed
+    width. Member m owns columns bounds[m]:bounds[m + 1] of the hidden state
+    and the same slice of each gate block i, f, g, o. Layer 0 stacks the
+    members' input rows, since they share the input; deeper layers are
+    block-diagonal, each member reading only its own hidden slice."""
+    total = bounds[-1]
+    d_in = stacks[0].input_dim if layer == 0 else total
+    w_x = np.zeros((4, total, d_in))
+    w_h = np.zeros((4, total, total))
+    b = np.zeros((4, total))
+    for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:]):
+        p_wx, p_wh, p_b = stack._lstm_params(layer)
+        cols = slice(None) if layer == 0 else slice(lo, hi)
+        w_x[:, lo:hi, cols] = p_wx.reshape(4, hi - lo, -1)
+        w_h[:, lo:hi, lo:hi] = p_wh.reshape(4, hi - lo, hi - lo)
+        b[:, lo:hi] = p_b.reshape(4, hi - lo)
+    return w_x.reshape(4 * total, d_in), w_h.reshape(4 * total, total), b.reshape(-1)
+
+
+def _forward_fused(stacks, x):
+    """[stack.forward(x) for stack in stacks] for stacks of equal depth and
+    input width, with one recurrence over the merged layers."""
+    x, single = _as_batch(x, stacks[0].input_dim)
+    bounds = np.cumsum([0] + [stack.width for stack in stacks])
+    seq = x
+    for layer in range(stacks[0].n_layers):
+        # [0]: the layer's cache is freed before the next layer allocates its own
+        seq = lstm_forward(*_merge_layer(stacks, layer, bounds), seq)[0]
+    last = seq[:, -1]
+    outs = [stack._head(last[:, lo:hi])[-1]
+            for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:])]
+    return [out[0] for out in outs] if single else outs
+
+
+def forward_members(stacks, x) -> list:
+    """The output of each member's `forward(x)`, in order.
+
+    The members see the same input, so the LSTM layers of every group of
+    NetStacks with equal depth and input width run as one stack (see
+    `_merge_layer`): one recurrence instead of one per member, and no
+    gradient cache is kept. Each head reads its own slice of the top hidden
+    state. Any other member runs its own `forward`.
+    """
+    outs = [None] * len(stacks)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, stack in enumerate(stacks):
+        if isinstance(stack, NetStack):
+            groups.setdefault((stack.n_layers, stack.input_dim), []).append(i)
+        else:
+            outs[i] = stack.forward(x)
+    for idx in groups.values():
+        for i, out in zip(idx, _forward_fused([stacks[i] for i in idx], x)):
+            outs[i] = out
+    return outs
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import (
     DimensionError,
     InvalidInputError,
     UnfillableGapError,
+    reading,
 )
 
 HOUR = 3600
@@ -232,8 +233,11 @@ def _parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
-def _format_timestamp(epoch: int) -> str:
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _format_timestamps(epochs) -> list[str]:
+    """ISO-8601 UTC text of epoch seconds, years zero-padded to four digits
+    so that `_parse_timestamp` reads them back."""
+    return np.datetime_as_string(np.asarray(epochs, dtype="datetime64[s]"),
+                                 unit="s", timezone="UTC").tolist()
 
 
 def read_series_csv(path: str | Path, sensor_id: str | None = None) -> RawSeries:
@@ -245,7 +249,7 @@ def read_series_csv(path: str | Path, sensor_id: str | None = None) -> RawSeries
     path = Path(path)
     timestamps: list[int] = []
     values: list[float] = []
-    with path.open() as fh:
+    with reading(path), path.open() as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["timestamp", "value"]:
             raise InvalidInputError(f"{path}: expected header 'timestamp,value'")
@@ -297,11 +301,10 @@ def origin_index(raw: RawSeries, timestamp: str | None) -> int:
 
 
 def write_series_csv(path: str | Path, series: RawSeries) -> None:
-    with Path(path).open("w") as fh:
-        fh.write("timestamp,value\n")
-        for ts, val in zip(series.timestamps, series.values):
-            text = "" if np.isnan(val) else repr(float(val))
-            fh.write(f"{_format_timestamp(int(ts))},{text}\n")
+    rows = (f"{ts},{'' if val != val else repr(val)}\n"  # val != val: NaN, a gap
+            for ts, val in zip(_format_timestamps(series.timestamps),
+                               series.values.tolist()))
+    Path(path).write_text("timestamp,value\n" + "".join(rows))
 
 
 def write_preprocessed(out_dir: str | Path, series: RawSeries,
@@ -309,10 +312,11 @@ def write_preprocessed(out_dir: str | Path, series: RawSeries,
     """Emit `preprocessed.csv` plus a `transform.meta` sidecar."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "preprocessed.csv").open("w") as fh:
-        fh.write("timestamp,std_value,is_extreme\n")
-        for ts, val, ext in zip(series.timestamps[1:], std.values, labels.labels):
-            fh.write(f"{_format_timestamp(int(ts))},{float(val)!r},{int(ext)}\n")
+    rows = (f"{ts},{val!r},{ext}\n" for ts, val, ext in zip(
+        _format_timestamps(series.timestamps[1:]), std.values.tolist(),
+        labels.labels.astype(np.int8).tolist()))
+    (out_dir / "preprocessed.csv").write_text(
+        "timestamp,std_value,is_extreme\n" + "".join(rows))
     kvtext.write(out_dir / "transform.meta", transform_meta(std, labels.epsilon))
 
 
@@ -321,7 +325,7 @@ def read_preprocessed(in_dir: str | Path):
     labels as a bool array, epsilon, the timestamp text of each point)."""
     path = Path(in_dir) / "preprocessed.csv"
     stamps, values, labels = [], [], []
-    with path.open() as fh:
+    with reading(path), path.open() as fh:
         fh.readline()
         for line in fh:
             try:
@@ -352,8 +356,8 @@ def read_transform_meta(path: str | Path,
     epsilon)."""
     pairs = kvtext.read(path)
     std = StandardizedSeries(values=np.array(values, dtype=np.float64),
-                             location=float(pairs["location"]),
-                             scale=float(pairs["scale"]),
-                             anchor=float(pairs["anchor"]),
+                             location=kvtext.get(pairs, "location", path, float),
+                             scale=kvtext.get(pairs, "scale", path, float),
+                             anchor=kvtext.get(pairs, "anchor", path, float),
                              source_id=pairs.get("source_id", ""))
-    return std, float(pairs["epsilon"])
+    return std, kvtext.get(pairs, "epsilon", path, float)

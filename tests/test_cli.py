@@ -230,6 +230,30 @@ class TestMalformedInput:
         assert code == 1
         assert "series.csv:3" in capsys.readouterr().err
 
+    def test_missing_input_directory_exits_one(self, tmp_path, capsys):
+        code = main(["fit-gmm", "--in-dir", str(tmp_path / "missing")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInputError:")
+        assert "missing/preprocessed.csv" in err
+
+    def test_missing_predict_input_exits_one(self, pipeline, tmp_path, capsys):
+        run = pipeline[3]
+        code = main(["predict", "--run-dir", str(run),
+                     "--input", str(tmp_path / "nope.csv")])
+        assert code == 1
+        assert "nope.csv" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_one(self, pipeline, tmp_path, capsys):
+        _, _, data, _, _ = pipeline
+        config = tmp_path / "config"
+        write_config(config)
+        config.write_bytes(config.read_bytes() + b"# caf\xe9\n")
+        code = main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert f"{config}: not UTF-8 text" in capsys.readouterr().err
+
     def test_evaluate_checks_the_exogenous_count(self, pipeline, capsys):
         _, csv, data, run, _ = pipeline
         code = main(["evaluate", "--run-dir", str(run), "--data", str(data),

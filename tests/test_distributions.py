@@ -230,6 +230,22 @@ class TestSerialization:
         np.testing.assert_array_equal(back.means, model.means)
         np.testing.assert_array_equal(back.variances, model.variances)
 
+    @pytest.mark.parametrize("key", ["components", "mean_1"])
+    def test_gmm_missing_key_names_file_and_key(self, tmp_path, key):
+        path = tmp_path / "gmm.model"
+        save_gmm(path, GmmModel(np.array([0.5, 0.5]), np.array([0.0, 1.0]),
+                                np.array([1.0, 2.0])))
+        path.write_text("".join(line for line in path.read_text().splitlines(True)
+                                if not line.startswith(key + " ")))
+        with pytest.raises(InvalidInputError, match=f"gmm.model: missing key '{key}'"):
+            load_gmm(path)
+
+    def test_gev_missing_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "gev.model"
+        path.write_text("type gev\nlocation 0.0\nshape 0.1\n")
+        with pytest.raises(InvalidInputError, match="gev.model: missing key 'scale'"):
+            load_gev(path)
+
     def test_gev_round_trip(self, tmp_path):
         p = GevParams(0.123456789012345, 2.71828, -0.25)
         path = tmp_path / "gev.model"

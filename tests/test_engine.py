@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +112,60 @@ class TestPredictComposition:
         bundle = engine.predict(models, np.zeros((4, 2)), 0.0,
                                 identity_transform(), soft_gate=True)
         assert bundle.composed[0] == pytest.approx(0.25)
+
+
+class TestPredictFusedMembers:
+    """engine.predict runs the three NetStacks as one merged LSTM stack; its
+    member outputs must be those of each model's own forward."""
+
+    @staticmethod
+    def members_and_windows(config, seed=0):
+        models = {name: engine._member_model(config, name) for name in engine.MEMBERS}
+        rng = np.random.default_rng(seed)
+        for model in models.values():
+            for key, value in model.params.items():
+                model.params[key] = value + rng.normal(scale=0.1, size=value.shape)
+        return models, rng.normal(size=(24, config.h, config.n_exogenous + 2))
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"e": engine.ModelSpec(hidden=8, oversampling_os=1.0, seed=2),
+         "c": engine.ModelSpec(hidden=24, oversampling_os=1.0, seed=3)},
+        {"c": engine.ModelSpec(layers=3, oversampling_os=1.0, seed=3)},
+    ], ids=["default", "hidden_widths_differ", "c_layers_differ"])
+    def test_members_equal_their_own_forward(self, overrides):
+        config = replace(engine.NecConfig(h=48, f=6), **overrides)
+        models, windows = self.members_and_windows(config)
+        for window in (windows[0], windows):  # predict (B=1), holdout (B=S)
+            bundle = engine.predict(models, window, np.zeros(window.shape[:-2]),
+                                    identity_transform())
+            for name, field in (("n", "n_pred"), ("e", "e_pred"), ("c", "c_prob")):
+                np.testing.assert_array_equal(getattr(bundle, field),
+                                              models[name].forward(window))
+
+    def test_peak_memory_below_one_training_batch(self):
+        # the merged stack is three members wide; dropping each layer's
+        # gradient cache keeps a 24-window predict under one training batch
+        config = engine.NecConfig()
+        models, windows = self.members_and_windows(config)
+        rng = np.random.default_rng(1)
+        batch = rng.normal(size=(32, config.h, 2))
+        target = rng.normal(size=(32, config.f))
+        mask = np.ones((32, config.f), dtype=bool)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        predict_peak = peak(lambda: engine.predict(models, windows, np.zeros(24),
+                                                   identity_transform()))
+        train_peak = peak(lambda: models["n"].loss_and_grads(batch, target, mask,
+                                                             "masked_mse"))
+        assert predict_peak < train_peak, (predict_peak, train_peak)
 
 
 class TestAssembleFeatures:

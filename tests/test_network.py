@@ -6,6 +6,7 @@ import pytest
 from necplus.errors import CheckpointError, DimensionError
 from necplus.neural import (
     NetStack,
+    forward_members,
     gradient_check,
     load_checkpoint,
     lstm_backward,
@@ -224,6 +225,83 @@ class TestNetStackForward:
                          horizon=2, seed=0)
         with pytest.raises(DimensionError):
             model.forward(np.ones((5, 4)))
+
+
+def trained_like_members(widths=(16, 16, 16), layers=(2, 2, 2), input_dim=2,
+                         horizon=6, seed=30):
+    """N, E and C stacks with weights perturbed away from their init, as
+    after training (biases included)."""
+    rng = np.random.default_rng(seed)
+    stacks = [NetStack(head, input_dim, width, depth, horizon, seed=i)
+              for i, (head, width, depth) in enumerate(zip(
+                  ("normal", "extreme", "classifier"), widths, layers))]
+    for stack in stacks:
+        for key, value in stack.params.items():
+            stack.params[key] = value + rng.normal(scale=0.1, size=value.shape)
+    return stacks
+
+
+class TestForwardMembers:
+    @pytest.mark.parametrize("shape", [(48, 2), (1, 48, 2), (24, 48, 2)])
+    def test_bit_identical_to_each_forward(self, shape):
+        # the members of NecConfig(): width 16, 2 layers, 2 input channels;
+        # one window (predict) and a stack of 24 (the holdout sections)
+        stacks = trained_like_members()
+        x = np.random.default_rng(31).normal(size=shape)
+        fused = forward_members(stacks, x)
+        for stack, out in zip(stacks, fused):
+            np.testing.assert_array_equal(out, stack.forward(x))
+
+    def test_every_batch_size_within_rounding(self):
+        # BLAS may sum a merged GEMM in another order than a member's own
+        # (here at B=2..9 for width 16); the difference is rounding only
+        stacks = trained_like_members(widths=(5, 7, 3), layers=(2, 2, 2))
+        rng = np.random.default_rng(32)
+        for batch in range(1, 25):
+            x = rng.normal(size=(batch, 20, 2))
+            for stack, out in zip(stacks, forward_members(stacks, x)):
+                np.testing.assert_allclose(out, stack.forward(x), rtol=0, atol=1e-15)
+
+    def test_unequal_depths_and_other_members_run_alone(self):
+        stacks = trained_like_members(layers=(2, 2, 3))
+
+        class Fixed:
+            def forward(self, x):
+                return np.arange(3.0)
+
+        members = [*stacks, Fixed()]
+        x = np.random.default_rng(33).normal(size=(24, 30, 2))
+        fused = forward_members(members, x)
+        for stack, out in zip(stacks, fused):
+            np.testing.assert_allclose(out, stack.forward(x), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(fused[3], np.arange(3.0))
+
+    def test_merged_layers_are_block_diagonal(self):
+        stacks = trained_like_members(widths=(3, 4, 2))
+        bounds = np.cumsum([0, 3, 4, 2])
+        w_x, w_h, b = network._merge_layer(stacks, 1, bounds)
+        gates = w_h.reshape(4, 9, 9)
+        for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:]):
+            own = stack.params["lstm1_wh"].reshape(4, hi - lo, hi - lo)
+            np.testing.assert_array_equal(gates[:, lo:hi, lo:hi], own)
+            np.testing.assert_array_equal(
+                w_x.reshape(4, 9, 9)[:, lo:hi, lo:hi],
+                stack.params["lstm1_wx"].reshape(4, hi - lo, hi - lo))
+            np.testing.assert_array_equal(b.reshape(4, 9)[:, lo:hi],
+                                          stack.params["lstm1_b"].reshape(4, hi - lo))
+        # layer 0: the members share the input, so their input rows stack
+        w_x0 = network._merge_layer(stacks, 0, bounds)[0].reshape(4, 9, 2)
+        for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:]):
+            np.testing.assert_array_equal(
+                w_x0[:, lo:hi], stack.params["lstm0_wx"].reshape(4, hi - lo, 2))
+        off_block = np.ones((9, 9), dtype=bool)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            off_block[lo:hi, lo:hi] = False
+        assert not gates[:, off_block].any()
+
+    def test_malformed_window_rejected(self):
+        with pytest.raises(DimensionError):
+            forward_members(trained_like_members(), np.ones((5, 3)))
 
 
 class TestBackward:

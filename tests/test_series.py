@@ -235,6 +235,18 @@ class TestCsv:
         np.testing.assert_array_equal(np.isnan(back.values), np.isnan(vals))
         np.testing.assert_array_equal(back.values[[0, 2]], vals[[0, 2]])
 
+    def test_round_trip_before_year_1000(self, tmp_path):
+        start = int(np.datetime64("0005-04-19T09:46:40", "s").astype(np.int64))
+        s = RawSeries("old", start + HOUR * np.arange(3), np.array([1.0, 2.0, 3.0]))
+        path = tmp_path / "old.csv"
+        write_series_csv(path, s)
+        assert path.read_text().splitlines()[1] == "0005-04-19T09:46:40Z,1.0"
+        np.testing.assert_array_equal(read_series_csv(path).timestamps, s.timestamps)
+
+    def test_missing_file_names_it(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="nope.csv"):
+            read_series_csv(tmp_path / "nope.csv")
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,val\n2020-01-01T00:00:00Z,1\n")
@@ -255,6 +267,16 @@ class TestPreprocessedCsv:
         np.testing.assert_array_equal(back_labels, labels.labels)
         assert epsilon == 1.0
         assert len(stamps) == len(std) and stamps[0] == "1970-01-01T01:00:00Z"
+
+    def test_transform_meta_without_scale_names_file_and_key(self, tmp_path):
+        raw = make_series([1.0, 2.0, 4.0, 3.0])
+        std = difference_standardize(raw)
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        meta = tmp_path / "transform.meta"
+        meta.write_text("".join(line for line in meta.read_text().splitlines(True)
+                                if not line.startswith("scale ")))
+        with pytest.raises(InvalidInputError, match="transform.meta: missing key 'scale'"):
+            read_preprocessed(tmp_path)
 
     def test_malformed_row_names_file_and_line(self, tmp_path):
         raw = make_series([1.0, 2.0, 4.0, 3.0])
