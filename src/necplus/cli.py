@@ -20,15 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import distributions, engine, evaluation, sampling, series, synth
-from .errors import ConfigError, DimensionError, NecError
+from .errors import ConfigError, DimensionError, NecError, writing
 
 
 def cmd_synth(args) -> int:
     raw, onsets = synth.generate(args.seed, args.length, args.spike_rate,
                                  args.spike_shape)
     series.write_series_csv(args.out, raw)
-    np.savetxt(Path(args.out).with_suffix(".spikes.csv"), onsets, fmt="%d",
-               header="spike_index", comments="")
+    spikes = Path(args.out).with_suffix(".spikes.csv")
+    with writing(spikes):
+        np.savetxt(spikes, onsets, fmt="%d", header="spike_index", comments="")
     print(f"wrote {args.length} points to {args.out} ({len(onsets)} spikes)")
     return 0
 
@@ -88,11 +89,13 @@ def cmd_predict(args) -> int:
     filled = series.fill_gaps(series.read_series_csv(args.input))
     std = series.standardize(filled, run.transform.location, run.transform.scale)
     exog = series.read_exog(args.exog, len(std), config.n_exogenous)
-    features = engine.assemble_features(std.values, run.gmm, exog)
     origin = series.origin_index(filled, args.origin_timestamp)
     if origin - config.h < 0:
         raise DimensionError(f"need {config.h} history steps before the forecast origin")
-    bundle = engine.predict(run.models, features[origin - config.h:origin],
+    window = slice(origin - config.h, origin)
+    features = engine.assemble_features(std.values[window], run.gmm,
+                                        [channel[window] for channel in exog])
+    bundle = engine.predict(run.models, features,
                             anchor=filled.values[origin],
                             transform=run.transform,
                             threshold=config.gate_threshold,
@@ -106,8 +109,14 @@ def cmd_predict(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
 def _output(path: str | None):
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+    """stdout, or the file `path` opened for writing."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with writing(path), open(path, "w") as out:
+            yield out
 
 
 def _holdout(args, which: str):

@@ -13,7 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import distributions, evaluation, kvtext, series, sampling
-from .errors import AlignmentError, CheckpointError, ConfigError, DimensionError
+from .errors import (
+    AlignmentError,
+    CheckpointError,
+    ConfigError,
+    DimensionError,
+    writing,
+)
 from .neural import (
     NetStack,
     TrainConfig,
@@ -319,23 +325,24 @@ def save_run(run_dir: str | Path, config: NecConfig,
              gmm: distributions.GmmModel, transform: series.StandardizedSeries,
              models: dict, logs: dict | None = None) -> None:
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    kvtext.write(run_dir / "config", config_to_pairs(config))
-    distributions.save_gmm(run_dir / "gmm.model", gmm)
-    kvtext.write(run_dir / "transform.meta",
-                 series.transform_meta(transform, config.epsilon))
-    digest = config_hash(config)
-    for name in MEMBERS:
-        save_checkpoint(run_dir / f"{name}.ckpt", models[name],
-                        extra_meta={"config_hash": digest})
-    if logs is not None:
-        with (run_dir / "train.log").open("w") as fh:
-            for name in MEMBERS:
-                log = logs[name]
-                fh.write(f"model {name} best_epoch {log.best_epoch} "
-                         f"stopped_early {int(log.stopped_early)}\n")
-                for i, (tl, vl) in enumerate(zip(log.train_losses, log.val_losses)):
-                    fh.write(f"model {name} epoch {i} train {tl!r} val {vl!r}\n")
+    with writing(run_dir):
+        run_dir.mkdir(parents=True, exist_ok=True)
+        kvtext.write(run_dir / "config", config_to_pairs(config))
+        distributions.save_gmm(run_dir / "gmm.model", gmm)
+        kvtext.write(run_dir / "transform.meta",
+                     series.transform_meta(transform, config.epsilon))
+        digest = config_hash(config)
+        for name in MEMBERS:
+            save_checkpoint(run_dir / f"{name}.ckpt", models[name],
+                            extra_meta={"config_hash": digest})
+        if logs is not None:
+            with (run_dir / "train.log").open("w") as fh:
+                for name in MEMBERS:
+                    log = logs[name]
+                    fh.write(f"model {name} best_epoch {log.best_epoch} "
+                             f"stopped_early {int(log.stopped_early)}\n")
+                    for i, (tl, vl) in enumerate(zip(log.train_losses, log.val_losses)):
+                        fh.write(f"model {name} epoch {i} train {tl!r} val {vl!r}\n")
 
 
 @dataclass(frozen=True)

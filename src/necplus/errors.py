@@ -82,3 +82,13 @@ def reading(path):
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
     except OSError as exc:
         raise InvalidInputError(f"{path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Turn a failure to create or write the file `path` inside the block
+    into an InvalidInputError that names the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot write: {exc.strerror or exc}") from None

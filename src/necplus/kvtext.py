@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import InvalidInputError, reading
+from .errors import InvalidInputError, reading, writing
 
 
 def dumps(pairs: dict) -> str:
@@ -33,7 +33,8 @@ def loads(text: str) -> dict[str, str]:
 
 
 def write(path: str | Path, pairs: dict) -> None:
-    Path(path).write_text(dumps(pairs))
+    with writing(path):
+        Path(path).write_text(dumps(pairs))
 
 
 def read(path: str | Path) -> dict[str, str]:

@@ -226,8 +226,11 @@ class NetStack:
         caches = []
         seq = x
         for layer in range(self.n_layers):
-            seq, cache = lstm_forward(*self._lstm_params(layer), seq)
-            caches.append((seq, cache))
+            if with_cache:
+                seq, cache = lstm_forward(*self._lstm_params(layer), seq)
+                caches.append((seq, cache))
+            else:  # [0]: each layer's cache is freed before the next layer runs
+                seq = lstm_forward(*self._lstm_params(layer), seq)[0]
         activations = self._head(seq[:, -1])
         out = activations[-1]
         result = out[0] if single else out

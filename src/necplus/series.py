@@ -8,7 +8,9 @@ mutate their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
+from itertools import compress, count, islice, product, repeat
+from operator import getitem, ne, not_
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,13 @@ from .errors import (
     InvalidInputError,
     UnfillableGapError,
     reading,
+    writing,
 )
 
 HOUR = 3600
 DEFAULT_MAX_GAP = 14 * 24  # 14 days of hourly points
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_ROW_START_WIDTH = len("0001-01-01T00:00:00Z,")  # the same for every year
 
 
 @dataclass(frozen=True)
@@ -240,34 +245,83 @@ def _format_timestamps(epochs) -> list[str]:
                                  unit="s", timezone="UTC").tolist()
 
 
+def _hourly_row_starts(first: int, n: int) -> list[str]:
+    """How the n rows of an hourly run from epoch second `first` start when
+    written by `_format_timestamps`: each stamp and its comma, up to the end
+    of year 9999. Built as the date text of each day joined to 24 hour
+    suffixes."""
+    day, second = divmod(first, 86400)
+    hour, rest = divmod(second, HOUR)
+    first_day = _EPOCH_ORDINAL + day
+    if not 1 <= first_day <= date.max.toordinal():
+        return []  # a UTC instant outside years 0001-9999 has no such text
+    suffixes = ["T%02d:%02d:%02dZ," % (h, *divmod(rest, 60)) for h in range(24)]
+    last_day = min(first_day + (hour + n - 1) // 24, date.max.toordinal())
+    dates = [date.fromordinal(d).isoformat() for d in range(first_day, last_day + 1)]
+    return list(islice(map("".join, product(dates, suffixes)), hour, hour + n))
+
+
+def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and values of stripped, non-blank `timestamp,value` rows.
+
+    Only the first stamp is parsed as a datetime. Row i is `first` plus i
+    hours if its text starts with `_hourly_row_starts(first, n)[i]`; any
+    other row's stamp is parsed on its own. A bad row raises ValueError or
+    OverflowError, not necessarily the first bad row's.
+    """
+    if not rows:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    first = _parse_timestamp(rows[0].partition(",")[0])
+    starts = _hourly_row_starts(first, len(rows))
+    heads = map(getitem, rows, repeat(slice(_ROW_START_WIDTH)))
+    off_run = list(compress(count(), map(ne, heads, starts)))
+    off_run += range(len(starts), len(rows))  # rows past year 9999
+    del starts  # before the cells are cut, to keep the peak memory low
+    cells = list(map(getitem, rows, repeat(slice(_ROW_START_WIDTH, None))))
+    timestamps = first + HOUR * np.arange(len(rows), dtype=np.int64)
+    for i in off_run:
+        ts_text, _, cells[i] = rows[i].partition(",")
+        timestamps[i] = _parse_timestamp(ts_text)
+    for i in compress(count(), map(not_, cells)):
+        cells[i] = "nan"  # an empty cell is a gap
+    return timestamps, np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+
+
+def _raise_first_bad_row(path: Path, lines: list[str]) -> None:
+    """Raise the InvalidInputError of the first row of the file's `lines`
+    whose stamp or value does not parse."""
+    for lineno, line in enumerate(islice(lines, 1, None), 2):
+        line = line.strip()
+        if not line:
+            continue
+        ts_text, _, val_text = line.partition(",")
+        try:
+            _parse_timestamp(ts_text)
+            if val_text:
+                float(val_text)
+        except (ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_series_csv(path: str | Path, sensor_id: str | None = None) -> RawSeries:
     """Read a `timestamp,value` CSV; empty value fields are gaps.
 
     Timestamps must be continuous hourly ISO-8601 instants: a missing row is
-    an error, a missing value is a gap.
+    an error, a missing value is a gap. Every row is checked, in bulk (see
+    `_parse_rows`); only a failure is traced back to its line.
     """
     path = Path(path)
-    timestamps: list[int] = []
-    values: list[float] = []
-    with reading(path), path.open() as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["timestamp", "value"]:
-            raise InvalidInputError(f"{path}: expected header 'timestamp,value'")
-        blank = 0  # for error messages; cheaper than numbering every line
-        for line in fh:
-            line = line.strip()
-            if not line:
-                blank += 1
-                continue
-            ts_text, _, val_text = line.partition(",")
-            try:
-                timestamps.append(_parse_timestamp(ts_text))
-                values.append(float(val_text) if val_text else np.nan)
-            except (ValueError, OverflowError) as exc:
-                lineno = 2 + blank + len(values)  # header, blanks, parsed rows
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
-    return RawSeries(sensor_id or path.stem, np.array(timestamps, dtype=np.int64),
-                     np.array(values))
+    with reading(path):
+        lines = path.read_text().split("\n")  # newlines are universal
+    if lines[0].strip().split(",")[:2] != ["timestamp", "value"]:
+        raise InvalidInputError(f"{path}: expected header 'timestamp,value'")
+    rows = list(filter(None, map(str.strip, islice(lines, 1, None))))
+    try:
+        timestamps, values = _parse_rows(rows)
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(path, lines)
+        raise
+    return RawSeries(sensor_id or path.stem, timestamps, values)
 
 
 def read_exog(paths, expected_len: int, count: int) -> list[np.ndarray]:
@@ -304,19 +358,21 @@ def write_series_csv(path: str | Path, series: RawSeries) -> None:
     rows = (f"{ts},{'' if val != val else repr(val)}\n"  # val != val: NaN, a gap
             for ts, val in zip(_format_timestamps(series.timestamps),
                                series.values.tolist()))
-    Path(path).write_text("timestamp,value\n" + "".join(rows))
+    with writing(path):
+        Path(path).write_text("timestamp,value\n" + "".join(rows))
 
 
 def write_preprocessed(out_dir: str | Path, series: RawSeries,
                        std: StandardizedSeries, labels: ExtremeLabels) -> None:
     """Emit `preprocessed.csv` plus a `transform.meta` sidecar."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "preprocessed.csv"
     rows = (f"{ts},{val!r},{ext}\n" for ts, val, ext in zip(
         _format_timestamps(series.timestamps[1:]), std.values.tolist(),
         labels.labels.astype(np.int8).tolist()))
-    (out_dir / "preprocessed.csv").write_text(
-        "timestamp,std_value,is_extreme\n" + "".join(rows))
+    with writing(path):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text("timestamp,std_value,is_extreme\n" + "".join(rows))
     kvtext.write(out_dir / "transform.meta", transform_meta(std, labels.epsilon))
 
 

@@ -260,3 +260,113 @@ class TestMalformedInput:
                      "--exog", str(csv)])
         assert code == 1
         assert "exogenous" in capsys.readouterr().err
+
+
+def whole_series_forecast(run_dir, csv, origin_stamp, exog=()):
+    """The forecast CSV text `predict` wrote when it assembled the features
+    of the whole series and then sliced the window before the origin."""
+    run = engine.load_run(run_dir)
+    config = run.config
+    filled = series.fill_gaps(series.read_series_csv(csv))
+    std = series.standardize(filled, run.transform.location, run.transform.scale)
+    channels = series.read_exog(exog, len(std), config.n_exogenous)
+    features = engine.assemble_features(std.values, run.gmm, channels)
+    origin = series.origin_index(filled, origin_stamp)
+    bundle = engine.predict(run.models, features[origin - config.h:origin],
+                            anchor=filled.values[origin], transform=run.transform,
+                            threshold=config.gate_threshold,
+                            soft_gate=config.soft_gate)
+    lines = ["step,n,e,c_prob,gate,composed,raw\n"]
+    for i in range(config.f):
+        lines.append(f"{i},{float(bundle.n_pred[i])!r},{float(bundle.e_pred[i])!r},"
+                     f"{float(bundle.c_prob[i])!r},{int(bundle.gate[i])},"
+                     f"{float(bundle.composed[i])!r},{float(bundle.raw_scale[i])!r}\n")
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def exog_run(pipeline):
+    """A run trained with the series itself as one exogenous channel."""
+    root, csv, data, _, _ = pipeline
+    config, run = root / "exog_config", root / "exog_run"
+    write_config(config, n_exogenous=1)
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(run), "--exog", str(csv)]) == 0
+    return run
+
+
+class TestPredictWindow:
+    """`predict` builds features for its h-step window only; its output must
+    not differ from slicing the features of the whole series."""
+
+    @pytest.mark.parametrize("exogenous", [False, True])
+    def test_forecast_bytes_equal_the_whole_series_features(
+            self, pipeline, exog_run, tmp_path, exogenous):
+        _, csv, _, run, _ = pipeline
+        run, exog = (exog_run, [str(csv)]) if exogenous else (run, [])
+        stamps = [line.split(",")[0] for line in csv.read_text().splitlines()[1:]]
+        for index in (12, 13, 500, 1234, len(stamps) - 2, None):
+            origin = None if index is None else stamps[index]
+            out = tmp_path / "forecast.csv"
+            argv = ["predict", "--run-dir", str(run), "--input", str(csv),
+                    "--out", str(out), "--exog", *exog]
+            assert main(argv + ([] if origin is None
+                                else ["--origin-timestamp", origin])) == 0
+            assert out.read_text() == whole_series_forecast(run, csv, origin, exog)
+
+    def test_too_early_origin_is_rejected(self, pipeline, capsys):
+        _, csv, _, run, _ = pipeline
+        origin = csv.read_text().splitlines()[11].split(",")[0]  # index 10 < h
+        code = main(["predict", "--run-dir", str(run), "--input", str(csv),
+                     "--origin-timestamp", origin])
+        assert code == 1
+        assert "history steps" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """Every path a subcommand writes ends as exit 1 naming it when it
+    cannot be written, here because its directory is missing or a file."""
+
+    def assert_names(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInputError:"), err
+        assert f"{path}: cannot write" in err
+
+    def test_synth(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "s.csv"
+        assert main(["synth", "--length", "50", "--out", str(out)]) == 1
+        self.assert_names(capsys, out)
+
+    def test_preprocess(self, pipeline, tmp_path, capsys):
+        csv = pipeline[1]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["preprocess", "--input", str(csv),
+                     "--out-dir", str(blocker / "data")])
+        assert code == 1
+        self.assert_names(capsys, blocker / "data" / "preprocessed.csv")
+
+    def test_train(self, pipeline, tmp_path, capsys):
+        _, _, data, _, config = pipeline
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(blocker / "run")])
+        assert code == 1
+        self.assert_names(capsys, blocker / "run")
+
+    def test_predict(self, pipeline, tmp_path, capsys):
+        _, csv, _, run, _ = pipeline
+        out = tmp_path / "nodir" / "f.csv"
+        code = main(["predict", "--run-dir", str(run), "--input", str(csv),
+                     "--out", str(out)])
+        assert code == 1
+        self.assert_names(capsys, out)
+
+    def test_plotdata(self, pipeline, tmp_path, capsys):
+        _, _, data, run, _ = pipeline
+        out = tmp_path / "nodir" / "p.csv"
+        code = main(["plotdata", "--run-dir", str(run), "--data", str(data),
+                     "--out", str(out)])
+        assert code == 1
+        self.assert_names(capsys, out)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,6 +226,33 @@ class TestNetStackForward:
                          horizon=2, seed=0)
         with pytest.raises(DimensionError):
             model.forward(np.ones((5, 4)))
+
+    @pytest.mark.parametrize("head", ["normal", "classifier"])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_output_without_cache_equals_cached_output(self, head, n_layers):
+        model = NetStack(head, input_dim=3, width=6, n_layers=n_layers,
+                         horizon=4, seed=5)
+        for shape in [(20, 3), (7, 20, 3)]:
+            x = np.random.default_rng(6).normal(size=shape)
+            np.testing.assert_array_equal(model.forward(x),
+                                          model.forward(x, with_cache=True)[0])
+
+    def test_without_cache_each_layer_cache_is_freed(self):
+        """A forward without cache peaks at one layer's working set, however
+        deep the stack: a kept layer cache would add as much again."""
+        x = np.random.default_rng(7).normal(size=(24, 360, 2))
+
+        def peak(n_layers):
+            model = NetStack("normal", input_dim=2, width=16, n_layers=n_layers,
+                             horizon=72, seed=0)
+            tracemalloc.start()
+            try:
+                model.forward(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3) < 1.5 * peak(1), (peak(3), peak(1))
 
 
 def trained_like_members(widths=(16, 16, 16), layers=(2, 2, 2), input_dim=2,

@@ -1,17 +1,25 @@
+from datetime import datetime, timezone
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from necplus import series
 from necplus.errors import (
     BoundaryGapError,
     DegenerateSeriesError,
     InvalidInputError,
     NecError,
     UnfillableGapError,
+    reading,
 )
 from necplus.series import (
     HOUR,
+    _format_timestamps,
+    _hourly_row_starts,
+    _parse_timestamp,
     RawSeries,
     difference_standardize,
     fill_gaps,
@@ -323,3 +331,174 @@ class TestMalformedSeriesCsv:
         except NecError:
             return
         assert len(series.timestamps) == len(series.values)
+
+
+def reference_read_series_csv(path: str | Path, sensor_id: str | None = None) -> RawSeries:
+    """The reader before bulk reading: one `_parse_timestamp` per row. Kept
+    verbatim as the reference that `read_series_csv` must agree with."""
+    path = Path(path)
+    timestamps: list[int] = []
+    values: list[float] = []
+    with reading(path), path.open() as fh:
+        header = fh.readline().strip().split(",")
+        if header[:2] != ["timestamp", "value"]:
+            raise InvalidInputError(f"{path}: expected header 'timestamp,value'")
+        blank = 0  # for error messages; cheaper than numbering every line
+        for line in fh:
+            line = line.strip()
+            if not line:
+                blank += 1
+                continue
+            ts_text, _, val_text = line.partition(",")
+            try:
+                timestamps.append(_parse_timestamp(ts_text))
+                values.append(float(val_text) if val_text else np.nan)
+            except (ValueError, OverflowError) as exc:
+                lineno = 2 + blank + len(values)  # header, blanks, parsed rows
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+    return RawSeries(sensor_id or path.stem, np.array(timestamps, dtype=np.int64),
+                     np.array(values))
+
+
+def read_outcome(reader, path):
+    """What a reader made of a file, down to the bits of every number, or
+    the type and message of the error it raised."""
+    try:
+        raw = reader(path)
+    except NecError as exc:
+        return type(exc).__name__, str(exc)
+    return (raw.sensor_id, raw.timestamps.dtype, raw.timestamps.tobytes(),
+            raw.values.dtype, raw.values.tobytes())
+
+
+def epoch(dt: datetime) -> int:
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+
+# Runs that start at the first and the last instants a stamp can name, and
+# runs that cross a leap day, a non-leap February and the epoch.
+EDGE_STARTS = [datetime(1, 1, 1), datetime(9999, 12, 30, 20), datetime(2020, 2, 28, 20),
+               datetime(2000, 2, 28, 22), datetime(1900, 2, 28, 23),
+               datetime(1969, 12, 31, 22), datetime(2024, 12, 31, 23)]
+
+
+def _offset(stamp, text):
+    return stamp[:-1] + text
+
+
+# Each rewrites a canonical row or the lines around it; the reader must
+# read or reject each exactly as the per-row reader does.
+MUTATIONS = {
+    "utc_offset": lambda stamp, cell: [f"{_offset(stamp, '+00:00')},{cell}"],
+    "minus_five": lambda stamp, cell: [f"{_offset(stamp, '-05:00')},{cell}"],
+    "plus_five": lambda stamp, cell: [f"{_offset(stamp, '+05:00')},{cell}"],
+    "naive": lambda stamp, cell: [f"{stamp[:-1]},{cell}"],
+    "half_second": lambda stamp, cell: [f"{_offset(stamp, '.5Z')},{cell}"],
+    "double_z": lambda stamp, cell: [f"{stamp}Z,{cell}"],
+    "no_such_date": lambda stamp, cell: [f"2021-02-30{stamp[10:]},{cell}"],
+    "lower_t": lambda stamp, cell: [f"{stamp.replace('T', 't')},{cell}"],
+    "padded": lambda stamp, cell: [f"  {stamp},{cell}\t"],
+    "space_before_comma": lambda stamp, cell: [f"{stamp} ,{cell}"],
+    "no_comma": lambda stamp, cell: [stamp],
+    "extra_comma": lambda stamp, cell: [f"{stamp},{cell},"],
+    "blank_before": lambda stamp, cell: ["", f"{stamp},{cell}"],
+    "spaces_before": lambda stamp, cell: [" \t ", f"{stamp},{cell}"],
+    "gap": lambda stamp, cell: [],
+    "duplicate": lambda stamp, cell: [f"{stamp},{cell}"] * 2,
+    "only_comma": lambda stamp, cell: [","],
+}
+
+GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["", "nan", "-nan", "NaN", "1_0", " 2.5", "7"]))
+BAD_CELLS = st.sampled_from(["inf", "-inf", "1e999", "oops", "1,2", "0x10", "--1"])
+
+
+@st.composite
+def series_texts(draw):
+    """The text of a series CSV: a canonical hourly run from any minute and
+    second, then rewritten in places."""
+    start = draw(st.one_of(
+        st.sampled_from(EDGE_STARTS),
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31))))
+    start = start.replace(minute=draw(st.integers(0, 59)),
+                          second=draw(st.integers(0, 59)))
+    n = draw(st.integers(0, 60))
+    stamps = _format_timestamps(epoch(start) + HOUR * np.arange(n))
+    cells = draw(st.lists(GOOD_CELLS, min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2)) if n else ():
+        cells[i] = draw(BAD_CELLS)
+    changes = draw(st.dictionaries(st.integers(0, max(n - 1, 0)),
+                                   st.sampled_from(sorted(MUTATIONS)), max_size=3))
+    lines = [draw(st.sampled_from(["timestamp,value"] * 5 + [
+        "timestamp,value,note", " timestamp,value ", "time,value"]))]
+    for i, (stamp, cell) in enumerate(zip(stamps, cells)):
+        lines += MUTATIONS[changes[i]](stamp, cell) if i in changes else [f"{stamp},{cell}"]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from([end, "", end + end, end + "  "]))
+    return end.join(lines) + tail
+
+
+class TestBulkReader:
+    """`read_series_csv` reads in bulk and parses a datetime only for a row
+    off the canonical hourly run; it must agree with the per-row reader."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(series_texts())
+    def test_agrees_with_the_per_row_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("diff") / "s.csv"
+        path.write_bytes(text.encode())
+        assert (read_outcome(read_series_csv, path)
+                == read_outcome(reference_read_series_csv, path))
+
+    @pytest.mark.parametrize("start", EDGE_STARTS + [datetime(2010, 1, 1, 0, 17, 59)])
+    def test_row_starts_are_the_written_stamps(self, start):
+        first = epoch(start.replace(minute=7, second=42))
+        n = 100
+        written = [s + "," for s in _format_timestamps(first + HOUR * np.arange(n))
+                   if len(s) == 20]  # those of years up to 9999
+        assert _hourly_row_starts(first, n) == written
+
+    def test_instants_outside_years_1_to_9999_have_no_row_starts(self):
+        before_year_1 = epoch(datetime(1, 1, 1)) - HOUR
+        after_year_9999 = epoch(datetime(9999, 12, 31, 23)) + HOUR
+        assert _hourly_row_starts(before_year_1, 5) == []
+        assert _hourly_row_starts(after_year_9999, 5) == []
+
+    def test_a_canonical_file_parses_one_datetime(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        values = np.random.default_rng(8).normal(size=1000)
+        values[[3, 500]] = np.nan
+        write_series_csv(path, RawSeries("s", 1262304000 + HOUR * np.arange(1000),
+                                         values))
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return _parse_timestamp(text)
+
+        monkeypatch.setattr(series, "_parse_timestamp", counted)
+        raw = read_series_csv(path)
+        assert calls == ["2010-01-01T00:00:00Z"]
+        assert read_outcome(lambda p: raw, path) == read_outcome(
+            reference_read_series_csv, path)
+
+    @pytest.mark.parametrize("row", ["10000-01-01T00:00:00Z", "10000-01-01T00:00:00Z,"])
+    def test_a_row_past_year_9999_is_parsed(self, tmp_path, row):
+        """Its stamp is one character wider than any before it, so its cell
+        may look empty: it must still be parsed, and rejected."""
+        path = tmp_path / "s.csv"
+        path.write_text(f"timestamp,value\n9999-12-31T23:00:00Z,1\n{row}\n")
+        with pytest.raises(InvalidInputError, match="s.csv:3: Invalid isoformat"):
+            read_series_csv(path)
+        assert (read_outcome(read_series_csv, path)
+                == read_outcome(reference_read_series_csv, path))
+
+    def test_first_bad_row_in_file_order(self, tmp_path):
+        """A bad value is found before a later bad stamp, although the bulk
+        pass parses off-run stamps before it converts any value."""
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,value\n2020-01-01T00:00:00Z,1\n"
+                        "2020-01-01T01:00:00Z,oops\n\n2020-01-01T02:00:00ZZ,3\n")
+        with pytest.raises(InvalidInputError, match="s.csv:3: .*oops"):
+            read_series_csv(path)
