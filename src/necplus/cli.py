@@ -69,6 +69,9 @@ def cmd_train(args) -> int:
     gmm_path = in_dir / "gmm.model"
     gmm = (distributions.load_gmm(gmm_path) if gmm_path.exists() else
            distributions.fit_gmm(std.values, config.gmm_components, seed=config.gmm_seed))
+    if gmm.n_components != config.gmm_components:
+        raise ConfigError(f"config gmm_components_m {config.gmm_components} != "
+                          f"{gmm.n_components} components in {gmm_path}")
     exog = series.read_exog(args.exog, len(std), config.n_exogenous)
     features = engine.assemble_features(std.values, gmm, exog)
     split = sampling.make_split(len(std), config.split_spec())

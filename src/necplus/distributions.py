@@ -307,16 +307,3 @@ def load_gmm(path: str | Path) -> GmmModel:
 
     return GmmModel(weights=column("weight"), means=column("mean"),
                     variances=column("variance"))
-
-
-def save_gev(path: str | Path, p: GevParams) -> None:
-    kvtext.write(path, {"type": "gev", "location": p.location,
-                        "scale": p.scale, "shape": p.shape})
-
-
-def load_gev(path: str | Path) -> GevParams:
-    pairs = kvtext.read(path)
-    if pairs.get("type") != "gev":
-        raise InvalidInputError(f"{path}: not a GEV parameter file")
-    return GevParams(*(kvtext.get(pairs, key, path, float)
-                       for key in ("location", "scale", "shape")))

@@ -77,6 +77,11 @@ class NecConfig:
             raise ConfigError("need at least one mixture component")
         if self.alpha < 1 or not (0.0 <= self.beta <= 1.0):
             raise ConfigError("need alpha >= 1 and beta in [0, 1]")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be at least 1")
+        if self.holdout_sections < 1:
+            raise ConfigError("holdout_sections must be at least 1: "
+                              "the validation sections drive early stopping")
         if self.n.oversampling_os != 0.0:
             raise ConfigError("n_oversampling_os must be 0: "
                               "the normal model never oversamples")
@@ -118,7 +123,7 @@ def assemble_features(std_values, gmm: distributions.GmmModel,
     for channel in exog_channels:
         if len(channel) != len(std_values):
             raise AlignmentError("exogenous channel length does not match series")
-    return sampling.assemble_matrix(std_values, indicator, exog_channels)
+    return np.column_stack([std_values, indicator, *exog_channels])
 
 
 def _member_model(config: NecConfig, name: str) -> NetStack:
@@ -139,12 +144,6 @@ def _section_starts(sections, h: int, f: int, n: int) -> np.ndarray:
     return starts
 
 
-def validation_windows(features: np.ndarray, labels: np.ndarray,
-                       sections, h: int, f: int) -> list[sampling.SampleWindow]:
-    return [sampling.make_window(features, labels, int(start) - h, h, f)
-            for start in _section_starts(sections, h, f, len(features))]
-
-
 def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
               split: sampling.Split):
     """Train the N, E, and C members; returns ({name: NetStack}, {name: log}).
@@ -152,14 +151,15 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
     The three trainings are independent and deterministic per member seed.
     """
     labels = np.asarray(labels, dtype=bool)
-    val = validation_windows(features, labels, split.val_sections,
-                             config.h, config.f)
+    h, f = config.h, config.f
+    val = sampling.gather_windows(
+        features, labels,
+        _section_starts(split.val_sections, h, f, len(features)) - h, h, f)
 
     def run_member(name: str):
         spec = getattr(config, name)
         samples = sampling.draw_samples(
-            features[:, 0], features[:, 1], list(features[:, 2:].T), labels,
-            config.h, config.f, spec.volume, spec.oversampling_os,
+            features, labels, h, f, spec.volume, spec.oversampling_os,
             seed=spec.seed, train_mask=split.train_mask)
         model = _member_model(config, name)
         cfg = TrainConfig(batch_size=spec.batch_size,
@@ -211,13 +211,14 @@ def forecast_sections(run: RunArtifacts, features: np.ndarray, labels,
     config = run.config
     if not sections:
         raise ConfigError("no holdout sections to forecast")
-    starts = _section_starts(sections, config.h, config.f, len(features))
-    steps = starts[:, None] + np.arange(config.f)
-    windows = features[starts[:, None] + np.arange(-config.h, 0)]
-    bundle = predict(run.models, windows, raw_values[starts], run.transform,
+    h, f = config.h, config.f
+    starts = _section_starts(sections, h, f, len(features))
+    windows = sampling.gather_windows(features, labels, starts - h, h, f)
+    bundle = predict(run.models, windows.input, raw_values[starts], run.transform,
                      threshold=config.gate_threshold, soft_gate=config.soft_gate)
-    return (bundle, raw_values[steps + 1], np.asarray(labels, dtype=bool)[steps],
-            evaluation.persistence_forecast(raw_values[starts, None], config.f))
+    return (bundle, raw_values[starts[:, None] + np.arange(1, f + 1)],
+            windows.target_mask,
+            evaluation.persistence_forecast(raw_values[starts, None], f))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ checker can treat them uniformly.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -300,21 +301,23 @@ class NetStack:
                 raise NumericInstabilityError(f"non-finite gradient in {key}")
         return grads
 
-    def loss_and_grads(self, x, target, mask, loss_kind: str,
-                       alpha: float = 1.0, beta: float = 1.0):
-        """Forward + loss + full backward for one batch.
+    def loss(self, out, target, labels, alpha: float = 1.0, beta: float = 1.0):
+        """(loss, its gradient w.r.t. out) under this head's selective
+        backpropagation: the normal head fits the target at the positions
+        labelled normal (~labels), the extreme head at those labelled
+        extreme, and the classifier fits the binary labels themselves."""
+        labels = np.asarray(labels, dtype=bool)
+        if self.head_kind == "classifier":
+            return classifier_loss(out, labels.astype(np.float64),
+                                   alpha=alpha, beta=beta)
+        return masked_mse_loss(out, target,
+                               labels if self.head_kind == "extreme" else ~labels)
 
-        loss_kind "masked_mse" uses (target, mask); "classifier" treats the
-        mask (binary extreme labels) as the target.
-        """
+    def loss_and_grads(self, x, target, labels, alpha: float = 1.0,
+                       beta: float = 1.0):
+        """Forward + `loss` + full backward for one batch."""
         out, cache = self.forward(x, with_cache=True)
-        if loss_kind == "masked_mse":
-            loss, d_out = masked_mse_loss(out, target, mask)
-        elif loss_kind == "classifier":
-            loss, d_out = classifier_loss(out, np.asarray(mask, dtype=np.float64),
-                                          alpha=alpha, beta=beta)
-        else:
-            raise DimensionError(f"unknown loss kind {loss_kind!r}")
+        loss, d_out = self.loss(out, target, labels, alpha, beta)
         return loss, self.backward(cache, d_out)
 
 
@@ -383,20 +386,15 @@ def forward_members(stacks, x) -> list:
 # Gradient checking
 
 
-def _total_loss(model: NetStack, x, target, mask, loss_kind, alpha, beta):
-    out = model.forward(x)
-    if loss_kind == "masked_mse":
-        return masked_mse_loss(out, target, mask)[0]
-    return classifier_loss(out, np.asarray(mask, dtype=np.float64),
-                           alpha=alpha, beta=beta)[0]
-
-
-def gradient_check(model: NetStack, x, target, mask, loss_kind: str,
-                   alpha: float = 1.0, beta: float = 1.0,
-                   eps: float = 1e-5) -> float:
+def gradient_check(model: NetStack, x, target, labels, alpha: float = 1.0,
+                   beta: float = 1.0, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
     over every parameter. Intended for small models (W <= 8, h <= 12)."""
-    _, grads = model.loss_and_grads(x, target, mask, loss_kind, alpha, beta)
+    _, grads = model.loss_and_grads(x, target, labels, alpha, beta)
+
+    def total_loss():
+        return model.loss(model.forward(x), target, labels, alpha, beta)[0]
+
     worst = 0.0
     for key, arr in model.params.items():
         flat = arr.reshape(-1)
@@ -404,9 +402,9 @@ def gradient_check(model: NetStack, x, target, mask, loss_kind: str,
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + eps
-            hi = _total_loss(model, x, target, mask, loss_kind, alpha, beta)
+            hi = total_loss()
             flat[j] = orig - eps
-            lo = _total_loss(model, x, target, mask, loss_kind, alpha, beta)
+            lo = total_loss()
             flat[j] = orig
             numeric = (hi - lo) / (2.0 * eps)
             denom = max(1e-8, abs(analytic[j]) + abs(numeric))
@@ -455,6 +453,7 @@ def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
                              meta["n_layers"], meta["horizon"], meta["seed"])
             for key in model.params:
                 model.params[key] = data[f"param_{key}"]
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, json.JSONDecodeError, EOFError,
+            zipfile.BadZipFile, IsADirectoryError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
     return model, meta

@@ -1,5 +1,6 @@
-"""Holdout split construction and the two-stage stratified training sampler
-with oversampling ratio OS.
+"""Holdout split construction, the two-stage stratified training sampler
+with oversampling ratio OS, and the gather that turns window origins into
+batches.
 
 A window origin ``o`` denotes a sample consuming inputs at indices
 ``[o, o+h)`` and targets at ``[o+h, o+h+f)``. Splits and sampling are
@@ -41,14 +42,35 @@ class Split:
 
 
 @dataclass(frozen=True)
-class SampleWindow:
-    """One training/eval sample: h input rows of (value, indicator, exog...)
-    and f target steps with an extreme-label mask."""
+class Windows:
+    """A batch of B windows gathered from one feature matrix: h input rows
+    of (value, indicator, exog...), f target values with their extreme
+    labels, and each window's origin. An index array or a slice gives a
+    sub-batch, an int one window."""
 
-    input: np.ndarray
-    target: np.ndarray
-    target_mask: np.ndarray
-    origin_index: int
+    input: np.ndarray        # (B, h, channels)
+    target: np.ndarray       # (B, f)
+    target_mask: np.ndarray  # (B, f) extreme labels of the target steps
+    origins: np.ndarray      # (B,)
+
+    def __len__(self) -> int:
+        return len(self.origins)
+
+    def __getitem__(self, index) -> Windows:
+        return Windows(self.input[index], self.target[index],
+                       self.target_mask[index], self.origins[index])
+
+
+def gather_windows(features: np.ndarray, labels, origins, h: int,
+                   f: int) -> Windows:
+    """The windows at `origins` of an (n, channels) feature matrix, whose
+    column 0 is the target series, in one gather. Origins must lie in
+    [0, n - h - f]."""
+    origins = np.asarray(origins, dtype=np.int64)
+    rows = origins[:, None] + np.arange(h + f)
+    return Windows(input=features[rows[:, :h]], target=features[rows[:, h:], 0],
+                   target_mask=np.asarray(labels, dtype=bool)[rows[:, h:]],
+                   origins=origins)
 
 
 def _place_sections(ranges, count: int, f: int,
@@ -111,11 +133,11 @@ def make_split(series_len: int, spec: SplitSpec) -> Split:
     return Split(train_mask=mask, val_sections=val, test_sections=test)
 
 
-def draw_samples(series, indicator, exog, labels, h: int, f: int,
-                 volume: int, os_ratio: float, seed: int,
-                 train_mask: np.ndarray | None = None,
-                 with_replacement: bool = True) -> list[SampleWindow]:
-    """Two-stage stratified sampler.
+def draw_samples(features: np.ndarray, labels, h: int, f: int, volume: int,
+                 os_ratio: float, seed: int,
+                 train_mask: np.ndarray | None = None) -> Windows:
+    """Two-stage stratified sampler over the windows of an (n, channels)
+    feature matrix.
 
     At least ceil(os_ratio * volume) samples have >=1 extreme label inside
     their f-length target section; the remainder is drawn uniformly from all
@@ -125,10 +147,8 @@ def draw_samples(series, indicator, exog, labels, h: int, f: int,
         raise InvalidInputError("volume must be >= 1")
     if not (0.0 <= os_ratio <= 1.0):
         raise InvalidInputError("os_ratio must lie in [0, 1]")
-    features = assemble_matrix(series, indicator, exog)
     labels = np.asarray(labels, dtype=bool)
-    n = len(series)
-    n_origins = n - (h + f) + 1
+    n_origins = len(features) - (h + f) + 1
     if n_origins < 1:
         raise InvalidInputError("series too short for a single h+f window")
     eligible = np.ones(n_origins, dtype=bool)
@@ -149,35 +169,10 @@ def draw_samples(series, indicator, exog, labels, h: int, f: int,
     rng = np.random.default_rng(seed)
     chosen = []
     if quota > 0:
-        chosen.append(rng.choice(extreme_origins, size=quota,
-                                 replace=with_replacement))
+        chosen.append(rng.choice(extreme_origins, size=quota, replace=True))
     if volume - quota > 0:
-        chosen.append(rng.choice(origins, size=volume - quota,
-                                 replace=with_replacement))
-    chosen = np.concatenate(chosen)
-    return [make_window(features, labels, int(o), h, f) for o in chosen]
-
-
-def assemble_matrix(series, indicator, exog) -> np.ndarray:
-    """Stack (value, indicator, k exogenous) into an n x (k+2) matrix."""
-    series = np.asarray(series, dtype=np.float64)
-    indicator = np.asarray(indicator, dtype=np.float64)
-    columns = [series, indicator]
-    for channel in exog or ():
-        columns.append(np.asarray(channel, dtype=np.float64))
-    if any(len(c) != len(series) for c in columns):
-        raise InvalidInputError("all feature channels must have equal length")
-    return np.column_stack(columns)
-
-
-def make_window(features: np.ndarray, labels: np.ndarray, origin: int,
-                h: int, f: int) -> SampleWindow:
-    return SampleWindow(
-        input=features[origin:origin + h],
-        target=features[origin + h:origin + h + f, 0].copy(),
-        target_mask=labels[origin + h:origin + h + f].copy(),
-        origin_index=origin,
-    )
+        chosen.append(rng.choice(origins, size=volume - quota, replace=True))
+    return gather_windows(features, labels, np.concatenate(chosen), h, f)
 
 
 def dump_split_csv(path, split: Split) -> None:

@@ -40,14 +40,14 @@ def test_1_wilcoxon_exactness():
 def test_2_gradient_fidelity():
     t0 = time.time()
     cases = [
-        ("normal", "masked_mse", 1.0, 1.0),
-        ("extreme", "masked_mse", 1.0, 1.0),
-        ("classifier", "classifier", 1.0, 1.0),
-        ("classifier", "classifier", 2.0, 0.5),
-        ("classifier", "classifier", 3.0, 0.45),
+        ("normal", 1.0, 1.0),
+        ("extreme", 1.0, 1.0),
+        ("classifier", 1.0, 1.0),
+        ("classifier", 2.0, 0.5),
+        ("classifier", 3.0, 0.45),
     ]
     worst = 0.0
-    for head, kind, alpha, beta in cases:
+    for head, alpha, beta in cases:
         rng = np.random.default_rng(10)
         model = NetStack(head, input_dim=3, width=8, n_layers=2, horizon=6,
                          seed=11)
@@ -55,9 +55,11 @@ def test_2_gradient_fidelity():
         target = rng.normal(size=(2, 6))
         mask = rng.uniform(size=(2, 6)) < 0.5
         mask[0, 0] = True
-        if head == "extreme":
-            mask = ~mask  # complementary masking relative to the normal head
-        error = gradient_check(model, x, target, mask, kind, alpha=alpha,
+        if head in ("normal", "extreme"):
+            # the normal head fits the positions the labels mark normal, the
+            # extreme head those they mark extreme: complementary masking
+            mask = ~mask
+        error = gradient_check(model, x, target, mask, alpha=alpha,
                                beta=beta, eps=1e-4)
         worst = max(worst, error)
     elapsed = time.time() - t0
@@ -178,11 +180,12 @@ def test_7_sampling_contracts():
     labels = np.abs(values) > 1.5
     indicator = np.exp(-values**2)
 
-    full = sampling.draw_samples(values, indicator, [], labels, h=24, f=6,
+    features = np.column_stack([values, indicator])
+    full = sampling.draw_samples(features, labels, h=24, f=6,
                                  volume=500, os_ratio=1.0, seed=0)
     all_extreme = all(w.target_mask.any() for w in full)
 
-    partial = sampling.draw_samples(values, indicator, [], labels, h=24, f=6,
+    partial = sampling.draw_samples(features, labels, h=24, f=6,
                                     volume=1000, os_ratio=0.04, seed=1)
     n_extreme = sum(bool(w.target_mask.any()) for w in partial)
 

@@ -138,6 +138,18 @@ class TestPipeline:
         assert code == 1
         assert "epsilon" in capsys.readouterr().err
 
+    def test_train_gmm_component_mismatch(self, pipeline, tmp_path, capsys):
+        # the data directory's gmm.model has 2 components
+        _, _, data, _, _ = pipeline
+        bad = tmp_path / "config"
+        write_config(bad, gmm_components=3)
+        code = main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and "gmm_components_m 3" in err
+        assert not (tmp_path / "run").exists()
+
 
 def per_section_rows(run_dir, data, split_name):
     """The evaluate rows from one B=1 predict per holdout section, the way
@@ -209,7 +221,8 @@ class TestEvaluateBatched:
 
 class TestMalformedInput:
     @pytest.mark.parametrize("line", ["input_length_h abc", "val_ranges 1-x",
-                                      "soft_gate yes", "n_oversampling_os 0.5"])
+                                      "soft_gate yes", "n_oversampling_os 0.5",
+                                      "max_epochs 0", "holdout_sections 0"])
     def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, line):
         _, _, data, _, _ = pipeline
         config = tmp_path / "config"

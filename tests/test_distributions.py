@@ -14,10 +14,8 @@ from necplus.distributions import (
     gev_cdf,
     gev_pdf,
     gmm_indicator,
-    load_gev,
     load_gmm,
     sample_gev,
-    save_gev,
     save_gmm,
 )
 from necplus.errors import FitFailureError, InvalidInputError
@@ -239,15 +237,3 @@ class TestSerialization:
                                 if not line.startswith(key + " ")))
         with pytest.raises(InvalidInputError, match=f"gmm.model: missing key '{key}'"):
             load_gmm(path)
-
-    def test_gev_missing_key_names_file_and_key(self, tmp_path):
-        path = tmp_path / "gev.model"
-        path.write_text("type gev\nlocation 0.0\nshape 0.1\n")
-        with pytest.raises(InvalidInputError, match="gev.model: missing key 'scale'"):
-            load_gev(path)
-
-    def test_gev_round_trip(self, tmp_path):
-        p = GevParams(0.123456789012345, 2.71828, -0.25)
-        path = tmp_path / "gev.model"
-        save_gev(path, p)
-        assert load_gev(path) == p

@@ -7,11 +7,13 @@ import pytest
 from necplus.errors import CheckpointError, DimensionError
 from necplus.neural import (
     NetStack,
+    classifier_loss,
     forward_members,
     gradient_check,
     load_checkpoint,
     lstm_backward,
     lstm_forward,
+    masked_mse_loss,
     network,
     save_checkpoint,
 )
@@ -104,6 +106,18 @@ def _layer_inputs(steps=48, batch=5, d_in=3, width=6, seed=20):
     return w_x, w_h, b, x, d_hidden
 
 
+def _assert_head_loss_is(loss_kind, model, out, target, mask, labels,
+                         alpha=1.0, beta=1.0):
+    """The head's loss is `loss_kind`: a masked MSE over `mask` (the
+    positions the regression head fits) or the classifier loss of `mask`."""
+    want = {"masked_mse": lambda: masked_mse_loss(out, target, mask),
+            "classifier": lambda: classifier_loss(
+                out, mask.astype(float), alpha=alpha, beta=beta)}[loss_kind]()
+    loss, d_out = model.loss(out, target, labels, alpha=alpha, beta=beta)
+    assert loss == want[0]
+    np.testing.assert_array_equal(d_out, want[1])
+
+
 class TestAgainstReference:
     def test_single_layer(self):
         w_x, w_h, b, x, d_hidden = _layer_inputs()
@@ -126,12 +140,15 @@ class TestAgainstReference:
         x = rng.normal(size=(5, 48, 3))
         target = rng.normal(size=(5, 4))
         mask = rng.uniform(size=(5, 4)) < 0.5
+        # the normal head fits the positions its labels mark normal
+        labels = ~mask if head == "normal" else mask
         out = model.forward(x)
-        loss, grads = model.loss_and_grads(x, target, mask, loss_kind)
+        _assert_head_loss_is(loss_kind, model, out, target, mask, labels)
+        loss, grads = model.loss_and_grads(x, target, labels)
         monkeypatch.setattr(network, "lstm_forward", reference_lstm_forward)
         monkeypatch.setattr(network, "lstm_backward", reference_lstm_backward)
         np.testing.assert_allclose(out, model.forward(x), rtol=1e-12)
-        ref_loss, ref_grads = model.loss_and_grads(x, target, mask, loss_kind)
+        ref_loss, ref_grads = model.loss_and_grads(x, target, labels)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         for key in grads:
             np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12,
@@ -338,8 +355,8 @@ class TestBackward:
                          horizon=3, seed=5)
         x = np.random.default_rng(6).normal(size=(2, 8, 2))
         target = np.zeros((2, 3))
-        mask = np.zeros((2, 3), dtype=bool)
-        _, grads = model.loss_and_grads(x, target, mask, "masked_mse")
+        labels = np.ones((2, 3), dtype=bool)  # no normal position to fit
+        _, grads = model.loss_and_grads(x, target, labels)
         for key, grad in grads.items():
             np.testing.assert_array_equal(grad, np.zeros_like(grad),
                                           err_msg=key)
@@ -389,19 +406,40 @@ def test_gradient_check(head, loss_kind, alpha, beta):
     target = rng.normal(size=(2, 4))
     mask = rng.uniform(size=(2, 4)) < 0.5
     mask[0, 0] = True  # keep at least one active position
+    # the normal head fits the positions its labels mark normal
+    labels = ~mask if head == "normal" else mask
+    _assert_head_loss_is(loss_kind, model, model.forward(x), target, mask,
+                         labels, alpha=alpha, beta=beta)
     # eps=1e-4 keeps finite-difference roundoff below truncation for the
     # near-zero gradients of the first-layer recurrent weights
-    error = gradient_check(model, x, target, mask, loss_kind,
+    error = gradient_check(model, x, target, labels,
                            alpha=alpha, beta=beta, eps=1e-4)
     assert error < 1e-4
+
+
+@pytest.mark.parametrize("head", ["normal", "extreme", "classifier"])
+def test_loss_is_the_heads_selective_backprop(head):
+    # N fits the target at normal positions, E at extreme ones, C the labels
+    rng = np.random.default_rng(30)
+    model = NetStack(head, input_dim=2, width=4, n_layers=1, horizon=5, seed=31)
+    out = rng.uniform(0.1, 0.9, size=(3, 5))
+    target = rng.normal(size=(3, 5))
+    labels = rng.uniform(size=(3, 5)) < 0.5
+    want = {"normal": masked_mse_loss(out, target, ~labels),
+            "extreme": masked_mse_loss(out, target, labels),
+            "classifier": classifier_loss(out, labels.astype(float),
+                                          alpha=2.0, beta=0.5)}[head]
+    loss, d_out = model.loss(out, target, labels, alpha=2.0, beta=0.5)
+    assert loss == want[0]
+    np.testing.assert_array_equal(d_out, want[1])
 
 
 def test_gradient_check_zero_loss_configuration():
     model = NetStack("normal", input_dim=2, width=4, n_layers=1, horizon=3,
                      seed=12)
     x = np.random.default_rng(13).normal(size=(1, 5, 2))
-    mask = np.zeros((1, 3), dtype=bool)
-    error = gradient_check(model, x, np.zeros((1, 3)), mask, "masked_mse")
+    labels = np.ones((1, 3), dtype=bool)  # no normal position to fit
+    error = gradient_check(model, x, np.zeros((1, 3)), labels)
     assert error == 0.0
 
 
@@ -426,4 +464,24 @@ class TestCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_truncated_file(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(path, NetStack("normal", input_dim=2, width=4,
+                                       n_layers=1, horizon=3))
+        path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+        with pytest.raises(CheckpointError, match="n.ckpt: corrupt"):
+            load_checkpoint(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "e.ckpt"
+        path.write_bytes(b"")
+        with pytest.raises(CheckpointError, match="e.ckpt: corrupt"):
+            load_checkpoint(path)
+
+    def test_directory(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        path.mkdir()
+        with pytest.raises(CheckpointError, match="n.ckpt: corrupt"):
             load_checkpoint(path)

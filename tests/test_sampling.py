@@ -7,7 +7,6 @@ from necplus.errors import (
     StratificationInfeasibleError,
 )
 from necplus.sampling import (
-    SampleWindow,
     Split,
     SplitSpec,
     draw_samples,
@@ -22,7 +21,7 @@ def synthetic_inputs(n=2000, seed=0, extreme_every=97):
     labels = np.zeros(n, dtype=bool)
     labels[::extreme_every] = True
     indicator = np.exp(-values**2)
-    return values, indicator, labels
+    return np.column_stack([values, indicator]), labels
 
 
 class TestMakeSplit:
@@ -85,40 +84,41 @@ class TestMakeSplit:
 
 class TestDrawSamples:
     def test_os_one_every_target_has_extreme(self):
-        values, indicator, labels = synthetic_inputs()
-        samples = draw_samples(values, indicator, [], labels, h=24, f=6,
+        features, labels = synthetic_inputs()
+        samples = draw_samples(features, labels, h=24, f=6,
                                volume=200, os_ratio=1.0, seed=1)
         assert len(samples) == 200
         assert all(w.target_mask.any() for w in samples)
 
     def test_os_zero_equals_uniform(self):
-        values, indicator, labels = synthetic_inputs()
-        stratified = draw_samples(values, indicator, [], labels, h=24, f=6,
+        features, labels = synthetic_inputs()
+        stratified = draw_samples(features, labels, h=24, f=6,
                                   volume=100, os_ratio=0.0, seed=5)
         rng = np.random.default_rng(5)
-        origins = np.arange(len(values) - 30 + 1)
+        origins = np.arange(len(features) - 30 + 1)
         expected = rng.choice(origins, size=100, replace=True)
-        assert [w.origin_index for w in stratified] == expected.tolist()
+        assert stratified.origins.tolist() == expected.tolist()
 
     def test_fractional_quota_counted_exactly(self):
-        values, indicator, labels = synthetic_inputs(n=5000)
-        samples = draw_samples(values, indicator, [], labels, h=24, f=6,
+        features, labels = synthetic_inputs(n=5000)
+        samples = draw_samples(features, labels, h=24, f=6,
                                volume=10_000, os_ratio=0.04, seed=9)
         n_extreme = sum(bool(w.target_mask.any()) for w in samples)
         assert n_extreme >= 400
 
     def test_deterministic(self):
-        values, indicator, labels = synthetic_inputs()
-        a = draw_samples(values, indicator, [], labels, 24, 6, 50, 0.5, seed=2)
-        b = draw_samples(values, indicator, [], labels, 24, 6, 50, 0.5, seed=2)
-        assert [w.origin_index for w in a] == [w.origin_index for w in b]
+        features, labels = synthetic_inputs()
+        a = draw_samples(features, labels, 24, 6, 50, 0.5, seed=2)
+        b = draw_samples(features, labels, 24, 6, 50, 0.5, seed=2)
+        assert a.origins.tolist() == b.origins.tolist()
 
     def test_window_contents_match_series(self):
-        values, indicator, labels = synthetic_inputs()
+        features, labels = synthetic_inputs()
+        values, indicator = features.T
         exog = [np.cos(values)]
-        (w,) = draw_samples(values, indicator, exog, labels, 24, 6, 1, 0.0,
-                            seed=3)
-        o = w.origin_index
+        (w,) = draw_samples(np.column_stack([values, indicator, *exog]), labels,
+                            24, 6, 1, 0.0, seed=3)
+        o = w.origins
         np.testing.assert_array_equal(w.input[:, 0], values[o:o + 24])
         np.testing.assert_array_equal(w.input[:, 1], indicator[o:o + 24])
         np.testing.assert_array_equal(w.input[:, 2], exog[0][o:o + 24])
@@ -126,23 +126,23 @@ class TestDrawSamples:
         np.testing.assert_array_equal(w.target_mask, labels[o + 24:o + 30])
 
     def test_respects_train_mask(self):
-        values, indicator, labels = synthetic_inputs(n=500)
+        features, labels = synthetic_inputs(n=500)
         mask = np.zeros(500 - 30 + 1, dtype=bool)
         mask[100:120] = True
-        samples = draw_samples(values, indicator, [], labels, 24, 6, 50, 0.0,
+        samples = draw_samples(features, labels, 24, 6, 50, 0.0,
                                seed=4, train_mask=mask)
-        assert all(100 <= w.origin_index < 120 for w in samples)
+        assert all(100 <= o < 120 for o in samples.origins)
 
     def test_stratification_infeasible_without_extremes(self):
-        values, indicator, _ = synthetic_inputs()
-        labels = np.zeros(len(values), dtype=bool)
+        features, _ = synthetic_inputs()
+        labels = np.zeros(len(features), dtype=bool)
         with pytest.raises(StratificationInfeasibleError):
-            draw_samples(values, indicator, [], labels, 24, 6, 10, 0.5, seed=0)
+            draw_samples(features, labels, 24, 6, 10, 0.5, seed=0)
 
     def test_bad_volume(self):
-        values, indicator, labels = synthetic_inputs()
+        features, labels = synthetic_inputs()
         with pytest.raises(InvalidInputError):
-            draw_samples(values, indicator, [], labels, 24, 6, 0, 0.0, seed=0)
+            draw_samples(features, labels, 24, 6, 0, 0.0, seed=0)
 
 
 def test_dump_split_csv(tmp_path):

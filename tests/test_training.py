@@ -3,20 +3,16 @@ import pytest
 
 from necplus.errors import TrainingFailureError
 from necplus.neural import NetStack, TrainConfig, train
-from necplus.sampling import SampleWindow
+from necplus.sampling import Windows
 
 
 def make_windows(n, h, f, channels, seed, extreme_frac=0.3):
     rng = np.random.default_rng(seed)
-    windows = []
-    for i in range(n):
-        windows.append(SampleWindow(
-            input=rng.normal(size=(h, channels)),
-            target=rng.normal(size=f),
-            target_mask=rng.uniform(size=f) < extreme_frac,
-            origin_index=i,
-        ))
-    return windows
+    draws = [(rng.normal(size=(h, channels)), rng.normal(size=f),
+              rng.uniform(size=f) < extreme_frac) for _ in range(n)]
+    inputs, targets, masks = (np.stack(column) for column in zip(*draws))
+    return Windows(input=inputs, target=targets, target_mask=masks,
+                   origins=np.arange(n))
 
 
 class TestEarlyStopping:
@@ -65,13 +61,11 @@ class TestProgress:
         # targets depend linearly on the inputs, so a few epochs must beat
         # the random initialization
         rng = np.random.default_rng(5)
-        windows = []
-        for i in range(64):
-            x = rng.normal(size=(6, 2))
-            target = np.full(3, 0.5 * x[:, 0].mean())
-            windows.append(SampleWindow(input=x, target=target,
-                                        target_mask=np.ones(3, dtype=bool),
-                                        origin_index=i))
+        x = np.stack([rng.normal(size=(6, 2)) for _ in range(64)])
+        target = np.tile(0.5 * x[:, :, 0].mean(axis=1, keepdims=True), 3)
+        windows = Windows(input=x, target=target,
+                          target_mask=np.ones((64, 3), dtype=bool),
+                          origins=np.arange(64))
         model = NetStack("extreme", input_dim=2, width=6, n_layers=1,
                          horizon=3, seed=6)
         cfg = TrainConfig(batch_size=16, max_epochs=30,
@@ -115,10 +109,9 @@ def test_non_finite_validation_raises():
     model = NetStack("normal", input_dim=2, width=4, n_layers=1, horizon=3,
                      seed=16)
     samples = make_windows(8, 6, 3, 2, seed=17)
-    bad_val = [SampleWindow(input=w.input, target=np.full(3, 1e200),
-                            target_mask=np.zeros(3, dtype=bool),
-                            origin_index=w.origin_index)
-               for w in samples[:2]]
+    bad_val = Windows(input=samples.input[:2], target=np.full((2, 3), 1e200),
+                      target_mask=np.zeros((2, 3), dtype=bool),
+                      origins=samples.origins[:2])
     cfg = TrainConfig(batch_size=8, max_epochs=2, early_stop_patience=2,
                       seed=0)
     with np.errstate(over="ignore"), pytest.raises(TrainingFailureError):
