@@ -63,7 +63,7 @@ def cmd_train(args) -> int:
     config = engine.load_config(args.config)
     in_dir = Path(args.data)
     std, labels, epsilon, _ = series.read_preprocessed(in_dir)
-    if abs(epsilon - config.epsilon) > 1e-12:
+    if not abs(epsilon - config.epsilon) <= 1e-12:  # also catches NaN
         raise ConfigError(
             f"config epsilon {config.epsilon} != preprocessing epsilon {epsilon}")
     gmm_path = in_dir / "gmm.model"

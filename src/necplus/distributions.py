@@ -43,12 +43,23 @@ class GmmModel:
     log_likelihood_trace: np.ndarray = field(repr=False, default_factory=lambda: np.array([]))
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if abs(w.sum() - 1.0) > 1e-12:
+        w, mu, var = (np.asarray(a, dtype=np.float64)
+                      for a in (self.weights, self.means, self.variances))
+        if not (w.ndim == mu.ndim == var.ndim == 1 and len(w) == len(mu) == len(var)):
+            raise InvalidInputError(
+                "mixture weights, means and variances must be 1-D and of equal length")
+        # each test is written to fail on NaN
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise InvalidInputError("mixture weights must be finite and non-negative")
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise InvalidInputError("mixture weights must sum to 1")
+        if not np.all(np.isfinite(mu)):
+            raise InvalidInputError("mixture means must be finite")
+        if not np.all(np.isfinite(var) & (var > 0)):
+            raise InvalidInputError("mixture variances must be finite and positive")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
-        object.__setattr__(self, "variances", np.asarray(self.variances, dtype=np.float64))
+        object.__setattr__(self, "means", mu)
+        object.__setattr__(self, "variances", var)
 
     @property
     def n_components(self) -> int:
@@ -305,5 +316,8 @@ def load_gmm(path: str | Path) -> GmmModel:
         return np.array([kvtext.get(pairs, f"{name}_{i}", path, float)
                          for i in range(m)])
 
-    return GmmModel(weights=column("weight"), means=column("mean"),
-                    variances=column("variance"))
+    try:
+        return GmmModel(weights=column("weight"), means=column("mean"),
+                        variances=column("variance"))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None

@@ -7,6 +7,7 @@ forecasts of the holdout sections, and run persistence.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -71,12 +72,21 @@ class NecConfig:
     def __post_init__(self):
         if not (self.h > self.f >= 1):
             raise ConfigError("need h > f >= 1")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        # each test is written to fail on NaN
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError("extreme_threshold_epsilon must be finite and positive")
         if self.gmm_components < 1:
             raise ConfigError("need at least one mixture component")
-        if self.alpha < 1 or not (0.0 <= self.beta <= 1.0):
-            raise ConfigError("need alpha >= 1 and beta in [0, 1]")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1):
+            raise ConfigError("loss_alpha must be finite and at least 1")
+        if not (0.0 <= self.beta <= 1.0):
+            raise ConfigError("loss_beta must lie in [0, 1]")
+        if not (0.0 <= self.gate_threshold <= 1.0):
+            raise ConfigError("gate_threshold must lie in [0, 1]")
+        for key in ("lr_recurrent", "lr_fc"):
+            rate = getattr(self, key)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigError(f"{key} must be finite and positive")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be at least 1")
         if self.holdout_sections < 1:

@@ -18,7 +18,9 @@ checker can treat them uniformly.
 from __future__ import annotations
 
 import json
-import zipfile
+import math
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from ..errors import CheckpointError, DimensionError, NumericInstabilityError
 from .losses import classifier_loss, masked_mse_loss
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 HEAD_KINDS = ("normal", "extreme", "classifier")
 
 
@@ -175,7 +177,11 @@ class NetStack:
     """Stacked LSTM layers plus a fully-connected head."""
 
     def __init__(self, head_kind: str, input_dim: int, width: int,
-                 n_layers: int, horizon: int, seed: int = 0):
+                 n_layers: int, horizon: int, seed: int = 0,
+                 params: dict[str, np.ndarray] | None = None):
+        """A stack with a random init drawn from `seed`, or, given `params`
+        (keys and shapes as in `param_shapes`), with those arrays as its
+        parameters and no random draw."""
         if head_kind not in HEAD_KINDS:
             raise DimensionError(f"unknown head kind {head_kind!r}")
         self.head_kind = head_kind
@@ -190,24 +196,42 @@ class NetStack:
             mid1 = max(self.horizon, self.width // 2)
             mid2 = max(self.horizon, self.width // 4)
             self.fc_sizes = [self.width, mid1, mid2, self.horizon]
-        self.params = self._init_params(np.random.default_rng(seed))
+        if params is None:
+            params = self._init_params(np.random.default_rng(seed))
+        elif ([(k, v.shape) for k, v in params.items()]
+              != list(self.param_shapes().items())):
+            raise DimensionError(
+                f"parameters do not match a {head_kind} stack of width "
+                f"{self.width}, {self.n_layers} layers, input {self.input_dim} "
+                f"and horizon {self.horizon}")
+        self.params = params
 
-    def _init_params(self, rng) -> dict[str, np.ndarray]:
-        def uniform(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
-        params: dict[str, np.ndarray] = {}
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's key and shape, in the order of `params`."""
+        shapes: dict[str, tuple[int, ...]] = {}
         d_in = self.input_dim
         for layer in range(self.n_layers):
-            params[f"lstm{layer}_wx"] = uniform((4 * self.width, d_in), self.width)
-            params[f"lstm{layer}_wh"] = uniform((4 * self.width, self.width), self.width)
-            params[f"lstm{layer}_b"] = np.zeros(4 * self.width)
+            shapes[f"lstm{layer}_wx"] = (4 * self.width, d_in)
+            shapes[f"lstm{layer}_wh"] = (4 * self.width, self.width)
+            shapes[f"lstm{layer}_b"] = (4 * self.width,)
             d_in = self.width
         for i in range(len(self.fc_sizes) - 1):
             n_in, n_out = self.fc_sizes[i], self.fc_sizes[i + 1]
-            params[f"fc{i}_w"] = uniform((n_out, n_in), n_in)
-            params[f"fc{i}_b"] = np.zeros(n_out)
+            shapes[f"fc{i}_w"] = (n_out, n_in)
+            shapes[f"fc{i}_b"] = (n_out,)
+        return shapes
+
+    def _init_params(self, rng) -> dict[str, np.ndarray]:
+        """Biases zero; weights uniform in +-1/sqrt(fan_in), where an LSTM
+        weight's fan-in is the width and an affine weight's its input size."""
+        params: dict[str, np.ndarray] = {}
+        for key, shape in self.param_shapes().items():
+            if len(shape) == 1:
+                params[key] = np.zeros(shape)
+                continue
+            fan_in = self.width if key.startswith("lstm") else shape[1]
+            bound = 1.0 / np.sqrt(fan_in)
+            params[key] = rng.uniform(-bound, bound, size=shape)
         return params
 
     @property
@@ -416,6 +440,17 @@ def gradient_check(model: NetStack, x, target, labels, alpha: float = 1.0,
 # Checkpoints
 
 
+# A checkpoint file is MAGIC, the header length as a little-endian uint64, a
+# JSON header (the architecture, the caller's extra meta and every
+# parameter's key and shape) padded with spaces so the data starts at a
+# multiple of DATA_ALIGN bytes, then every parameter as one contiguous
+# little-endian float64 blob in the model's key order.
+MAGIC = b"\x93NECCKPT"
+DATA_ALIGN = 64
+_PREFIX = len(MAGIC) + 8
+_ZIP_MAGIC = b"PK\x03\x04"  # version 1 was a zip of .npy members
+
+
 def save_checkpoint(path: str | Path, model: NetStack,
                     extra_meta: dict | None = None) -> None:
     """Write a versioned binary container; loading round-trips bit-exactly."""
@@ -430,30 +465,57 @@ def save_checkpoint(path: str | Path, model: NetStack,
     }
     if extra_meta:
         meta["extra"] = extra_meta
-    arrays = {f"param_{k}": v for k, v in model.params.items()}
-    meta_bytes = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:  # keep the exact filename (no .npz suffix)
-        np.savez(fh, meta=meta_bytes, **arrays)
+    meta["params"] = [[key, list(arr.shape)] for key, arr in model.params.items()]
+    header = json.dumps(meta).encode()
+    header += b" " * (-(_PREFIX + len(header)) % DATA_ALIGN)
+    blob = np.concatenate([arr.ravel() for arr in model.params.values()])
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<Q", len(header)) + header)
+        fh.write(blob.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
     """Read a checkpoint written by `save_checkpoint`; returns the model and
-    the stored meta (with the caller's `extra_meta` under "extra")."""
+    the stored meta (with the caller's `extra_meta` under "extra").
+
+    The payload is read straight into one float64 array allocated by numpy,
+    so the parameters, views of it, are aligned and writable; the stack is
+    built from them without a random init.
+    """
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"missing checkpoint {path}")
     try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            prefix = fh.read(_PREFIX)
+            if prefix.startswith(_ZIP_MAGIC):
+                raise CheckpointError(
+                    f"{path}: checkpoint version 1 was written by an older "
+                    f"version of necplus and cannot be read (expected version "
+                    f"{CHECKPOINT_VERSION}); retrain the run")
+            if len(prefix) < _PREFIX or not prefix.startswith(MAGIC):
+                raise ValueError("not a necplus checkpoint")
+            (header_len,) = struct.unpack("<Q", prefix[len(MAGIC):])
+            meta = json.loads(fh.read(header_len))
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise CheckpointError(
                     f"{path}: checkpoint version {meta.get('version')} "
                     f"unsupported (expected {CHECKPOINT_VERSION})")
-            model = NetStack(meta["head_kind"], meta["input_dim"], meta["width"],
-                             meta["n_layers"], meta["horizon"], meta["seed"])
-            for key in model.params:
-                model.params[key] = data[f"param_{key}"]
-    except (KeyError, ValueError, json.JSONDecodeError, EOFError,
-            zipfile.BadZipFile, IsADirectoryError) as exc:
+            shapes = [(key, tuple(shape)) for key, shape in meta["params"]]
+            sizes = [math.prod(shape) for _, shape in shapes]
+            expected = _PREFIX + header_len + 8 * sum(sizes)
+            if size != expected:
+                raise ValueError(f"{size} bytes, header declares {expected}")
+            blob = np.empty(sum(sizes), dtype="<f8")
+            if fh.readinto(blob) != blob.nbytes:
+                raise ValueError("short payload")
+        parts = np.split(blob, np.cumsum(sizes)[:-1])
+        params = {key: part.reshape(shape) for (key, shape), part in zip(shapes, parts)}
+        model = NetStack(meta["head_kind"], meta["input_dim"], meta["width"],
+                         meta["n_layers"], meta["horizon"], meta["seed"],
+                         params=params)
+    except (AttributeError, KeyError, TypeError, ValueError, OSError,
+            DimensionError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
     return model, meta

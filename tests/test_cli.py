@@ -1,3 +1,6 @@
+import re
+import shutil
+
 import numpy as np
 import pytest
 
@@ -222,7 +225,12 @@ class TestEvaluateBatched:
 class TestMalformedInput:
     @pytest.mark.parametrize("line", ["input_length_h abc", "val_ranges 1-x",
                                       "soft_gate yes", "n_oversampling_os 0.5",
-                                      "max_epochs 0", "holdout_sections 0"])
+                                      "max_epochs 0", "holdout_sections 0",
+                                      "extreme_threshold_epsilon nan",
+                                      "extreme_threshold_epsilon inf",
+                                      "loss_alpha nan", "gate_threshold nan",
+                                      "gate_threshold 2.0", "lr_recurrent -1.0",
+                                      "lr_fc nan"])
     def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, line):
         _, _, data, _, _ = pipeline
         config = tmp_path / "config"
@@ -266,6 +274,20 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "run")])
         assert code == 1
         assert f"{config}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variance", ["-0.5", "nan", "0.0"])
+    def test_bad_run_gmm_names_the_file(self, pipeline, tmp_path, capsys, variance):
+        _, csv, _, run, _ = pipeline
+        tampered = tmp_path / "run"
+        shutil.copytree(run, tampered)
+        gmm = tampered / "gmm.model"
+        gmm.write_text(re.sub(r"(?m)^variance_0 .*$", f"variance_0 {variance}",
+                              gmm.read_text()))
+        code = main(["predict", "--run-dir", str(tampered), "--input", str(csv)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInputError:")
+        assert f"{gmm}: mixture variances must be finite and positive" in err
 
     def test_evaluate_checks_the_exogenous_count(self, pipeline, capsys):
         _, csv, data, run, _ = pipeline

@@ -170,6 +170,23 @@ class TestFitGmm:
             fit_gmm(np.arange(15.0), 2)
 
 
+class TestGmmModel:
+    @pytest.mark.parametrize("weights,means,variances,message", [
+        ([0.5, 0.5], [0.0], [1.0, 1.0], "equal length"),
+        ([[0.5, 0.5]], [[0.0, 1.0]], [[1.0, 1.0]], "1-D"),
+        ([1.5, -0.5], [0.0, 1.0], [1.0, 1.0], "weights must be finite"),
+        ([np.nan, 1.0], [0.0, 1.0], [1.0, 1.0], "weights must be finite"),
+        ([0.5, 0.4], [0.0, 1.0], [1.0, 1.0], "sum to 1"),
+        ([0.5, 0.5], [0.0, np.inf], [1.0, 1.0], "means must be finite"),
+        ([0.5, 0.5], [0.0, 1.0], [-0.5, 1.0], "variances must be finite"),
+        ([0.5, 0.5], [0.0, 1.0], [0.0, 1.0], "variances must be finite"),
+        ([0.5, 0.5], [0.0, 1.0], [np.nan, 1.0], "variances must be finite"),
+    ])
+    def test_invalid_arrays_rejected(self, weights, means, variances, message):
+        with pytest.raises(InvalidInputError, match=message):
+            GmmModel(np.array(weights), np.array(means), np.array(variances))
+
+
 class TestGmmIndicator:
     def test_standard_normal_density_at_zero(self):
         model = GmmModel(np.array([1.0]), np.array([0.0]), np.array([1.0]))
@@ -236,4 +253,13 @@ class TestSerialization:
         path.write_text("".join(line for line in path.read_text().splitlines(True)
                                 if not line.startswith(key + " ")))
         with pytest.raises(InvalidInputError, match=f"gmm.model: missing key '{key}'"):
+            load_gmm(path)
+
+    def test_gmm_bad_variance_names_file(self, tmp_path):
+        path = tmp_path / "gmm.model"
+        save_gmm(path, GmmModel(np.array([0.5, 0.5]), np.array([0.0, 1.0]),
+                                np.array([1.0, 2.0])))
+        path.write_text(path.read_text().replace("variance_0 1.0", "variance_0 nan"))
+        with pytest.raises(InvalidInputError,
+                           match="gmm.model: mixture variances must be finite"):
             load_gmm(path)

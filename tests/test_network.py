@@ -1,3 +1,6 @@
+import hashlib
+import json
+import struct
 import tracemalloc
 import warnings
 
@@ -485,3 +488,86 @@ class TestCheckpoints:
         path.mkdir()
         with pytest.raises(CheckpointError, match="n.ckpt: corrupt"):
             load_checkpoint(path)
+
+    def test_format_is_pinned(self, tmp_path):
+        # a change to these bytes is a format change: bump CHECKPOINT_VERSION
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(path, NetStack("normal", input_dim=2, width=4,
+                                       n_layers=1, horizon=3, seed=5),
+                        extra_meta={"config_hash": "abc"})
+        data = path.read_bytes()
+        assert network.CHECKPOINT_VERSION == 2
+        assert data.startswith(network.MAGIC)
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        assert (16 + header_len) % 64 == 0
+        assert json.loads(data[16:16 + header_len])["params"][0] == ["lstm0_wx", [16, 2]]
+        assert hashlib.sha256(data).hexdigest() == (
+            "13918d22bd69da7c95f3970e458d142590406762b45065a1c8318678be387503")
+
+    def test_version_1_zip_rejected(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        meta = json.dumps({"version": 1, "head_kind": "normal"}).encode()
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.frombuffer(meta, dtype=np.uint8),
+                     param_fc0_b=np.zeros(3))
+        with pytest.raises(CheckpointError,
+                           match="n.ckpt: checkpoint version 1 .* retrain"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [-8, 8], ids=["one_float_short",
+                                                      "one_float_long"])
+    def test_payload_size_mismatch(self, tmp_path, change):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, NetStack("classifier", input_dim=2, width=4,
+                                       n_layers=1, horizon=3))
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        with pytest.raises(CheckpointError, match="c.ckpt: corrupt"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        header = edit(data[16:16 + header_len]).ljust(header_len)
+        assert len(header) == header_len
+        path.write_bytes(data[:16] + header + data[16 + header_len:])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: b"x" + h[1:], "corrupt"),
+        (lambda h: h.replace(b'"normal"', b'"median"'), "unknown head kind"),
+        (lambda h: h.replace(b'"width": 4', b'"width": 5'), "do not match"),
+        (lambda h: h.replace(b'"version": 2', b'"version": 3'), "version 3"),
+    ], ids=["bad_json", "unknown_head", "shape_mismatch", "future_version"])
+    def test_bad_header_names_the_file(self, tmp_path, edit, message):
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(path, NetStack("normal", input_dim=2, width=4,
+                                       n_layers=1, horizon=3))
+        self._rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=f"e.ckpt: .*{message}"):
+            load_checkpoint(path)
+
+    def test_loaded_params_aligned_writable_float64(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(path, NetStack("normal", input_dim=3, width=8,
+                                       n_layers=2, horizon=4, seed=2))
+        model, _ = load_checkpoint(path)
+        for arr in model.params.values():
+            assert arr.dtype == np.float64
+            assert arr.flags.aligned and arr.flags.writeable
+            assert arr.ctypes.data % 8 == 0
+        model.params["fc0_b"] += 1.0  # training updates params in place
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        model = NetStack("extreme", input_dim=2, width=4, n_layers=2,
+                         horizon=3, seed=9)
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(path, model)
+
+        def no_init(self, rng):
+            raise AssertionError("random init drawn while loading")
+
+        monkeypatch.setattr(NetStack, "_init_params", no_init)
+        back, _ = load_checkpoint(path)
+        for key in model.params:
+            np.testing.assert_array_equal(back.params[key], model.params[key])
