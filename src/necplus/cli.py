@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import distributions, engine, evaluation, sampling, series, synth
-from .errors import ConfigError, DimensionError, NecError, writing
+from .errors import ConfigError, DimensionError, InvalidInputError, NecError, writing
 
 
 def cmd_synth(args) -> int:
@@ -37,7 +37,7 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     raw = series.read_series_csv(args.input)
     filled = series.fill_gaps(raw, max_degree=args.max_degree)
-    std = series.difference_standardize(filled, fit_length=args.fit_length)
+    std = series.difference_standardize(filled)
     labels = series.label_extremes(std, args.epsilon)
     series.write_preprocessed(args.out_dir, filled, std, labels)
     # self-test: the stored parameters must invert the transform
@@ -61,14 +61,12 @@ def cmd_fit_gmm(args) -> int:
 
 def cmd_train(args) -> int:
     config = engine.load_config(args.config)
-    in_dir = Path(args.data)
-    std, labels, epsilon, _ = series.read_preprocessed(in_dir)
-    if not abs(epsilon - config.epsilon) <= 1e-12:  # also catches NaN
-        raise ConfigError(
-            f"config epsilon {config.epsilon} != preprocessing epsilon {epsilon}")
-    gmm_path = in_dir / "gmm.model"
-    gmm = (distributions.load_gmm(gmm_path) if gmm_path.exists() else
-           distributions.fit_gmm(std.values, config.gmm_components, seed=config.gmm_seed))
+    std, labels, _ = engine.read_data(args.data, config)
+    gmm_path = Path(args.data) / "gmm.model"
+    if not gmm_path.exists():
+        raise InvalidInputError(
+            f"{gmm_path} not found: run `necplus fit-gmm --in-dir {args.data}` first")
+    gmm = distributions.load_gmm(gmm_path)
     if gmm.n_components != config.gmm_components:
         raise ConfigError(f"config gmm_components_m {config.gmm_components} != "
                           f"{gmm.n_components} components in {gmm_path}")
@@ -101,8 +99,7 @@ def cmd_predict(args) -> int:
     bundle = engine.predict(run.models, features,
                             anchor=filled.values[origin],
                             transform=run.transform,
-                            threshold=config.gate_threshold,
-                            soft_gate=config.soft_gate)
+                            threshold=config.gate_threshold)
     with _output(args.out) as out:
         out.write("step,n,e,c_prob,gate,composed,raw\n")
         for i in range(config.f):
@@ -125,7 +122,7 @@ def _output(path: str | None):
 def _holdout(args, which: str):
     """(run, its `which` sections, features, labels, raw values, timestamps)."""
     run = engine.load_run(args.run_dir)
-    std, labels, _, stamps = series.read_preprocessed(args.data)
+    std, labels, stamps = engine.read_data(args.data, run.config, run.transform)
     exog = series.read_exog(args.exog, len(std), run.config.n_exogenous)
     features = engine.assemble_features(std.values, run.gmm, exog)
     split = sampling.make_split(len(std), run.config.split_spec())
@@ -186,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--epsilon", type=float, default=1.5)
     p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--fit-length", type=int, default=None,
-                   help="fit location/scale on the first N raw points only")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("fit-gmm", help="fit the mixture indicator model")

@@ -19,6 +19,8 @@ from .errors import FitFailureError, InvalidInputError
 
 XI_TOL = 1e-8
 VARIANCE_FLOOR = 1e-6
+EM_TOL = 1e-7  # stop once an EM step gains less log-likelihood than this
+EM_MAX_ITER = 500
 _EULER = 0.57721566490153286
 
 
@@ -199,8 +201,7 @@ def _gmm_log_density(model: GmmModel, x: np.ndarray) -> np.ndarray:
                      axis=0)
 
 
-def fit_gmm(xs, n_components: int, seed: int = 0,
-            tol: float = 1e-7, max_iter: int = 500) -> GmmModel:
+def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
     """EM fit of a univariate mixture.
 
     Means start at the (i-0.5)/M quantiles with uniform weights and the
@@ -212,6 +213,8 @@ def fit_gmm(xs, n_components: int, seed: int = 0,
     m = int(n_components)
     if m < 1:
         raise InvalidInputError("need at least one component")
+    if seed < 0:
+        raise InvalidInputError("seed must be non-negative")
     if len(xs) < 10 * m:
         raise FitFailureError(f"need at least {10 * m} samples for M={m}")
     if len(np.unique(xs)) < m:
@@ -230,13 +233,13 @@ def fit_gmm(xs, n_components: int, seed: int = 0,
     variances = np.full(m, max(float(np.var(xs)), VARIANCE_FLOOR))
     trace = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         joint = _gmm_log_joint(weights, means, variances, xs)  # E step
         norm = logsumexp(joint, axis=0)
         resp = np.exp(joint - norm[None, :])
         ll = float(np.sum(norm))
         trace.append(ll)
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < EM_TOL and np.isfinite(prev_ll):
             break
         prev_ll = ll
         # M step

@@ -58,13 +58,11 @@ class NecConfig:
     alpha: float = 1.0
     beta: float = 1.0
     gate_threshold: float = 0.5
-    soft_gate: bool = False
     n_exogenous: int = 0
     holdout_sections: int = 24
     val_ranges: tuple[tuple[int, int], ...] = ()
     test_ranges: tuple[tuple[int, int], ...] = ()
     split_seed: int = 0
-    gmm_seed: int = 0
     max_epochs: int = 50
     lr_recurrent: float = 1e-3
     lr_fc: float = 5e-4
@@ -83,6 +81,8 @@ class NecConfig:
             raise ConfigError("loss_beta must lie in [0, 1]")
         if not (0.0 <= self.gate_threshold <= 1.0):
             raise ConfigError("gate_threshold must lie in [0, 1]")
+        if self.split_seed < 0:
+            raise ConfigError("split_seed must be non-negative")
         for key in ("lr_recurrent", "lr_fc"):
             rate = getattr(self, key)
             if not (math.isfinite(rate) and rate > 0):
@@ -102,6 +102,8 @@ class NecConfig:
             if min(spec.layers, spec.hidden, spec.batch_size,
                    spec.volume, spec.patience) < 1:
                 raise ConfigError(f"{name} model spec fields must be positive")
+            if spec.seed < 0:
+                raise ConfigError(f"{name}_seed must be non-negative")
 
     def split_spec(self) -> sampling.SplitSpec:
         return sampling.SplitSpec(
@@ -134,6 +136,24 @@ def assemble_features(std_values, gmm: distributions.GmmModel,
         if len(channel) != len(std_values):
             raise AlignmentError("exogenous channel length does not match series")
     return np.column_stack([std_values, indicator, *exog_channels])
+
+
+def read_data(data_dir: str | Path, config: NecConfig,
+              transform: series.StandardizedSeries | None = None):
+    """The preprocessed directory `data_dir` as (standardized series, extreme
+    labels, timestamps), checked to be labelled at the config's epsilon and,
+    given a run's `transform`, standardized with its location and scale."""
+    std, labels, epsilon, stamps = series.read_preprocessed(data_dir)
+    if not abs(epsilon - config.epsilon) <= 1e-12:  # also catches NaN
+        raise ConfigError(f"config epsilon {config.epsilon} != preprocessing "
+                          f"epsilon {epsilon} of {data_dir}")
+    if transform is not None and ((std.location, std.scale)
+                                  != (transform.location, transform.scale)):
+        raise ConfigError(
+            f"{data_dir} is standardized with location {std.location!r} and "
+            f"scale {std.scale!r}, the run with {transform.location!r} and "
+            f"{transform.scale!r}")
+    return std, labels, stamps
 
 
 def _member_model(config: NecConfig, name: str) -> NetStack:
@@ -184,13 +204,13 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
 
 
 def predict(models: dict, window: np.ndarray, anchor,
-            transform: series.StandardizedSeries, threshold: float = 0.5,
-            soft_gate: bool = False) -> ForecastBundle:
+            transform: series.StandardizedSeries,
+            threshold: float = 0.5) -> ForecastBundle:
     """Run the three members on one h-step feature window (h, channels), or
     on a stack of S windows (S, h, channels) with S anchors, and compose.
     The members' LSTM layers run as one stack (`forward_members`).
 
-    Hard gating picks the extreme regressor wherever the classifier
+    The gate picks the extreme regressor wherever the classifier
     probability exceeds the threshold; composition happens on the
     standardized scale and the inversion to raw scale comes last.
     """
@@ -200,10 +220,7 @@ def predict(models: dict, window: np.ndarray, anchor,
             f"expected (h, channels) or (S, h, channels), got {window.shape}")
     n_pred, e_pred, c_prob = forward_members([models[m] for m in MEMBERS], window)
     gate = c_prob > threshold
-    if soft_gate:
-        composed = c_prob * e_pred + (1.0 - c_prob) * n_pred
-    else:
-        composed = np.where(gate, e_pred, n_pred)
+    composed = np.where(gate, e_pred, n_pred)
     raw = series.invert_transform(composed, transform, anchor_override=anchor)
     return ForecastBundle(n_pred=n_pred, e_pred=e_pred, c_prob=c_prob,
                           gate=gate, composed=composed, raw_scale=raw)
@@ -225,7 +242,7 @@ def forecast_sections(run: RunArtifacts, features: np.ndarray, labels,
     starts = _section_starts(sections, h, f, len(features))
     windows = sampling.gather_windows(features, labels, starts - h, h, f)
     bundle = predict(run.models, windows.input, raw_values[starts], run.transform,
-                     threshold=config.gate_threshold, soft_gate=config.soft_gate)
+                     threshold=config.gate_threshold)
     return (bundle, raw_values[starts[:, None] + np.arange(1, f + 1)],
             windows.target_mask,
             evaluation.persistence_forecast(raw_values[starts, None], f))
@@ -237,10 +254,6 @@ def forecast_sections(run: RunArtifacts, features: np.ndarray, labels,
 
 def _ranges_text(ranges) -> str:
     return ";".join(f"{a}-{b}" for a, b in ranges)
-
-
-_BOOLS = {"0": False, "1": True, "false": False, "true": True,
-          "False": False, "True": True}
 
 
 def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
@@ -261,13 +274,11 @@ CONFIG_KEYS = {
     "loss_alpha": ("alpha", float),
     "loss_beta": ("beta", float),
     "gate_threshold": ("gate_threshold", float),
-    "soft_gate": ("soft_gate", lambda s: _BOOLS[str(s)]),
     "n_exogenous": ("n_exogenous", int),
     "holdout_sections": ("holdout_sections", int),
     "val_ranges": ("val_ranges", _parse_ranges),
     "test_ranges": ("test_ranges", _parse_ranges),
     "split_seed": ("split_seed", int),
-    "gmm_seed": ("gmm_seed", int),
     "max_epochs": ("max_epochs", int),
     "lr_recurrent": ("lr_recurrent", float),
     "lr_fc": ("lr_fc", float),
@@ -290,8 +301,6 @@ def config_to_pairs(config: NecConfig) -> dict:
         value = getattr(config, attr)
         if attr in ("val_ranges", "test_ranges"):
             value = _ranges_text(value)
-        elif attr == "soft_gate":
-            value = int(value)
         pairs[key] = value
     for name in MEMBERS:
         spec = getattr(config, name)
@@ -315,7 +324,7 @@ def config_from_pairs(pairs: dict) -> NecConfig:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             target[attr] = conv(raw)
-        except (KeyError, ValueError):
+        except ValueError:
             raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
     defaults = NecConfig()
     for name in MEMBERS:
@@ -361,7 +370,6 @@ class RunArtifacts:
     config: NecConfig
     gmm: distributions.GmmModel
     transform: series.StandardizedSeries
-    epsilon: float
     models: dict
 
 
@@ -373,7 +381,7 @@ def load_run(run_dir: str | Path) -> RunArtifacts:
             raise CheckpointError(f"run directory missing {required}")
     config = load_config(run_dir / "config")
     gmm = distributions.load_gmm(run_dir / "gmm.model")
-    transform, epsilon = series.read_transform_meta(run_dir / "transform.meta")
+    transform = series.read_transform_meta(run_dir / "transform.meta")[0]
     digest = config_hash(config)
     models = {}
     for name in MEMBERS:
@@ -383,4 +391,4 @@ def load_run(run_dir: str | Path) -> RunArtifacts:
                 f"{name}.ckpt was trained under a different config (hash mismatch)")
         models[name] = model
     return RunArtifacts(config=config, gmm=gmm, transform=transform,
-                        epsilon=epsilon, models=models)
+                        models=models)

@@ -244,25 +244,26 @@ class NetStack:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, x, with_cache: bool = False):
+    def forward(self, x):
         """Predict f values (probabilities for the classifier head) from a
-        batch (B, h, input_dim) or a single window (h, input_dim)."""
+        batch (B, h, input_dim) or a single window (h, input_dim), keeping
+        no gradient cache. For one stack the merged layers of
+        `_forward_fused` are the stack's own, bit for bit."""
+        return _forward_fused([self], x)[0]
+
+    def _forward_cached(self, x):
+        """(`forward(x)`, the cache `backward` reads): the input, each
+        layer's hidden states and LSTM cache, and the head's activations."""
         x, single = _as_batch(x, self.input_dim)
         caches = []
         seq = x
         for layer in range(self.n_layers):
-            if with_cache:
-                seq, cache = lstm_forward(*self._lstm_params(layer), seq)
-                caches.append((seq, cache))
-            else:  # [0]: each layer's cache is freed before the next layer runs
-                seq = lstm_forward(*self._lstm_params(layer), seq)[0]
+            seq, cache = lstm_forward(*self._lstm_params(layer), seq)
+            caches.append((seq, cache))
         activations = self._head(seq[:, -1])
         out = activations[-1]
-        result = out[0] if single else out
-        if with_cache:
-            return result, {"x": x, "lstm": caches, "fc": activations,
-                            "single": single}
-        return result
+        return (out[0] if single else out), {"x": x, "lstm": caches,
+                                             "fc": activations, "single": single}
 
     def _lstm_params(self, layer: int):
         return (self.params[f"lstm{layer}_wx"], self.params[f"lstm{layer}_wh"],
@@ -340,7 +341,7 @@ class NetStack:
     def loss_and_grads(self, x, target, labels, alpha: float = 1.0,
                        beta: float = 1.0):
         """Forward + `loss` + full backward for one batch."""
-        out, cache = self.forward(x, with_cache=True)
+        out, cache = self._forward_cached(x)
         loss, d_out = self.loss(out, target, labels, alpha, beta)
         return loss, self.backward(cache, d_out)
 

@@ -18,6 +18,7 @@ from .errors import (
     InvalidInputError,
     SplitInfeasibleError,
     StratificationInfeasibleError,
+    writing,
 )
 
 
@@ -177,7 +178,7 @@ def draw_samples(features: np.ndarray, labels, h: int, f: int, volume: int,
 
 def dump_split_csv(path, split: Split) -> None:
     """Audit dump: `set,start_index` rows for holdout sections."""
-    with open(path, "w") as fh:
+    with writing(path), open(path, "w") as fh:
         fh.write("set,start_index\n")
         for start, _ in split.val_sections:
             fh.write(f"val,{start}\n")

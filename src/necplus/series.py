@@ -28,7 +28,7 @@ from .errors import (
 )
 
 HOUR = 3600
-DEFAULT_MAX_GAP = 14 * 24  # 14 days of hourly points
+MAX_GAP = 14 * 24  # 14 days of hourly points
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _ROW_START_WIDTH = len("0001-01-01T00:00:00Z,")  # the same for every year
 
@@ -100,29 +100,19 @@ class ExtremeLabels:
 
 def _gap_runs(missing: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of missing values as half-open [start, stop) spans."""
-    runs = []
-    idx = np.flatnonzero(missing)
-    if len(idx) == 0:
-        return runs
-    start = idx[0]
-    prev = idx[0]
-    for i in idx[1:]:
-        if i != prev + 1:
-            runs.append((start, prev + 1))
-            start = i
-        prev = i
-    runs.append((start, prev + 1))
-    return runs
+    edges = np.diff(missing.astype(np.int8), prepend=0, append=0)
+    return list(zip(np.flatnonzero(edges == 1).tolist(),
+                    np.flatnonzero(edges == -1).tolist()))
 
 
-def fill_gaps(series: RawSeries, max_degree: int = 3,
-              max_gap: int = DEFAULT_MAX_GAP) -> RawSeries:
+def fill_gaps(series: RawSeries, max_degree: int = 3) -> RawSeries:
     """Fill missing runs by adaptive polynomial interpolation.
 
     For a gap of length L, the k = ceil(L/2) nearest observed points on each
     side anchor a least-squares polynomial whose degree (1..max_degree) is
     chosen to minimize the residual on those anchors, ties going to the
-    lower degree. Observed points are never modified.
+    lower degree. Observed points are never modified. A gap longer than
+    MAX_GAP points is an error.
     """
     if max_degree < 1:
         raise InvalidInputError("max_degree must be >= 1")
@@ -133,9 +123,9 @@ def fill_gaps(series: RawSeries, max_degree: int = 3,
     observed = np.flatnonzero(~missing)
     for start, stop in _gap_runs(missing):
         length = stop - start
-        if length > max_gap:
+        if length > MAX_GAP:
             raise UnfillableGapError(
-                f"gap of {length} points at index {start} exceeds maximum {max_gap}")
+                f"gap of {length} points at index {start} exceeds maximum {MAX_GAP}")
         k = (length + 1) // 2
         left = observed[observed < start][-k:]
         right = observed[observed >= stop][:k]
@@ -159,26 +149,19 @@ def fill_gaps(series: RawSeries, max_degree: int = 3,
     return RawSeries(series.sensor_id, series.timestamps, values)
 
 
-def difference_standardize(series: RawSeries,
-                           fit_length: int | None = None) -> StandardizedSeries:
-    """First-order difference then standardize.
-
-    ``fit_length``, when given, restricts the location/scale fit to the first
-    ``fit_length`` raw points (the training portion) while still transforming
-    the whole series with those frozen parameters. The scale is the
-    population standard deviation so the transform inverts exactly.
+def difference_standardize(series: RawSeries) -> StandardizedSeries:
+    """First-order difference then standardize. The scale is the population
+    standard deviation so the transform inverts exactly.
     """
     if series.missing.any():
         raise InvalidInputError("series must be gap-filled before standardizing")
     if len(series) < 2:
         raise InvalidInputError("need at least 2 points to difference")
-    fit = np.diff(series.values)
-    if fit_length is not None:
-        fit = fit[:max(fit_length - 1, 1)]
-    scale = float(np.std(fit))
+    diffs = np.diff(series.values)
+    scale = float(np.std(diffs))
     if scale == 0.0:
         raise DegenerateSeriesError("all first differences identical; cannot standardize")
-    return standardize(series, float(np.mean(fit)), scale)
+    return standardize(series, float(np.mean(diffs)), scale)
 
 
 def standardize(series: RawSeries, location: float,
@@ -303,8 +286,9 @@ def _raise_first_bad_row(path: Path, lines: list[str]) -> None:
             raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
 
 
-def read_series_csv(path: str | Path, sensor_id: str | None = None) -> RawSeries:
-    """Read a `timestamp,value` CSV; empty value fields are gaps.
+def read_series_csv(path: str | Path) -> RawSeries:
+    """Read a `timestamp,value` CSV; empty value fields are gaps. The file's
+    stem is the sensor id.
 
     Timestamps must be continuous hourly ISO-8601 instants: a missing row is
     an error, a missing value is a gap. Every row is checked, in bulk (see
@@ -321,7 +305,7 @@ def read_series_csv(path: str | Path, sensor_id: str | None = None) -> RawSeries
     except (ValueError, OverflowError):
         _raise_first_bad_row(path, lines)
         raise
-    return RawSeries(sensor_id or path.stem, timestamps, values)
+    return RawSeries(path.stem, timestamps, values)
 
 
 def read_exog(paths, expected_len: int, count: int) -> list[np.ndarray]:

@@ -8,6 +8,8 @@ up over a few hours and decays exponentially, mimicking storm inflow.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .distributions import GevParams, sample_gev
@@ -29,13 +31,17 @@ EPOCH_START = 1262304000  # 2010-01-01T00:00:00Z
 
 
 def generate(seed: int, length: int, spike_rate: float = 0.0,
-             spike_shape: float = 0.2,
-             sensor_id: str = "synth") -> tuple[RawSeries, np.ndarray]:
+             spike_shape: float = 0.2) -> tuple[RawSeries, np.ndarray]:
     """Return (series, spike_onset_indices), deterministic per seed."""
+    if seed < 0:
+        raise InvalidInputError("seed must be non-negative")
     if length < 2:
         raise InvalidInputError("length must be >= 2")
-    if spike_rate < 0 or spike_rate >= 1:
+    # each test is written to fail on NaN
+    if not 0 <= spike_rate < 1:
         raise InvalidInputError("spike_rate must lie in [0, 1)")
+    if not math.isfinite(spike_shape):
+        raise InvalidInputError("spike_shape must be finite")
     rng = np.random.default_rng(seed)
     t = np.arange(length, dtype=np.float64)
     base = (BASE_LEVEL
@@ -62,4 +68,4 @@ def generate(seed: int, length: int, spike_rate: float = 0.0,
             np.exp(-(span - SPIKE_RISE_HOURS + 1) / SPIKE_DECAY_HOURS))
         values[onset:] += magnitude * response
     timestamps = EPOCH_START + HOUR * np.arange(length, dtype=np.int64)
-    return RawSeries(sensor_id, timestamps, values), onsets
+    return RawSeries("synth", timestamps, values), onsets

@@ -63,6 +63,29 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,message", [
+        (["--seed", "-1"], "seed must be non-negative"),
+        (["--spike-rate", "nan"], "spike_rate"),
+        (["--spike-rate", "0.01", "--spike-shape", "nan"], "spike_shape"),
+    ], ids=["negative_seed", "rate_nan", "shape_nan"])
+    def test_bad_synth_parameter_exits_one(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--length", "3000", "--out", str(out), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInputError:") and message in err
+        assert not out.exists()
+
+    def test_fit_gmm_negative_seed_exits_one(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline[2], data)
+        before = (data / "gmm.model").read_text()
+        assert main(["fit-gmm", "--in-dir", str(data), "--components", "2",
+                     "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInputError:")
+        assert "seed must be non-negative" in err
+        assert (data / "gmm.model").read_text() == before
+
 
 class TestPipeline:
     def test_run_directory_contents(self, pipeline):
@@ -141,6 +164,19 @@ class TestPipeline:
         assert code == 1
         assert "epsilon" in capsys.readouterr().err
 
+    def test_train_needs_the_fitted_gmm(self, pipeline, tmp_path, capsys):
+        _, _, data, _, config = pipeline
+        bare = tmp_path / "data"
+        shutil.copytree(data, bare)
+        (bare / "gmm.model").unlink()
+        code = main(["train", "--config", str(config), "--data", str(bare),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInputError:")
+        assert str(bare / "gmm.model") in err and "fit-gmm" in err
+        assert not (tmp_path / "run").exists()
+
     def test_train_gmm_component_mismatch(self, pipeline, tmp_path, capsys):
         # the data directory's gmm.model has 2 components
         _, _, data, _, _ = pipeline
@@ -168,8 +204,7 @@ def per_section_rows(run_dir, data, split_name):
     for start, stop in sections:
         bundle = engine.predict(run.models, features[start - config.h:start],
                                 raw_values[start], run.transform,
-                                threshold=config.gate_threshold,
-                                soft_gate=config.soft_gate)
+                                threshold=config.gate_threshold)
         truth = raw_values[start + 1:stop + 1]
         base = evaluation.persistence_forecast(raw_values[:start + 1], config.f)
         preds.append(bundle.raw_scale)
@@ -202,6 +237,38 @@ def assert_rows_close(got, want):
                 assert g == w, got_line
 
 
+class TestDataMatchesRun:
+    """`evaluate` and `plotdata` score a run only on a data directory made
+    the way the run's was: same epsilon, same location and scale."""
+
+    @pytest.fixture(scope="class")
+    def other_data(self, pipeline):
+        root, csv = pipeline[:2]
+        relabelled, other_series = root / "data_eps03", root / "data_seed43"
+        assert main(["preprocess", "--input", str(csv), "--out-dir",
+                     str(relabelled), "--epsilon", "0.3"]) == 0
+        other_csv = root / "seed43.csv"
+        assert main(["synth", "--seed", "43", "--length", "2000",
+                     "--spike-rate", "0.01", "--out", str(other_csv)]) == 0
+        assert main(["preprocess", "--input", str(other_csv), "--out-dir",
+                     str(other_series), "--epsilon", "1.5"]) == 0
+        return {"epsilon": relabelled, "location": other_series}
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["plotdata"]])
+    @pytest.mark.parametrize("mismatch", ["epsilon", "location"])
+    def test_mismatched_data_exits_one(self, pipeline, other_data, capsys,
+                                       command, mismatch):
+        run = pipeline[3]
+        capsys.readouterr()
+        code = main([*command, "--run-dir", str(run),
+                     "--data", str(other_data[mismatch])])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError:")
+        assert mismatch in captured.err and str(other_data[mismatch]) in captured.err
+        assert captured.out == ""
+
+
 class TestEvaluateBatched:
     @pytest.mark.parametrize("split_name", ["test", "val"])
     def test_rows_equal_the_per_section_loop(self, pipeline, capsys, split_name):
@@ -230,7 +297,8 @@ class TestMalformedInput:
                                       "extreme_threshold_epsilon inf",
                                       "loss_alpha nan", "gate_threshold nan",
                                       "gate_threshold 2.0", "lr_recurrent -1.0",
-                                      "lr_fc nan"])
+                                      "lr_fc nan", "split_seed -1", "n_seed -1",
+                                      "c_seed -1", "gmm_seed 0"])
     def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, line):
         _, _, data, _, _ = pipeline
         config = tmp_path / "config"
@@ -309,8 +377,7 @@ def whole_series_forecast(run_dir, csv, origin_stamp, exog=()):
     origin = series.origin_index(filled, origin_stamp)
     bundle = engine.predict(run.models, features[origin - config.h:origin],
                             anchor=filled.values[origin], transform=run.transform,
-                            threshold=config.gate_threshold,
-                            soft_gate=config.soft_gate)
+                            threshold=config.gate_threshold)
     lines = ["step,n,e,c_prob,gate,composed,raw\n"]
     for i in range(config.f):
         lines.append(f"{i},{float(bundle.n_pred[i])!r},{float(bundle.e_pred[i])!r},"
@@ -389,6 +456,15 @@ class TestUnwritableOutput:
                      "--out", str(blocker / "run")])
         assert code == 1
         self.assert_names(capsys, blocker / "run")
+
+    def test_train_split_dump(self, pipeline, tmp_path, capsys):
+        _, _, data, _, config = pipeline
+        run = tmp_path / "run"
+        (run / "split.csv").mkdir(parents=True)
+        code = main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(run)])
+        assert code == 1
+        self.assert_names(capsys, run / "split.csv")
 
     def test_predict(self, pipeline, tmp_path, capsys):
         _, csv, _, run, _ = pipeline

@@ -169,6 +169,11 @@ class TestFitGmm:
         with pytest.raises(FitFailureError):
             fit_gmm(np.arange(15.0), 2)
 
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_negative_seed_rejected(self, components):
+        with pytest.raises(InvalidInputError, match="seed"):
+            fit_gmm(np.arange(40.0), components, seed=-1)
+
 
 class TestGmmModel:
     @pytest.mark.parametrize("weights,means,variances,message", [

@@ -106,13 +106,6 @@ class TestPredictComposition:
                               identity_transform(), threshold=0.7)
         assert low.composed[0] == 1.0 and high.composed[0] == 0.0
 
-    def test_soft_gate_blend(self):
-        models = {"n": StubModel([0.0]), "e": StubModel([1.0]),
-                  "c": StubModel([0.25])}
-        bundle = engine.predict(models, np.zeros((4, 2)), 0.0,
-                                identity_transform(), soft_gate=True)
-        assert bundle.composed[0] == pytest.approx(0.25)
-
 
 class TestPredictFusedMembers:
     """engine.predict runs the three NetStacks as one merged LSTM stack; its
@@ -244,7 +237,6 @@ class TestRunPersistence:
         run = engine.load_run(run_dir)
         assert run.config == config
         assert run.transform.anchor == 100.0
-        assert run.epsilon == config.epsilon
         window = features[:config.h]
         before = engine.predict(models, window, 100.0, run.transform)
         after = engine.predict(run.models, window, 100.0, run.transform)
@@ -298,15 +290,10 @@ class TestConfigParsing:
             small_config(n=engine.ModelSpec(oversampling_os=0.5))
         assert engine.config_from_pairs({"n_oversampling_os": "0"}) == engine.NecConfig()
 
-    @pytest.mark.parametrize("text,value", [("0", False), ("1", True),
-                                            ("false", False), ("true", True),
-                                            ("False", False), ("True", True)])
-    def test_soft_gate_values(self, text, value):
-        assert engine.config_from_pairs({"soft_gate": text}).soft_gate is value
-
     @pytest.mark.parametrize("text", ["yes", "no", "", "TRUE", "2", "on"])
     def test_soft_gate_rejects_other_text(self, text):
-        with pytest.raises(ConfigError, match="soft_gate"):
+        # soft gating is gone: the key is unknown, whatever its value
+        with pytest.raises(ConfigError, match="unknown config key 'soft_gate'"):
             engine.config_from_pairs({"soft_gate": text})
 
     @pytest.mark.parametrize("key,text", [
@@ -315,12 +302,6 @@ class TestConfigParsing:
     def test_malformed_value_names_the_key(self, key, text):
         with pytest.raises(ConfigError, match=key):
             engine.config_from_pairs({key: text})
-
-    def test_soft_gate_round_trips(self):
-        config = small_config(soft_gate=True)
-        assert engine.config_from_pairs(engine.config_to_pairs(config)) == config
-        text = kvtext.dumps(engine.config_to_pairs(config))
-        assert engine.config_from_pairs(kvtext.loads(text)) == config
 
 
 CONFIG_KEY_NAMES = sorted([*engine.CONFIG_KEYS,
@@ -392,8 +373,7 @@ class TestBatchedForecast:
         for i, (start, stop) in enumerate(sections):
             single = engine.predict(run.models, features[start - config.h:start],
                                     raw_values[start], run.transform,
-                                    threshold=config.gate_threshold,
-                                    soft_gate=config.soft_gate)
+                                    threshold=config.gate_threshold)
             np.testing.assert_array_equal(bundle.gate[i], single.gate)
             np.testing.assert_allclose(bundle.raw_scale[i], single.raw_scale, rtol=1e-12)
             np.testing.assert_array_equal(truth[i], raw_values[start + 1:stop + 1])

@@ -255,7 +255,7 @@ class TestNetStackForward:
         for shape in [(20, 3), (7, 20, 3)]:
             x = np.random.default_rng(6).normal(size=shape)
             np.testing.assert_array_equal(model.forward(x),
-                                          model.forward(x, with_cache=True)[0])
+                                          model._forward_cached(x)[0])
 
     def test_without_cache_each_layer_cache_is_freed(self):
         """A forward without cache peaks at one layer's working set, however
@@ -368,7 +368,7 @@ class TestBackward:
         model = NetStack("classifier", input_dim=2, width=4, n_layers=2,
                          horizon=3, seed=15)
         x = np.random.default_rng(16).normal(size=(3, 7, 2))
-        out, cache = model.forward(x, with_cache=True)
+        out, cache = model._forward_cached(x)
 
         def arrays(cache):
             found = [cache["x"], *cache["fc"]]
@@ -385,7 +385,7 @@ class TestBackward:
         model = NetStack("normal", input_dim=2, width=4, n_layers=1,
                          horizon=3, seed=7)
         x = np.random.default_rng(8).normal(size=(2, 6, 2))
-        out, cache = model.forward(x, with_cache=True)
+        out, cache = model._forward_cached(x)
         d_out = np.random.default_rng(9).normal(size=out.shape)
         grads = model.backward(cache, d_out)
         doubled = model.backward(cache, 2.0 * d_out)

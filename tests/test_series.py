@@ -117,16 +117,6 @@ class TestDifferenceStandardize:
         assert abs(np.mean(std.values)) < 1e-9
         assert abs(np.std(std.values) - 1.0) < 1e-9
 
-    def test_fit_length_restricts_parameter_fit(self):
-        rng = np.random.default_rng(2)
-        vals = np.concatenate([rng.normal(size=50), 10 * rng.normal(size=50)])
-        full = difference_standardize(make_series(vals))
-        train_only = difference_standardize(make_series(vals), fit_length=50)
-        diffs = np.diff(vals)
-        assert train_only.location == pytest.approx(np.mean(diffs[:49]))
-        assert train_only.scale == pytest.approx(np.std(diffs[:49]))
-        assert train_only.scale != full.scale
-
 
 class TestInvertTransform:
     def test_hand_computed(self):

@@ -57,3 +57,10 @@ class TestGenerate:
             generate(0, 100, spike_rate=1.0)
         with pytest.raises(InvalidInputError):
             generate(0, 100, spike_rate=-0.1)
+        with pytest.raises(InvalidInputError, match="spike_rate"):
+            generate(1, 3000, spike_rate=np.nan)
+        for shape in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="spike_shape"):
+                generate(1, 3000, spike_rate=0.01, spike_shape=shape)
+        with pytest.raises(InvalidInputError, match="seed"):
+            generate(-1, 100)

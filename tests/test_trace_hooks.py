@@ -31,7 +31,7 @@ def test_every_describe_hook_runs(tmp_path):
         transform = series.StandardizedSeries(values=np.array([]), location=0.0,
                                               scale=1.0, anchor=0.0)
         run = engine.RunArtifacts(config=config, gmm=gmm, transform=transform,
-                                  epsilon=config.epsilon, models=models)
+                                  models=models)
         engine.predict(models, features[:config.h], 0.0, transform)
         raw_values = np.concatenate([[0.0], np.cumsum(features[:, 0])])
         engine.forecast_sections(run, features, labels, raw_values,
