@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from . import kvtext
 from .errors import FitFailureError, InvalidInputError
@@ -139,6 +137,8 @@ def fit_gev(xs) -> GevParams:
     std = float(np.std(xs))
     if std == 0.0:
         raise FitFailureError("degenerate sample: zero variance")
+    from scipy.optimize import minimize  # here, so that importing necplus loads no scipy
+
     # Gumbel method-of-moments start, small positive shape to explore both signs
     sigma0 = std * np.sqrt(6.0) / np.pi
     mu0 = float(np.mean(xs)) - _EULER * sigma0
@@ -190,15 +190,47 @@ def gaussian_pdf(x, location: float, scale: float):
 def _gmm_log_joint(weights, means, variances, x: np.ndarray) -> np.ndarray:
     """log(weight * normal density), one row per component, in the log
     domain because tails sit ~100 sigma out."""
-    return np.log(weights)[:, None] + (
-        -0.5 * (x[None, :] - means[:, None]) ** 2 / variances[:, None]
-        - 0.5 * np.log(2 * np.pi * variances[:, None]))
+    joint = np.subtract(x[None, :], means[:, None])
+    np.square(joint, out=joint)
+    joint *= -0.5
+    joint /= variances[:, None]
+    joint -= 0.5 * np.log(2 * np.pi * variances[:, None])
+    joint += np.log(weights)[:, None]
+    return joint
+
+
+def _logsumexp0(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=0)) of a real 2-D array, bit for bit as
+    `scipy.special.logsumexp(a, axis=0)` computes it since scipy 1.15: each
+    column's maxima are taken out of the sum and come back through
+    log1p(s) + log(ties) + max, and where that is not finite,
+    log(sum(exp(a))) stands instead (Blanchard, Higham & Higham 2021)."""
+    a_max = a.max(axis=0)
+    is_max = a == a_max
+    ties = np.count_nonzero(is_max, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.subtract(a, a_max)
+        np.exp(e, out=e)
+        # zeroes the maxima; a column whose max is infinite gets NaN here
+        # and its value from the fallback
+        e *= ~is_max
+        s = e.sum(axis=0)
+        # with no ties, dividing by 1 and adding log(1) would change no bit
+        if (ties == 1).all():
+            out = np.log1p(s)
+        else:
+            out = np.log1p(s / ties)
+            out += np.log(ties)
+        out += a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
+    return out
 
 
 def _gmm_log_density(model: GmmModel, x: np.ndarray) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return logsumexp(_gmm_log_joint(model.weights, model.means, model.variances, x),
-                     axis=0)
+    return _logsumexp0(_gmm_log_joint(model.weights, model.means, model.variances, x))
 
 
 def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
@@ -228,15 +260,18 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
         return GmmModel(model.weights, model.means, model.variances, np.array([ll]))
     rng = np.random.default_rng(seed)
     n = len(xs)
+    xs_squared = xs ** 2
+    start_variance = max(float(np.var(xs)), VARIANCE_FLOOR)
     weights = np.full(m, 1.0 / m)
     means = np.quantile(xs, (np.arange(m) + 0.5) / m)
-    variances = np.full(m, max(float(np.var(xs)), VARIANCE_FLOOR))
+    variances = np.full(m, start_variance)
     trace = []
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITER):
         joint = _gmm_log_joint(weights, means, variances, xs)  # E step
-        norm = logsumexp(joint, axis=0)
-        resp = np.exp(joint - norm[None, :])
+        norm = _logsumexp0(joint)
+        joint -= norm
+        resp = np.exp(joint, out=joint)
         ll = float(np.sum(norm))
         trace.append(ll)
         if ll - prev_ll < EM_TOL and np.isfinite(prev_ll):
@@ -246,12 +281,12 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
         nk = resp.sum(axis=1)
         weights = nk / n
         means = resp @ xs / nk
-        variances = (resp @ xs ** 2 / nk) - means ** 2
+        variances = (resp @ xs_squared / nk) - means ** 2
         collapsed = variances < VARIANCE_FLOOR
         if collapsed.any():
             for i in np.flatnonzero(collapsed):
                 means[i] = xs[rng.integers(n)]
-                variances[i] = max(float(np.var(xs)), VARIANCE_FLOOR)
+                variances[i] = start_variance
             prev_ll = -np.inf  # restart convergence tracking after re-seeding
         variances = np.maximum(variances, VARIANCE_FLOOR)
     weights = weights / weights.sum()

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import InvalidInputError, UndefinedTestError, ZeroDenominatorError
 
@@ -87,6 +86,19 @@ class WilcoxonResult:
     n: int
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, each group of ties sharing its mean
+    rank: `scipy.stats.rankdata(x)` for finite x. The ranks are integers
+    or halves, so they are exact."""
+    order = np.argsort(x)
+    ordered = x[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]  # first of its tie group
+    bounds = np.r_[np.flatnonzero(first), len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = (0.5 * (bounds[:-1] + 1 + bounds[1:]))[np.cumsum(first) - 1]
+    return ranks
+
+
 def wilcoxon_signed_rank(pairs) -> WilcoxonResult:
     """Exact two-sided Wilcoxon signed-rank test for n <= 25 pairs.
 
@@ -97,6 +109,8 @@ def wilcoxon_signed_rank(pairs) -> WilcoxonResult:
     pairs = np.asarray(pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InvalidInputError("pairs must be an (n, 2) array")
+    if not np.all(np.isfinite(pairs)):
+        raise InvalidInputError("pairs must be finite")
     diffs = pairs[:, 0] - pairs[:, 1]
     diffs = diffs[diffs != 0]
     n = len(diffs)
@@ -105,7 +119,7 @@ def wilcoxon_signed_rank(pairs) -> WilcoxonResult:
     if n > EXACT_WILCOXON_MAX_N:
         raise InvalidInputError(
             f"exact enumeration supports at most {EXACT_WILCOXON_MAX_N} pairs")
-    ranks = rankdata(np.abs(diffs))
+    ranks = _average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     statistic = min(w_plus, w_minus)

@@ -331,7 +331,10 @@ def origin_index(raw: RawSeries, timestamp: str | None) -> int:
     """Index of the last known raw value before the forecast; default: the end."""
     if timestamp is None:
         return len(raw) - 1
-    target = _parse_timestamp(timestamp)
+    try:
+        target = _parse_timestamp(timestamp)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"--origin-timestamp {timestamp!r}: {exc}") from None
     idx = np.searchsorted(raw.timestamps, target)
     if idx >= len(raw) or raw.timestamps[idx] != target:
         raise ConfigError(f"timestamp {timestamp} not present in input series")

@@ -1,9 +1,14 @@
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import necplus
 from necplus import engine, evaluation, kvtext, sampling, series
 from necplus.cli import main
 
@@ -44,6 +49,19 @@ def pipeline(tmp_path_factory):
     assert main(["train", "--config", str(config), "--data", str(data),
                  "--out", str(run)]) == 0
     return root, csv, data, run, config
+
+
+def test_cli_import_loads_no_scipy():
+    """Every subcommand pays for what `necplus.cli` imports; only fit_gev
+    uses scipy, and it imports it when called."""
+    src = str(Path(necplus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, necplus.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestExitCodes:
@@ -423,6 +441,18 @@ class TestPredictWindow:
                      "--origin-timestamp", origin])
         assert code == 1
         assert "history steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("origin", ["yesterday", "2020-13-01T00:00:00Z", ""])
+    def test_unparsable_origin_exits_one(self, pipeline, tmp_path, capsys, origin):
+        _, csv, _, run, _ = pipeline
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--run-dir", str(run), "--input", str(csv),
+                     "--out", str(out), "--origin-timestamp", origin])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: --origin-timestamp {origin!r}:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
+from necplus import distributions
 from necplus.distributions import (
     GevParams,
     GmmModel,
@@ -173,6 +178,63 @@ class TestFitGmm:
     def test_negative_seed_rejected(self, components):
         with pytest.raises(InvalidInputError, match="seed"):
             fit_gmm(np.arange(40.0), components, seed=-1)
+
+
+# scipy 1.15 moved logsumexp to the separated-maximum log1p form that
+# distributions._logsumexp0 reproduces; older versions round differently.
+needs_log1p_logsumexp = pytest.mark.skipif(
+    tuple(int(p) for p in scipy.__version__.split(".")[:2]) < (1, 15),
+    reason="scipy < 1.15 computes logsumexp with another formula")
+
+
+def quiet_logsumexp0(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return distributions._logsumexp0(a)
+
+
+@needs_log1p_logsumexp
+class TestLogSumExp:
+    """The numpy log-sum-exp must give scipy's bits. Both run in the same
+    process, never against stored floats, since np.exp differs between
+    CPU backends."""
+
+    def test_random_shapes_and_scales(self):
+        rng = np.random.default_rng(0)
+        for m in range(1, 6):
+            for n in range(1, 501):
+                a = (rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3)
+                     + rng.uniform(-1e3, 1e3))
+                assert np.array_equal(quiet_logsumexp0(a), logsumexp(a, axis=0))
+
+    @pytest.mark.parametrize("column", [
+        [1.0, 1.0], [2.0, 2.0, 2.0], [0.5, 2.0, 2.0, -1.0],
+        [-np.inf, 0.0], [-np.inf, -np.inf, 3.0], [-np.inf], [-np.inf] * 4,
+        [np.inf, 1.0], [np.inf, np.inf], [np.inf, -np.inf], [-np.inf, np.inf, 2.0],
+        [np.nan, 1.0], [np.nan, np.inf], [np.nan, -np.inf], [np.nan] * 3,
+        [1e308, 1e308], [-1e308, 0.0], [800.0, 799.0, 800.0],
+    ])
+    def test_ties_and_non_finite_columns(self, column):
+        rng = np.random.default_rng(len(column))
+        column = np.array(column)
+        a = np.column_stack([column, rng.standard_normal(len(column)), column[::-1]])
+        got = quiet_logsumexp0(a)
+        assert np.array_equal(got, logsumexp(a, axis=0), equal_nan=True)
+        assert np.array_equal(quiet_logsumexp0(column[:, None]),
+                              logsumexp(column[:, None], axis=0), equal_nan=True)
+
+    @pytest.mark.parametrize("components", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_gmm_equals_the_scipy_fit(self, monkeypatch, components, seed):
+        rng = np.random.default_rng(100 + seed)
+        xs = rng.standard_t(df=3, size=1500) + np.where(
+            rng.random(1500) < 0.02, rng.normal(0, 30, 1500), 0.0)
+        ours = fit_gmm(xs, components, seed=seed)
+        monkeypatch.setattr(distributions, "_logsumexp0",
+                            lambda a: logsumexp(a, axis=0))
+        reference = fit_gmm(xs, components, seed=seed)
+        for name in ("weights", "means", "variances", "log_likelihood_trace"):
+            assert np.array_equal(getattr(ours, name), getattr(reference, name)), name
 
 
 class TestGmmModel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from necplus import evaluation
 from necplus.errors import (
     InvalidInputError,
     UndefinedTestError,
@@ -154,6 +155,24 @@ class TestWilcoxon:
         result = wilcoxon_signed_rank(np.array(pairs))
         assert type(result.p_value) is float and type(result.statistic) is float
         assert repr(result.p_value) == str(result.p_value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pairs_rejected(self, bad):
+        pairs = np.array([[1.0, 2.0], [3.0, 5.0], [bad, 4.5]])
+        with pytest.raises(InvalidInputError, match="finite"):
+            wilcoxon_signed_rank(pairs)
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+def test_average_ranks_equal_rankdata(n):
+    rng = np.random.default_rng(n)
+    samples = [rng.normal(size=n), np.abs(rng.normal(size=n)),
+               rng.integers(0, max(2, n // 3), size=n).astype(float),
+               np.round(rng.normal(size=n), 1), np.full(n, 0.25)]
+    for x in samples:
+        ranks = evaluation._average_ranks(x)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, rankdata(x))
 
 
 class TestPersistence:
