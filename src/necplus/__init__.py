@@ -2,8 +2,8 @@
 
 Three specialized LSTM forecasters (a normal-value regressor, an
 extreme-value regressor, and a per-step classifier that gates between
-them), fed by a standardized-difference transform, a Gaussian-mixture
-density indicator, and optional exogenous channels.
+them), fed by a standardized-difference transform and a Gaussian-mixture
+density indicator.
 """
 
 from .engine import ForecastBundle, NecConfig, ModelSpec, predict, train_nec

@@ -36,7 +36,7 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     raw = series.read_series_csv(args.input)
-    filled = series.fill_gaps(raw, max_degree=args.max_degree)
+    filled = series.fill_gaps(raw)
     std = series.difference_standardize(filled)
     labels = series.label_extremes(std, args.epsilon)
     series.write_preprocessed(args.out_dir, filled, std, labels)
@@ -70,8 +70,7 @@ def cmd_train(args) -> int:
     if gmm.n_components != config.gmm_components:
         raise ConfigError(f"config gmm_components_m {config.gmm_components} != "
                           f"{gmm.n_components} components in {gmm_path}")
-    exog = series.read_exog(args.exog, len(std), config.n_exogenous)
-    features = engine.assemble_features(std.values, gmm, exog)
+    features = engine.assemble_features(std.values, gmm)
     split = sampling.make_split(len(std), config.split_spec())
     models, logs = engine.train_nec(config, features, labels, split)
     engine.save_run(args.out, config, gmm, std, models, logs)
@@ -89,13 +88,11 @@ def cmd_predict(args) -> int:
     config = run.config
     filled = series.fill_gaps(series.read_series_csv(args.input))
     std = series.standardize(filled, run.transform.location, run.transform.scale)
-    exog = series.read_exog(args.exog, len(std), config.n_exogenous)
     origin = series.origin_index(filled, args.origin_timestamp)
     if origin - config.h < 0:
         raise DimensionError(f"need {config.h} history steps before the forecast origin")
     window = slice(origin - config.h, origin)
-    features = engine.assemble_features(std.values[window], run.gmm,
-                                        [channel[window] for channel in exog])
+    features = engine.assemble_features(std.values[window], run.gmm)
     bundle = engine.predict(run.models, features,
                             anchor=filled.values[origin],
                             transform=run.transform,
@@ -123,8 +120,7 @@ def _holdout(args, which: str):
     """(run, its `which` sections, features, labels, raw values, timestamps)."""
     run = engine.load_run(args.run_dir)
     std, labels, stamps = engine.read_data(args.data, run.config, run.transform)
-    exog = series.read_exog(args.exog, len(std), run.config.n_exogenous)
-    features = engine.assemble_features(std.values, run.gmm, exog)
+    features = engine.assemble_features(std.values, run.gmm)
     split = sampling.make_split(len(std), run.config.split_spec())
     sections = split.val_sections if which == "val" else split.test_sections
     return run, sections, features, labels, series.reconstruct_raw(std), stamps
@@ -141,10 +137,10 @@ def cmd_evaluate(args) -> int:
     if args.baseline:
         print(evaluation.per_class_report(baseline, truth, sec_labels)
               .csv_row("persistence", sensor))
-        if args.wilcoxon:
-            result = evaluation.wilcoxon_signed_rank(np.column_stack(
-                [evaluation.row_rmse(pred, truth), evaluation.row_rmse(baseline, truth)]))
-            print(f"wilcoxon,T={result.statistic},p={result.p_value!r},n={result.n}")
+    if args.wilcoxon:
+        result = evaluation.wilcoxon_signed_rank(np.column_stack(
+            [evaluation.row_rmse(pred, truth), evaluation.row_rmse(baseline, truth)]))
+        print(f"wilcoxon,T={result.statistic},p={result.p_value!r},n={result.n}")
     return 0
 
 
@@ -182,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--epsilon", type=float, default=1.5)
-    p.add_argument("--max-degree", type=int, default=3)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("fit-gmm", help="fit the mixture indicator model")
@@ -195,14 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True, help="preprocessed directory")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--exog", nargs="*", default=[])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="forecast f steps from a raw CSV")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--origin-timestamp", default=None)
-    p.add_argument("--exog", nargs="*", default=[])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 
@@ -210,18 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True)
     p.add_argument("--data", required=True, help="preprocessed directory")
     p.add_argument("--split", choices=("val", "test"), default="test")
-    p.add_argument("--exog", nargs="*", default=[])
     p.add_argument("--baseline", action="store_true",
                    help="add a persistence baseline row")
     p.add_argument("--wilcoxon", action="store_true",
-                   help="exact test over per-section RMSE pairs vs the baseline")
+                   help="exact test over per-section RMSE pairs vs persistence")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("plotdata", help="aligned truth/forecast CSV for one section")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--section", type=int, default=0)
-    p.add_argument("--exog", nargs="*", default=[])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_plotdata)
     return parser

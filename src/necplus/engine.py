@@ -1,7 +1,7 @@
 """Orchestration of the three-member forecaster: feature assembly with the
-mixture-density indicator and exogenous channels, training of the
-normal/extreme/classifier triple, gated inference composition, batched
-forecasts of the holdout sections, and run persistence.
+mixture-density indicator, training of the normal/extreme/classifier
+triple, gated inference composition, batched forecasts of the holdout
+sections, and run persistence.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from . import distributions, evaluation, kvtext, series, sampling
 from .errors import (
-    AlignmentError,
     CheckpointError,
     ConfigError,
     DimensionError,
@@ -58,7 +57,6 @@ class NecConfig:
     alpha: float = 1.0
     beta: float = 1.0
     gate_threshold: float = 0.5
-    n_exogenous: int = 0
     holdout_sections: int = 24
     val_ranges: tuple[tuple[int, int], ...] = ()
     test_ranges: tuple[tuple[int, int], ...] = ()
@@ -126,16 +124,11 @@ class ForecastBundle:
     raw_scale: np.ndarray
 
 
-def assemble_features(std_values, gmm: distributions.GmmModel,
-                      exog_channels=()) -> np.ndarray:
-    """Build the (k+2)-channel feature matrix: standardized value, its
-    mixture-density indicator, then the exogenous channels."""
+def assemble_features(std_values, gmm: distributions.GmmModel) -> np.ndarray:
+    """Build the (n, 2) feature matrix: standardized value, then its
+    mixture-density indicator."""
     std_values = np.asarray(std_values, dtype=np.float64)
-    indicator = distributions.gmm_indicator(gmm, std_values)
-    for channel in exog_channels:
-        if len(channel) != len(std_values):
-            raise AlignmentError("exogenous channel length does not match series")
-    return np.column_stack([std_values, indicator, *exog_channels])
+    return np.column_stack([std_values, distributions.gmm_indicator(gmm, std_values)])
 
 
 def read_data(data_dir: str | Path, config: NecConfig,
@@ -159,7 +152,7 @@ def read_data(data_dir: str | Path, config: NecConfig,
 def _member_model(config: NecConfig, name: str) -> NetStack:
     spec = getattr(config, name)
     head = {"n": "normal", "e": "extreme", "c": "classifier"}[name]
-    return NetStack(head, input_dim=config.n_exogenous + 2, width=spec.hidden,
+    return NetStack(head, input_dim=2, width=spec.hidden,
                     n_layers=spec.layers, horizon=config.f, seed=spec.seed)
 
 
@@ -274,7 +267,6 @@ CONFIG_KEYS = {
     "loss_alpha": ("alpha", float),
     "loss_beta": ("beta", float),
     "gate_threshold": ("gate_threshold", float),
-    "n_exogenous": ("n_exogenous", int),
     "holdout_sections": ("holdout_sections", int),
     "val_ranges": ("val_ranges", _parse_ranges),
     "test_ranges": ("test_ranges", _parse_ranges),

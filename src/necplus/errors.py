@@ -56,10 +56,6 @@ class TrainingFailureError(NecError):
     """Training diverged (non-finite validation loss)."""
 
 
-class AlignmentError(NecError):
-    """Feature channels are not aligned on the same timestamps."""
-
-
 class ZeroDenominatorError(NecError):
     """A metric denominator is zero (e.g. MAPE with zero ground truth)."""
 

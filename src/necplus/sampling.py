@@ -45,7 +45,7 @@ class Split:
 @dataclass(frozen=True)
 class Windows:
     """A batch of B windows gathered from one feature matrix: h input rows
-    of (value, indicator, exog...), f target values with their extreme
+    of (value, indicator), f target values with their extreme
     labels, and each window's origin. An index array or a slice gives a
     sub-batch, an int one window."""
 

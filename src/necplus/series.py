@@ -20,7 +20,6 @@ from .errors import (
     BoundaryGapError,
     ConfigError,
     DegenerateSeriesError,
-    DimensionError,
     InvalidInputError,
     UnfillableGapError,
     reading,
@@ -29,6 +28,7 @@ from .errors import (
 
 HOUR = 3600
 MAX_GAP = 14 * 24  # 14 days of hourly points
+MAX_DEGREE = 3  # highest degree of a gap-filling polynomial
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _ROW_START_WIDTH = len("0001-01-01T00:00:00Z,")  # the same for every year
 
@@ -105,17 +105,15 @@ def _gap_runs(missing: np.ndarray) -> list[tuple[int, int]]:
                     np.flatnonzero(edges == -1).tolist()))
 
 
-def fill_gaps(series: RawSeries, max_degree: int = 3) -> RawSeries:
+def fill_gaps(series: RawSeries) -> RawSeries:
     """Fill missing runs by adaptive polynomial interpolation.
 
     For a gap of length L, the k = ceil(L/2) nearest observed points on each
-    side anchor a least-squares polynomial whose degree (1..max_degree) is
+    side anchor a least-squares polynomial whose degree (1..MAX_DEGREE) is
     chosen to minimize the residual on those anchors, ties going to the
     lower degree. Observed points are never modified. A gap longer than
     MAX_GAP points is an error.
     """
-    if max_degree < 1:
-        raise InvalidInputError("max_degree must be >= 1")
     missing = series.missing
     if not missing.any():
         return series
@@ -137,7 +135,7 @@ def fill_gaps(series: RawSeries, max_degree: int = 3) -> RawSeries:
         ta = anchors - t0
         ya = values[anchors]
         best = None
-        for degree in range(1, max_degree + 1):
+        for degree in range(1, MAX_DEGREE + 1):
             if degree >= len(anchors):
                 break  # underdetermined; lower degrees already interpolate
             coeffs = np.polyfit(ta, ya, degree)
@@ -308,25 +306,6 @@ def read_series_csv(path: str | Path) -> RawSeries:
     return RawSeries(path.stem, timestamps, values)
 
 
-def read_exog(paths, expected_len: int, count: int) -> list[np.ndarray]:
-    """Exogenous channels are z-scored (not differenced) and trimmed by one
-    point so they align with the standardized primary series. `count` is
-    the number of channels the config declares."""
-    if len(paths) != count:
-        raise ConfigError(f"config declares {count} exogenous channels, got {len(paths)}")
-    channels = []
-    for path in paths:
-        raw = read_series_csv(path)
-        if len(raw) != expected_len + 1:
-            raise DimensionError(
-                f"{path}: exogenous series length {len(raw)} does not match "
-                f"primary series length {expected_len + 1}")
-        vals = raw.values[1:]
-        std = np.std(vals)
-        channels.append((vals - np.mean(vals)) / (std if std > 0 else 1.0))
-    return channels
-
-
 def origin_index(raw: RawSeries, timestamp: str | None) -> int:
     """Index of the last known raw value before the forecast; default: the end."""
     if timestamp is None:
@@ -365,9 +344,10 @@ def write_preprocessed(out_dir: str | Path, series: RawSeries,
 
 def read_preprocessed(in_dir: str | Path):
     """Read what `write_preprocessed` wrote: (standardized series, extreme
-    labels as a bool array, epsilon, the timestamp text of each point)."""
+    labels as a bool array, epsilon, the timestamp text of each point).
+    Every value must be finite and every label 0 or 1."""
     path = Path(in_dir) / "preprocessed.csv"
-    stamps, values, labels = [], [], []
+    stamps, values, flags = [], [], []
     with reading(path), path.open() as fh:
         fh.readline()
         for line in fh:
@@ -378,9 +358,17 @@ def read_preprocessed(in_dir: str | Path):
                 lineno = len(values) + 2
                 raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
             stamps.append(ts)
-            labels.append(ext == "1")
+            flags.append(ext)
     std, epsilon = read_transform_meta(Path(in_dir) / "transform.meta", values)
-    return std, np.array(labels, dtype=bool), epsilon, stamps
+    if not (np.isfinite(std.values).all() and {"0", "1"}.issuperset(flags)):
+        for lineno, (val, flag) in enumerate(zip(values, flags), 2):
+            if not np.isfinite(val):
+                raise InvalidInputError(f"{path}:{lineno}: std_value {val!r} is not finite")
+            if flag not in ("0", "1"):
+                raise InvalidInputError(f"{path}:{lineno}: is_extreme {flag!r} is not 0 or 1")
+    # every flag is now one ASCII character
+    labels = np.frombuffer("".join(flags).encode(), dtype=np.uint8) == ord("1")
+    return std, labels, epsilon, stamps
 
 
 def transform_meta(std: StandardizedSeries, epsilon: float) -> dict:

@@ -75,6 +75,19 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--input", "s.csv", "--out-dir", "d", "--max-degree", "2"],
+        ["train", "--config", "c", "--data", "d", "--out", "r", "--exog", "x.csv"],
+        ["predict", "--run-dir", "r", "--input", "s.csv", "--exog", "x.csv"],
+        ["evaluate", "--run-dir", "r", "--data", "d", "--exog", "x.csv"],
+        ["plotdata", "--run-dir", "r", "--data", "d", "--exog", "x.csv"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_removed_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
     def test_domain_error_returns_one(self, tmp_path, capsys):
         code = main(["synth", "--spike-rate", "1.5", "--length", "100",
                      "--out", str(tmp_path / "x.csv")])
@@ -136,13 +149,6 @@ class TestPipeline:
             assert composed == want
             assert 0.0 < float(c) < 1.0
             assert np.isfinite(float(raw))
-
-    def test_predict_rejects_unexpected_exogenous(self, pipeline, capsys):
-        _, csv, _, run, _ = pipeline
-        code = main(["predict", "--run-dir", str(run), "--input", str(csv),
-                     "--exog", str(csv)])
-        assert code == 1
-        assert "exogenous" in capsys.readouterr().err
 
     def test_evaluate_emits_report(self, pipeline, capsys):
         _, _, data, run, _ = pipeline
@@ -306,6 +312,15 @@ class TestEvaluateBatched:
         p_value = line.split("p=")[1].split(",")[0]
         assert float(p_value) > 0 and "np." not in line
 
+    def test_wilcoxon_needs_no_baseline_row(self, pipeline, capsys):
+        _, _, data, run, _ = pipeline
+        capsys.readouterr()
+        argv = ["evaluate", "--run-dir", str(run), "--data", str(data)]
+        assert main(argv + ["--baseline", "--wilcoxon"]) == 0
+        both = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--wilcoxon"]) == 0
+        assert capsys.readouterr().out.splitlines() == both[:2] + both[3:]
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("line", ["input_length_h abc", "val_ranges 1-x",
@@ -316,7 +331,7 @@ class TestMalformedInput:
                                       "loss_alpha nan", "gate_threshold nan",
                                       "gate_threshold 2.0", "lr_recurrent -1.0",
                                       "lr_fc nan", "split_seed -1", "n_seed -1",
-                                      "c_seed -1", "gmm_seed 0"])
+                                      "c_seed -1", "gmm_seed 0", "n_exogenous 0"])
     def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, line):
         _, _, data, _, _ = pipeline
         config = tmp_path / "config"
@@ -375,23 +390,15 @@ class TestMalformedInput:
         assert err.startswith("error: InvalidInputError:")
         assert f"{gmm}: mixture variances must be finite and positive" in err
 
-    def test_evaluate_checks_the_exogenous_count(self, pipeline, capsys):
-        _, csv, data, run, _ = pipeline
-        code = main(["evaluate", "--run-dir", str(run), "--data", str(data),
-                     "--exog", str(csv)])
-        assert code == 1
-        assert "exogenous" in capsys.readouterr().err
 
-
-def whole_series_forecast(run_dir, csv, origin_stamp, exog=()):
+def whole_series_forecast(run_dir, csv, origin_stamp):
     """The forecast CSV text `predict` wrote when it assembled the features
     of the whole series and then sliced the window before the origin."""
     run = engine.load_run(run_dir)
     config = run.config
     filled = series.fill_gaps(series.read_series_csv(csv))
     std = series.standardize(filled, run.transform.location, run.transform.scale)
-    channels = series.read_exog(exog, len(std), config.n_exogenous)
-    features = engine.assemble_features(std.values, run.gmm, channels)
+    features = engine.assemble_features(std.values, run.gmm)
     origin = series.origin_index(filled, origin_stamp)
     bundle = engine.predict(run.models, features[origin - config.h:origin],
                             anchor=filled.values[origin], transform=run.transform,
@@ -404,35 +411,21 @@ def whole_series_forecast(run_dir, csv, origin_stamp, exog=()):
     return "".join(lines)
 
 
-@pytest.fixture(scope="module")
-def exog_run(pipeline):
-    """A run trained with the series itself as one exogenous channel."""
-    root, csv, data, _, _ = pipeline
-    config, run = root / "exog_config", root / "exog_run"
-    write_config(config, n_exogenous=1)
-    assert main(["train", "--config", str(config), "--data", str(data),
-                 "--out", str(run), "--exog", str(csv)]) == 0
-    return run
-
-
 class TestPredictWindow:
     """`predict` builds features for its h-step window only; its output must
     not differ from slicing the features of the whole series."""
 
-    @pytest.mark.parametrize("exogenous", [False, True])
-    def test_forecast_bytes_equal_the_whole_series_features(
-            self, pipeline, exog_run, tmp_path, exogenous):
+    def test_forecast_bytes_equal_the_whole_series_features(self, pipeline, tmp_path):
         _, csv, _, run, _ = pipeline
-        run, exog = (exog_run, [str(csv)]) if exogenous else (run, [])
         stamps = [line.split(",")[0] for line in csv.read_text().splitlines()[1:]]
         for index in (12, 13, 500, 1234, len(stamps) - 2, None):
             origin = None if index is None else stamps[index]
             out = tmp_path / "forecast.csv"
             argv = ["predict", "--run-dir", str(run), "--input", str(csv),
-                    "--out", str(out), "--exog", *exog]
+                    "--out", str(out)]
             assert main(argv + ([] if origin is None
                                 else ["--origin-timestamp", origin])) == 0
-            assert out.read_text() == whole_series_forecast(run, csv, origin, exog)
+            assert out.read_text() == whole_series_forecast(run, csv, origin)
 
     def test_too_early_origin_is_rejected(self, pipeline, capsys):
         _, csv, _, run, _ = pipeline

@@ -118,7 +118,7 @@ class TestPredictFusedMembers:
         for model in models.values():
             for key, value in model.params.items():
                 model.params[key] = value + rng.normal(scale=0.1, size=value.shape)
-        return models, rng.normal(size=(24, config.h, config.n_exogenous + 2))
+        return models, rng.normal(size=(24, config.h, 2))
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -165,13 +165,11 @@ class TestAssembleFeatures:
         rng = np.random.default_rng(2)
         std_values = rng.normal(size=50)
         gmm = distributions.fit_gmm(std_values, 1)
-        exog = [np.cos(std_values)]
-        features = engine.assemble_features(std_values, gmm, exog)
-        assert features.shape == (50, 3)
+        features = engine.assemble_features(std_values, gmm)
+        assert features.shape == (50, 2)
         np.testing.assert_array_equal(features[:, 0], std_values)
         np.testing.assert_array_equal(
             features[:, 1], distributions.gmm_indicator(gmm, std_values))
-        np.testing.assert_array_equal(features[:, 2], exog[0])
 
 
 class TestTrainNec:
@@ -186,7 +184,7 @@ class TestTrainNec:
 
 class TestConfigPairs:
     def test_round_trip(self):
-        config = small_config(alpha=2.0, beta=0.5, n_exogenous=1)
+        config = small_config(alpha=2.0, beta=0.5)
         assert engine.config_from_pairs(engine.config_to_pairs(config)) == config
 
     def test_table_names_present(self):

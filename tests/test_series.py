@@ -72,6 +72,14 @@ class TestFillGaps:
         filled = fill_gaps(make_series(vals))
         np.testing.assert_allclose(filled.values[8:12], t[8:12] ** 2, atol=1e-6)
 
+    def test_cubic_gap(self):
+        t = np.arange(20, dtype=np.float64)
+        cubic = t**3 - 12 * t**2
+        vals = cubic.copy()
+        vals[8:12] = np.nan
+        filled = fill_gaps(make_series(vals))
+        np.testing.assert_allclose(filled.values[8:12], cubic[8:12], atol=1e-6)
+
     def test_observed_points_never_modified(self):
         vals = np.sin(np.arange(30) / 3.0)
         vals[10:14] = np.nan
@@ -276,13 +284,15 @@ class TestPreprocessedCsv:
         with pytest.raises(InvalidInputError, match="transform.meta: missing key 'scale'"):
             read_preprocessed(tmp_path)
 
-    def test_malformed_row_names_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize("cells", ["x,0", "nan,0", "inf,0", "-inf,1",
+                                       "0.5,7", "0.5,", "0.5,true"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, cells):
         raw = make_series([1.0, 2.0, 4.0, 3.0])
         std = difference_standardize(raw)
         write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
         path = tmp_path / "preprocessed.csv"
         lines = path.read_text().splitlines()
-        lines[2] = "1970-01-01T02:00:00Z,x,0"
+        lines[2] = f"1970-01-01T02:00:00Z,{cells}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidInputError, match="preprocessed.csv:3"):
             read_preprocessed(tmp_path)
