@@ -1,5 +1,8 @@
 """Gaussian, GEV, and Gaussian-mixture fitting, the mixture-density
-indicator feature, and a histogram-based fit-quality diagnostic.
+indicator feature, and a histogram-based fit-quality diagnostic. The GEV
+is fitted by probability-weighted moments (Hosking, Wallis & Wood 1985,
+Technometrics 27(3)), which assume shape < 1; a bounded support that ends
+inside the sample is widened to one mean spacing past it.
 
 Mixtures are univariate: the indicator is computed on the standardized
 scalar series. All fitting is deterministic for a fixed seed.
@@ -7,6 +10,7 @@ scalar series. All fitting is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,41 +121,36 @@ def gev_pdf(x, p: GevParams):
     return out if out.ndim else float(out)
 
 
-def _gev_negloglik(theta, xs):
-    mu, log_sigma, xi = theta
-    sigma = np.exp(log_sigma)
-    if abs(xi) < XI_TOL:
-        u = (xs - mu) / sigma
-        return float(np.sum(np.log(sigma) + u + np.exp(-u)))
-    z = 1.0 + xi * (xs - mu) / sigma
-    if np.any(z <= 0):
-        return 1e12
-    return float(np.sum(np.log(sigma) + (1.0 + 1.0 / xi) * np.log(z) + z ** (-1.0 / xi)))
-
-
 def fit_gev(xs) -> GevParams:
-    """Maximum-likelihood GEV fit via Nelder-Mead from a moment start."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if len(xs) < 50:
+    """Probability-weighted-moment GEV fit (Hosking, Wallis & Wood 1985):
+    closed form, valid for shape < 1 (a heavier tail reads below 1). A
+    support endpoint that does not lie strictly outside the sample moves to
+    one mean spacing past it, keeping location and scale."""
+    xs = np.sort(np.asarray(xs, dtype=np.float64))
+    n = len(xs)
+    if n < 50:
         raise FitFailureError("need at least 50 samples to fit a GEV")
-    std = float(np.std(xs))
-    if std == 0.0:
+    if float(np.std(xs)) == 0.0:
         raise FitFailureError("degenerate sample: zero variance")
-    from scipy.optimize import minimize  # here, so that importing necplus loads no scipy
-
-    # Gumbel method-of-moments start, small positive shape to explore both signs
-    sigma0 = std * np.sqrt(6.0) / np.pi
-    mu0 = float(np.mean(xs)) - _EULER * sigma0
-    best = None
-    for xi0 in (0.1, -0.1):
-        res = minimize(_gev_negloglik, x0=np.array([mu0, np.log(sigma0), xi0]),
-                       args=(xs,), method="Nelder-Mead",
-                       options={"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10})
-        if best is None or res.fun < best.fun:
-            best = res
-    mu, log_sigma, xi = best.x
-    params = GevParams(float(mu), float(np.exp(log_sigma)), float(xi))
-    if abs(params.shape) >= XI_TOL and np.any(_gev_z(xs, params) <= 0):
+    j = np.arange(n, dtype=np.float64)
+    b0 = float(np.mean(xs))
+    b1 = float(j @ xs) / (n * (n - 1))
+    b2 = float((j * (j - 1)) @ xs) / (n * (n - 1) * (n - 2))
+    l2 = 2.0 * b1 - b0  # the second L-moment: positive
+    c = l2 / (3.0 * b2 - b0) - math.log(2.0) / math.log(3.0)
+    k = 7.8590 * c + 2.9554 * c * c  # in Hosking's sign: shape = -k
+    if abs(k) < XI_TOL:
+        scale = l2 / math.log(2.0)
+        return GevParams(b0 - _EULER * scale, scale, 0.0)
+    g = math.gamma(1.0 + k)
+    scale = l2 * k / (g * (1.0 - 2.0 ** -k))
+    location = b0 + scale * (g - 1.0) / k
+    end = location + scale / k  # the support's finite endpoint
+    edge = xs[-1] if k > 0 else xs[0]  # the extreme sample on the bounded side
+    if (end - edge) * k <= 0:
+        end = edge + math.copysign((xs[-1] - xs[0]) / (n - 1), k)
+    params = GevParams(location, scale, float(scale / (location - end)))
+    if np.any(_gev_z(xs, params) <= 0):
         raise FitFailureError(
             f"fitted parameters {params} do not cover all samples")
     return params

@@ -7,6 +7,7 @@ comment line. Floats are written with `repr` so they round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import InvalidInputError, reading, writing
@@ -52,3 +53,11 @@ def get(pairs: dict[str, str], key: str, path, conv):
     except ValueError:
         raise InvalidInputError(
             f"{path}: bad value {pairs[key]!r} for key {key!r}") from None
+
+
+def finite_float(text: str) -> float:
+    """float(text) that rejects nan and infinities; a `get` converter."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value

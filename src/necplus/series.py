@@ -31,6 +31,7 @@ MAX_GAP = 14 * 24  # 14 days of hourly points
 MAX_DEGREE = 3  # highest degree of a gap-filling polynomial
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _ROW_START_WIDTH = len("0001-01-01T00:00:00Z,")  # the same for every year
+_PREPROCESSED_HEADER = "timestamp,std_value,is_extreme"
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,7 @@ def write_preprocessed(out_dir: str | Path, series: RawSeries,
         labels.labels.astype(np.int8).tolist()))
     with writing(path):
         out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text("timestamp,std_value,is_extreme\n" + "".join(rows))
+        path.write_text(_PREPROCESSED_HEADER + "\n" + "".join(rows))
     kvtext.write(out_dir / "transform.meta", transform_meta(std, labels.epsilon))
 
 
@@ -349,7 +350,8 @@ def read_preprocessed(in_dir: str | Path):
     path = Path(in_dir) / "preprocessed.csv"
     stamps, values, flags = [], [], []
     with reading(path), path.open() as fh:
-        fh.readline()
+        if fh.readline().strip() != _PREPROCESSED_HEADER:
+            raise InvalidInputError(f"{path}: expected header {_PREPROCESSED_HEADER!r}")
         for line in fh:
             try:
                 ts, val, ext = line.strip().split(",")
@@ -386,9 +388,10 @@ def read_transform_meta(path: str | Path,
     """Return (the stored transform as a StandardizedSeries of `values`,
     epsilon)."""
     pairs = kvtext.read(path)
+    location, scale, anchor, epsilon = (
+        kvtext.get(pairs, key, path, kvtext.finite_float)
+        for key in ("location", "scale", "anchor", "epsilon"))
     std = StandardizedSeries(values=np.array(values, dtype=np.float64),
-                             location=kvtext.get(pairs, "location", path, float),
-                             scale=kvtext.get(pairs, "scale", path, float),
-                             anchor=kvtext.get(pairs, "anchor", path, float),
+                             location=location, scale=scale, anchor=anchor,
                              source_id=pairs.get("source_id", ""))
-    return std, kvtext.get(pairs, "epsilon", path, float)
+    return std, epsilon

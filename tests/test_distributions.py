@@ -104,6 +104,17 @@ class TestFitGev:
         fitted = fit_gev(xs)
         assert 0.2 < fitted.shape < 0.4
 
+    # bounded upper tails; at shape -0.4, n 1000, seed 3 the moment
+    # estimate alone ends the support inside the sample
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("shape", [-0.4, -0.2])
+    def test_bounded_tail_covers_every_sample(self, shape, n, seed):
+        xs = sample_gev(GevParams(0.0, 1.0, shape), n, np.random.default_rng(seed))
+        fitted = fit_gev(xs)
+        assert np.all(1.0 + fitted.shape * (xs - fitted.location) / fitted.scale > 0)
+        assert shape - 0.15 < fitted.shape < 0
+
     def test_constant_sample_fails(self):
         with pytest.raises(FitFailureError):
             fit_gev(np.ones(100))

@@ -284,6 +284,29 @@ class TestPreprocessedCsv:
         with pytest.raises(InvalidInputError, match="transform.meta: missing key 'scale'"):
             read_preprocessed(tmp_path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["location", "scale", "anchor", "epsilon"])
+    def test_non_finite_transform_meta_names_file_and_key(self, tmp_path, key, value):
+        raw = make_series([1.0, 2.0, 4.0, 3.0])
+        std = difference_standardize(raw)
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        meta = tmp_path / "transform.meta"
+        meta.write_text("".join(f"{key} {value}\n" if line.startswith(f"{key} ") else line
+                                for line in meta.read_text().splitlines(True)))
+        with pytest.raises(InvalidInputError,
+                           match=f"transform.meta: bad value '{value}' for key '{key}'"):
+            read_preprocessed(tmp_path)
+
+    def test_missing_header_names_file(self, tmp_path):
+        raw = make_series([1.0, 2.0, 4.0, 3.0])
+        std = difference_standardize(raw)
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        path = tmp_path / "preprocessed.csv"
+        path.write_text("".join(path.read_text().splitlines(True)[1:]))
+        with pytest.raises(InvalidInputError,
+                           match="preprocessed.csv: expected header 'timestamp,std_value,is_extreme'"):
+            read_preprocessed(tmp_path)
+
     @pytest.mark.parametrize("cells", ["x,0", "nan,0", "inf,0", "-inf,1",
                                        "0.5,7", "0.5,", "0.5,true"])
     def test_malformed_row_names_file_and_line(self, tmp_path, cells):
