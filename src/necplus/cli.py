@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import distributions, engine, evaluation, sampling, series, synth
-from .errors import ConfigError, DimensionError, InvalidInputError, NecError, writing
+from .errors import ConfigError, InvalidInputError, NecError, writing
 
 
 def cmd_synth(args) -> int:
@@ -86,15 +86,11 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     run = engine.load_run(args.run_dir)
     config = run.config
-    filled = series.fill_gaps(series.read_series_csv(args.input))
-    std = series.standardize(filled, run.transform.location, run.transform.scale)
-    origin = series.origin_index(filled, args.origin_timestamp)
-    if origin - config.h < 0:
-        raise DimensionError(f"need {config.h} history steps before the forecast origin")
-    window = slice(origin - config.h, origin)
-    features = engine.assemble_features(std.values[window], run.gmm)
+    window = series.read_window(args.input, args.origin_timestamp, config.h)
+    std = series.standardize(window, run.transform.location, run.transform.scale)
+    features = engine.assemble_features(std.values, run.gmm)
     bundle = engine.predict(run.models, features,
-                            anchor=filled.values[origin],
+                            anchor=window.values[-1],
                             transform=run.transform,
                             threshold=config.gate_threshold)
     with _output(args.out) as out:

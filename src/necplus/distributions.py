@@ -127,6 +127,8 @@ def fit_gev(xs) -> GevParams:
     support endpoint that does not lie strictly outside the sample moves to
     one mean spacing past it, keeping location and scale."""
     xs = np.sort(np.asarray(xs, dtype=np.float64))
+    if not np.all(np.isfinite(xs)):
+        raise InvalidInputError("sample must be finite")
     n = len(xs)
     if n < 50:
         raise FitFailureError("need at least 50 samples to fit a GEV")

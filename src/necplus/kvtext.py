@@ -61,3 +61,12 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
+
+
+def positive_float(text: str) -> float:
+    """finite_float(text) that also rejects zero and negatives; a `get`
+    converter."""
+    value = finite_float(text)
+    if not value > 0:
+        raise ValueError(f"{text!r} is not positive")
+    return value

@@ -7,6 +7,8 @@ mutate their inputs.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from itertools import compress, count, islice, product, repeat
@@ -20,6 +22,7 @@ from .errors import (
     BoundaryGapError,
     ConfigError,
     DegenerateSeriesError,
+    DimensionError,
     InvalidInputError,
     UnfillableGapError,
     reading,
@@ -121,31 +124,42 @@ def fill_gaps(series: RawSeries) -> RawSeries:
     values = series.values.copy()
     observed = np.flatnonzero(~missing)
     for start, stop in _gap_runs(missing):
-        length = stop - start
-        if length > MAX_GAP:
-            raise UnfillableGapError(
-                f"gap of {length} points at index {start} exceeds maximum {MAX_GAP}")
-        k = (length + 1) // 2
-        left = observed[observed < start][-k:]
-        right = observed[observed >= stop][:k]
-        if len(left) < k or len(right) < k:
-            raise BoundaryGapError(
-                f"gap at index {start} lacks {k} anchor points on each side")
-        anchors = np.concatenate([left, right])
-        t0 = 0.5 * (start + stop - 1)  # center for conditioning
-        ta = anchors - t0
-        ya = values[anchors]
-        best = None
-        for degree in range(1, MAX_DEGREE + 1):
-            if degree >= len(anchors):
-                break  # underdetermined; lower degrees already interpolate
-            coeffs = np.polyfit(ta, ya, degree)
-            resid = float(np.sum((np.polyval(coeffs, ta) - ya) ** 2))
-            if best is None or resid < best[0]:
-                best = (resid, coeffs)
-        tg = np.arange(start, stop) - t0
-        values[start:stop] = np.polyval(best[1], tg)
+        _fill_run(values, observed, start, stop, series.timestamps)
     return RawSeries(series.sensor_id, series.timestamps, values)
+
+
+def _fill_run(values: np.ndarray, observed: np.ndarray, start: int, stop: int,
+              timestamps: np.ndarray) -> None:
+    """Fill the gap values[start:stop] in place, as `fill_gaps` describes,
+    from the `observed` indices of `values`; errors name the gap's first
+    stamp. The fit takes indices relative to the gap's centre, so a slice
+    of the series that holds the gap and its anchors fills it bit for bit
+    as the whole series does."""
+    length = stop - start
+    if length > MAX_GAP:
+        raise UnfillableGapError(f"gap of {length} points from "
+                                 f"{_format_timestamps(timestamps[start])} "
+                                 f"exceeds maximum {MAX_GAP}")
+    k = (length + 1) // 2
+    left = observed[observed < start][-k:]
+    right = observed[observed >= stop][:k]
+    if len(left) < k or len(right) < k:
+        raise BoundaryGapError(f"gap from {_format_timestamps(timestamps[start])} "
+                               f"lacks {k} anchor points on each side")
+    anchors = np.concatenate([left, right])
+    t0 = 0.5 * (start + stop - 1)  # center for conditioning
+    ta = anchors - t0
+    ya = values[anchors]
+    best = None
+    for degree in range(1, MAX_DEGREE + 1):
+        if degree >= len(anchors):
+            break  # underdetermined; lower degrees already interpolate
+        coeffs = np.polyfit(ta, ya, degree)
+        resid = float(np.sum((np.polyval(coeffs, ta) - ya) ** 2))
+        if best is None or resid < best[0]:
+            best = (resid, coeffs)
+    tg = np.arange(start, stop) - t0
+    values[start:stop] = np.polyval(best[1], tg)
 
 
 def difference_standardize(series: RawSeries) -> StandardizedSeries:
@@ -269,10 +283,10 @@ def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return timestamps, np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
 
 
-def _raise_first_bad_row(path: Path, lines: list[str]) -> None:
-    """Raise the InvalidInputError of the first row of the file's `lines`
-    whose stamp or value does not parse."""
-    for lineno, line in enumerate(islice(lines, 1, None), 2):
+def _raise_first_bad_row(path: Path, lines: list[str], first_lineno: int) -> None:
+    """Raise the InvalidInputError of the first of the file's data `lines`,
+    numbered from `first_lineno`, whose stamp or value does not parse."""
+    for lineno, line in enumerate(lines, first_lineno):
         line = line.strip()
         if not line:
             continue
@@ -283,6 +297,25 @@ def _raise_first_bad_row(path: Path, lines: list[str]) -> None:
                 float(val_text)
         except (ValueError, OverflowError) as exc:
             raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+
+
+def _check_header(path: Path, line: str) -> None:
+    if line.strip().split(",")[:2] != ["timestamp", "value"]:
+        raise InvalidInputError(f"{path}: expected header 'timestamp,value'")
+
+
+def _parse_lines(path: Path, lines: list[str],
+                 first_lineno: Callable[[], int]) -> RawSeries:
+    """The series of a file's data `lines`, skipping blank ones. A bad row
+    is reported by its line number, counting the first of `lines` as line
+    `first_lineno()`, which is called only then."""
+    rows = list(filter(None, map(str.strip, lines)))
+    try:
+        timestamps, values = _parse_rows(rows)
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(path, lines, first_lineno())
+        raise
+    return RawSeries(path.stem, timestamps, values)
 
 
 def read_series_csv(path: str | Path) -> RawSeries:
@@ -296,25 +329,164 @@ def read_series_csv(path: str | Path) -> RawSeries:
     path = Path(path)
     with reading(path):
         lines = path.read_text().split("\n")  # newlines are universal
-    if lines[0].strip().split(",")[:2] != ["timestamp", "value"]:
-        raise InvalidInputError(f"{path}: expected header 'timestamp,value'")
-    rows = list(filter(None, map(str.strip, islice(lines, 1, None))))
+    _check_header(path, lines[0])
+    return _parse_lines(path, lines[1:], lambda: 2)
+
+
+# A line ends at \n, \r\n or a lone \r, as text mode reads it.
+_NEWLINE = re.compile(rb"\r\n|\r|\n")
+
+
+def _whole_lines(block: bytes, first: bool, last: bool) -> tuple[int, list[str]]:
+    """(offset, lines) of the whole text lines in `block`, a slice of a
+    file: unless `first`, the block starts inside or at the start of a line
+    that is dropped; unless `last`, the line the block ends in is dropped.
+    `offset` is where the kept lines start in the block."""
+    start = 0
+    if not first:
+        match = _NEWLINE.search(block)
+        start = match.end() if match else len(block)
+    end = len(block)
+    if not last:
+        end = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+    if end <= start:
+        return start, []
+    text = block[start:end].decode().replace("\r\n", "\n").replace("\r", "\n")
+    return start, text.split("\n")
+
+
+def _stamp_after(fh, pos: int, size: int) -> int | None:
+    """Epoch seconds of the first row that starts after byte `pos` of the
+    file `fh` and whose stamp parses; None if there is no such row."""
+    n = 256
+    while True:
+        fh.seek(pos)
+        block = fh.read(n)
+        last = pos + len(block) >= size
+        for line in _whole_lines(block, False, last)[1]:
+            try:
+                return _parse_timestamp(line.strip().partition(",")[0])
+            except (ValueError, OverflowError):
+                continue  # a blank or malformed row: try the next
+        if last:
+            return None
+        n *= 4
+
+
+def _seek_row(fh, lo: int, size: int, target: int, near: int) -> tuple[int, int]:
+    """Byte offsets (lo, hi) of the file `fh`, at most `near` apart, such
+    that the row stamped `target` of a sorted file starts after `lo` and no
+    later than the first row after `hi`: a binary search, from `lo` to the
+    end of the file, on the stamp of the first row after each probe."""
+    hi = size
+    while hi - lo > near:
+        mid = (lo + hi) // 2
+        stamp = _stamp_after(fh, mid, size)
+        if stamp is None or stamp >= target:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def read_window(path: str | Path, timestamp: str | None, h: int) -> RawSeries:
+    """The h + 1 gap-filled raw points of a `timestamp,value` CSV that end
+    at the forecast origin `timestamp` (default: the last row): what a
+    forecast reads.
+
+    Only a span of rows around the window is read and checked, as
+    `read_series_csv` checks the whole file. The origin is found by a
+    binary search on byte offsets, which holds for a file of sorted
+    rows, or in a tail of the file. The span grows until every gap that
+    touches the window lies in it with its anchors; only those gaps are
+    filled, with the values `fill_gaps` gives the whole series.
+    """
+    path = Path(path)
+    target = None if timestamp is None else _origin_epoch(timestamp)
+    with reading(path), path.open("rb") as fh:
+        head = fh.readline()  # all of a file with \r line ends only
+        match = _NEWLINE.search(head)
+        _check_header(path, head[:match.start() if match else None].decode())
+        data_start = match.end() if match else len(head)
+        size = fh.seek(0, 2)
+        fh.seek(data_start)
+        width = 1 + max(map(len, fh.read(4096).splitlines()), default=0)  # per row
+        centre = size
+        before, after = width * (h + 8), width * 8
+        if target is not None:
+            lo, centre = _seek_row(fh, data_start, size, target, 8 * width)
+            before += centre - lo
+        while True:
+            lo, hi = max(data_start, centre - before), min(size, centre + after)
+            at_start, at_end = lo == data_start, hi == size
+            fh.seek(lo)
+            offset, lines = _whole_lines(fh.read(hi - lo), at_start, at_end)
+            raw = _parse_lines(path, lines, lambda: _line_count(fh, lo + offset) + 1)
+            stamps = raw.timestamps
+            left_of = target is not None and (not len(stamps) or target < stamps[0])
+            right_of = target is not None and (not len(stamps) or target > stamps[-1])
+            if (left_of and not at_start) or (right_of and not at_end):
+                grow_left, grow_right = left_of, right_of
+            else:
+                origin = origin_index(raw, timestamp)  # ConfigError if absent
+                grow_left, grow_right = _short_sides(raw.missing, origin - h, origin)
+            grow_left &= not at_start
+            grow_right &= not at_end
+            if not (grow_left or grow_right):
+                break
+            if grow_left:
+                before *= 2
+            if grow_right:
+                after *= 2
+    if origin - h < 0:
+        raise DimensionError(f"need {h} history steps before the forecast origin")
+    values = raw.values.copy()
+    observed = np.flatnonzero(~raw.missing)
+    for start, stop in _touching_runs(raw.missing, origin - h, origin):
+        _fill_run(values, observed, start, stop, stamps)
+    window = slice(origin - h, origin + 1)
+    return RawSeries(raw.sensor_id, stamps[window], values[window])
+
+
+def _line_count(fh, end: int) -> int:
+    """How many lines end in the first `end` bytes of the file `fh`."""
+    fh.seek(0)
+    prefix = fh.read(end)
+    return prefix.count(b"\n") + prefix.count(b"\r") - prefix.count(b"\r\n")
+
+
+def _touching_runs(missing: np.ndarray, first: int, last: int) -> list[tuple[int, int]]:
+    """The gap runs of `missing` that hold a point of [first, last]."""
+    return [(start, stop) for start, stop in _gap_runs(missing)
+            if stop > first and start <= last]
+
+
+def _short_sides(missing: np.ndarray, first: int, last: int) -> tuple[bool, bool]:
+    """Whether a span with this `missing` mask lacks, on its left and on its
+    right, points that filling the window [first, last] needs: history
+    before the window, or a gap that touches the window with its k anchor
+    points on that side."""
+    observed = np.flatnonzero(~missing)
+    left, right = first < 0, False
+    for start, stop in _touching_runs(missing, first, last):
+        k = (stop - start + 1) // 2
+        left |= int(np.searchsorted(observed, start)) < k
+        right |= len(observed) - int(np.searchsorted(observed, stop)) < k
+    return left, right
+
+
+def _origin_epoch(timestamp: str) -> int:
     try:
-        timestamps, values = _parse_rows(rows)
-    except (ValueError, OverflowError):
-        _raise_first_bad_row(path, lines)
-        raise
-    return RawSeries(path.stem, timestamps, values)
+        return _parse_timestamp(timestamp)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"--origin-timestamp {timestamp!r}: {exc}") from None
 
 
 def origin_index(raw: RawSeries, timestamp: str | None) -> int:
     """Index of the last known raw value before the forecast; default: the end."""
     if timestamp is None:
         return len(raw) - 1
-    try:
-        target = _parse_timestamp(timestamp)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"--origin-timestamp {timestamp!r}: {exc}") from None
+    target = _origin_epoch(timestamp)
     idx = np.searchsorted(raw.timestamps, target)
     if idx >= len(raw) or raw.timestamps[idx] != target:
         raise ConfigError(f"timestamp {timestamp} not present in input series")
@@ -389,8 +561,9 @@ def read_transform_meta(path: str | Path,
     epsilon)."""
     pairs = kvtext.read(path)
     location, scale, anchor, epsilon = (
-        kvtext.get(pairs, key, path, kvtext.finite_float)
-        for key in ("location", "scale", "anchor", "epsilon"))
+        kvtext.get(pairs, key, path, conv) for key, conv in (
+            ("location", kvtext.finite_float), ("scale", kvtext.positive_float),
+            ("anchor", kvtext.finite_float), ("epsilon", kvtext.positive_float)))
     std = StandardizedSeries(values=np.array(values, dtype=np.float64),
                              location=location, scale=scale, anchor=anchor,
                              source_id=pairs.get("source_id", ""))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import shutil
@@ -7,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import necplus
 from necplus import engine, evaluation, kvtext, sampling, series
 from necplus.cli import main
+from necplus.errors import NecError
 
 
 def write_config(path, **overrides):
@@ -398,6 +403,25 @@ class TestMalformedInput:
         assert err.startswith("error: InvalidInputError:")
         assert f"{gmm}: mixture variances must be finite and positive" in err
 
+    @pytest.mark.parametrize("value", ["0.0", "-1.0"])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_non_positive_scale_names_file_and_key(self, pipeline, tmp_path, capsys,
+                                                   command, value):
+        _, csv, data, run, config = pipeline
+        edited = tmp_path / "edited"
+        shutil.copytree(data if command == "train" else run, edited)
+        meta = edited / "transform.meta"
+        meta.write_text(re.sub(r"(?m)^scale .*$", f"scale {value}", meta.read_text()))
+        if command == "train":
+            argv = ["train", "--config", str(config), "--data", str(edited),
+                    "--out", str(tmp_path / "run")]
+        else:
+            argv = ["predict", "--run-dir", str(edited), "--input", str(csv)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: InvalidInputError: {meta}: bad value {value!r} "
+                       f"for key 'scale'\n")
+
 
 def whole_series_forecast(run_dir, csv, origin_stamp):
     """The forecast CSV text `predict` wrote when it assembled the features
@@ -454,6 +478,134 @@ class TestPredictWindow:
         assert err.startswith(f"error: ConfigError: --origin-timestamp {origin!r}:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def fillable_away_from_window(cells, first, last):
+    """Whether every gap of the series cells that holds no point of the
+    window [first, last] is one `fill_gaps` fills in the whole series."""
+    missing = np.array([cell == "" for cell in cells])
+    observed = np.flatnonzero(~missing)
+    for start, stop in series._gap_runs(missing):
+        k = (stop - start + 1) // 2
+        if (stop <= first or start > last) and (
+                stop - start > series.MAX_GAP
+                or np.searchsorted(observed, start) < k
+                or len(observed) - np.searchsorted(observed, stop) < k):
+            return False
+    return True
+
+
+@st.composite
+def forecast_inputs(draw, h):
+    """(CSV text, origin stamp or None for the end) of a forecast with an
+    h-step window: an hourly series with gaps near the window's edges and
+    among their anchors, maybe a bad cell inside the window, blank lines,
+    and \\n, \\r\\n or \\r line ends."""
+    n = draw(st.integers(h + 1, 900))
+    origin = draw(st.one_of(st.none(), st.integers(h, n - 1)))
+    last = n - 1 if origin is None else origin
+    first = last - h
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = [repr(v) for v in (1000.0 + rng.normal(size=n).cumsum()).tolist()]
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.sampled_from([first, last])) + draw(
+            st.one_of(st.integers(-20, 20), st.integers(-400, 400)))
+        length = draw(st.one_of(st.integers(1, 12),
+                                st.sampled_from([40, 200, 336, 337, 500])))
+        for i in range(max(start, 0), min(start + length, n)):
+            cells[i] = ""
+    assume(fillable_away_from_window(cells, first, last))
+    if draw(st.integers(0, 9)) == 0:
+        cells[draw(st.integers(first, last))] = draw(st.sampled_from(["oops", "inf", "1e999"]))
+    stamps = series._format_timestamps(
+        946684800 + series.HOUR * (draw(st.integers(0, 200_000)) + np.arange(n)))
+    lines = ["timestamp,value"] + [f"{ts},{cell}" for ts, cell in zip(stamps, cells)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  "])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from(["", end, end * 3, end + "  " + end]))
+    return end.join(lines) + tail, None if origin is None else stamps[origin]
+
+
+def outcome(forecast):
+    """The forecast CSV text `forecast()` returns, or the error line `main`
+    prints for the NecError it raises."""
+    try:
+        return forecast()
+    except NecError as exc:
+        return f"error: {type(exc).__name__}: {exc}\n"
+
+
+class TestPredictSpan:
+    """`predict` reads only the rows around its window, found by a binary
+    search on byte offsets or in a tail of the file; it must forecast, or
+    fail, exactly as the whole-file path does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_whole_file(self, pipeline, tmp_path_factory, data):
+        run = pipeline[3]
+        text, origin = data.draw(forecast_inputs(engine.load_run(run).config.h))
+        root = tmp_path_factory.mktemp("span")
+        csv, out = root / "series.csv", root / "forecast.csv"
+        csv.write_bytes(text.encode())
+        argv = ["predict", "--run-dir", str(run), "--input", str(csv), "--out", str(out)]
+        argv += [] if origin is None else ["--origin-timestamp", origin]
+
+        def span():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            return out.read_text() if code == 0 else err.getvalue()
+
+        assert span() == outcome(lambda: whole_series_forecast(run, csv, origin))
+
+    def test_predict_never_reads_the_whole_file(self, pipeline, tmp_path, monkeypatch):
+        _, csv, _, run, _ = pipeline
+        interior = csv.read_text().splitlines()[1001].split(",")[0]
+        want = {origin: whole_series_forecast(run, csv, origin)
+                for origin in (None, interior)}
+
+        def whole_file(path):
+            raise AssertionError(f"predict read all of {path}")
+
+        monkeypatch.setattr(series, "read_series_csv", whole_file)
+        out = tmp_path / "forecast.csv"
+        for origin, forecast in want.items():
+            argv = ["predict", "--run-dir", str(run), "--input", str(csv), "--out", str(out)]
+            assert main(argv + ([] if origin is None else ["--origin-timestamp", origin])) == 0
+            assert out.read_text() == forecast
+
+    @pytest.mark.parametrize("fault,error", [
+        ("bad_row", "InvalidInputError: {csv}:7: "),
+        ("missing_hour", "InvalidInputError: timestamps must advance"),
+        ("long_gap", "UnfillableGapError: gap of 337 points")])
+    def test_only_preprocess_rejects_a_fault_far_from_the_window(
+            self, pipeline, tmp_path, capsys, fault, error):
+        """Behaviour since predict reads a span: a fault in a row it does
+        not read no longer fails it, and preprocess still rejects it."""
+        _, csv, _, run, _ = pipeline
+        lines = csv.read_text().splitlines(True)
+        origin = lines[1500].split(",")[0]
+        if fault == "bad_row":
+            lines[6] = lines[6].replace(",", ",oops", 1)
+        elif fault == "missing_hour":
+            del lines[6]
+        else:
+            lines[6:7 + series.MAX_GAP] = [line.split(",")[0] + ",\n"
+                                           for line in lines[6:7 + series.MAX_GAP]]
+        faulty = tmp_path / "series.csv"
+        faulty.write_text("".join(lines))
+        out = tmp_path / "forecast.csv"
+        for stamp in (None, origin):
+            argv = ["predict", "--run-dir", str(run), "--input", str(faulty),
+                    "--out", str(out)] + ([] if stamp is None else ["--origin-timestamp", stamp])
+            assert main(argv) == 0
+            assert out.read_text() == whole_series_forecast(run, csv, stamp)
+        capsys.readouterr()
+        assert main(["preprocess", "--input", str(faulty), "--out-dir",
+                     str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err.startswith("error: " + error.format(csv=faulty))
 
 
 class TestUnwritableOutput:

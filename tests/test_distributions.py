@@ -123,6 +123,14 @@ class TestFitGev:
         with pytest.raises(FitFailureError):
             fit_gev(np.arange(10.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_rejected(self, bad):
+        xs = sample_gev(GevParams(0.0, 1.0, 0.1), 200, np.random.default_rng(5))
+        xs[17] = bad
+        with pytest.raises(InvalidInputError, match="sample must be finite"):
+            fit_gev(xs)
+
 
 class TestFitGaussian:
     def test_zero_scale_rejected(self):

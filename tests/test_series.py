@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from necplus import series
 from necplus.errors import (
     BoundaryGapError,
+    ConfigError,
     DegenerateSeriesError,
+    DimensionError,
     InvalidInputError,
     NecError,
     UnfillableGapError,
@@ -27,6 +29,7 @@ from necplus.series import (
     label_extremes,
     read_preprocessed,
     read_series_csv,
+    read_window,
     reconstruct_raw,
     standardize,
     write_preprocessed,
@@ -104,6 +107,18 @@ class TestFillGaps:
         vals[100:500] = np.nan
         with pytest.raises(UnfillableGapError):
             fill_gaps(make_series(vals))
+
+    def test_errors_name_the_first_stamp_of_the_gap(self):
+        values = np.arange(400.0)
+        values[[0, 1]] = np.nan
+        with pytest.raises(BoundaryGapError,
+                           match="gap from 1970-01-01T00:00:00Z lacks 1 anchor"):
+            fill_gaps(make_series(values))
+        values = np.arange(400.0)
+        values[10:10 + series.MAX_GAP + 1] = np.nan
+        with pytest.raises(UnfillableGapError,
+                           match="gap of 337 points from 1970-01-01T10:00:00Z"):
+            fill_gaps(make_series(values))
 
 
 class TestDifferenceStandardize:
@@ -287,6 +302,19 @@ class TestPreprocessedCsv:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["location", "scale", "anchor", "epsilon"])
     def test_non_finite_transform_meta_names_file_and_key(self, tmp_path, key, value):
+        raw = make_series([1.0, 2.0, 4.0, 3.0])
+        std = difference_standardize(raw)
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        meta = tmp_path / "transform.meta"
+        meta.write_text("".join(f"{key} {value}\n" if line.startswith(f"{key} ") else line
+                                for line in meta.read_text().splitlines(True)))
+        with pytest.raises(InvalidInputError,
+                           match=f"transform.meta: bad value '{value}' for key '{key}'"):
+            read_preprocessed(tmp_path)
+
+    @pytest.mark.parametrize("value", ["0.0", "-1.0"])
+    @pytest.mark.parametrize("key", ["scale", "epsilon"])
+    def test_non_positive_transform_meta_names_file_and_key(self, tmp_path, key, value):
         raw = make_series([1.0, 2.0, 4.0, 3.0])
         std = difference_standardize(raw)
         write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
@@ -525,3 +553,93 @@ class TestBulkReader:
                         "2020-01-01T01:00:00Z,oops\n\n2020-01-01T02:00:00ZZ,3\n")
         with pytest.raises(InvalidInputError, match="s.csv:3: .*oops"):
             read_series_csv(path)
+
+
+def write_with_line_ends(path, series_, end, blank_after=()):
+    """Write `series_` as `write_series_csv` does, with `end` line ends and
+    a blank line after each data row index in `blank_after`."""
+    write_series_csv(path, series_)
+    lines = path.read_text().splitlines()
+    for i in sorted(blank_after, reverse=True):
+        lines.insert(i + 2, "")
+    path.write_bytes((end.join(lines) + end).encode())
+
+
+class TestReadWindow:
+    """`read_window` reads the rows around a forecast window; what it
+    returns is the window of the gap-filled whole series."""
+
+    H = 24
+
+    def series_with_gaps(self, n=600):
+        values = 50.0 + np.random.default_rng(3).normal(size=n).cumsum()
+        for start, length in ((40, 3), (300, 30), (331, 2), (n - 30, 5)):
+            values[start:start + length] = np.nan
+        return RawSeries("s", 1262304000 + HOUR * np.arange(n), values)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_window_of_the_filled_series(self, tmp_path, end):
+        path = tmp_path / "s.csv"
+        raw = self.series_with_gaps()
+        write_with_line_ends(path, raw, end, blank_after=(10, 320))
+        filled = fill_gaps(read_series_csv(path))
+        stamps = _format_timestamps(raw.timestamps)
+        for origin in (self.H, 41, 300, 335, 350, len(raw) - 2, None):
+            got = read_window(path, None if origin is None else stamps[origin], self.H)
+            last = len(raw) - 1 if origin is None else origin
+            window = slice(last - self.H, last + 1)
+            assert got.timestamps.tobytes() == filled.timestamps[window].tobytes()
+            assert got.values.tobytes() == filled.values[window].tobytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_bad_row_is_named_by_its_line_in_the_file(self, tmp_path, end):
+        path = tmp_path / "s.csv"
+        raw = self.series_with_gaps()
+        write_with_line_ends(path, raw, end, blank_after=(5, 500))
+        text = path.read_bytes().decode()
+        stamp = _format_timestamps(raw.timestamps[585])
+        path.write_bytes(text.replace(f"{stamp},", f"{stamp},oops", 1).encode())
+        with pytest.raises(InvalidInputError) as whole:
+            read_series_csv(path)
+        assert "s.csv:589: " in str(whole.value)
+        for origin in (None, _format_timestamps(raw.timestamps[590])):
+            with pytest.raises(InvalidInputError) as span:
+                read_window(path, origin, self.H)
+            assert str(span.value) == str(whole.value)
+
+    def test_fills_only_the_gaps_that_touch_the_window(self, tmp_path):
+        """A gap in the span but off the window is not filled: here it has
+        no anchor before it, and filling it would fail."""
+        path = tmp_path / "s.csv"
+        raw = self.series_with_gaps()
+        values = raw.values.copy()
+        values[:2] = np.nan
+        write_series_csv(path, RawSeries("s", raw.timestamps, values))
+        with pytest.raises(BoundaryGapError):
+            fill_gaps(read_series_csv(path))
+        got = read_window(path, _format_timestamps(raw.timestamps[self.H + 5]), self.H)
+        np.testing.assert_array_equal(got.values, values[5:self.H + 6])
+
+    @pytest.mark.parametrize("origin", ["2009-12-31T23:00:00Z", "2010-01-05T10:30:00Z",
+                                        "2030-01-01T00:00:00Z"])
+    def test_absent_origin_is_a_config_error(self, tmp_path, origin):
+        path = tmp_path / "s.csv"
+        write_series_csv(path, self.series_with_gaps())
+        with pytest.raises(ConfigError, match=f"timestamp {origin} not present"):
+            read_window(path, origin, self.H)
+
+    def test_origin_without_h_points_before_it(self, tmp_path):
+        path = tmp_path / "s.csv"
+        raw = self.series_with_gaps()
+        write_series_csv(path, raw)
+        with pytest.raises(DimensionError, match="need 24 history steps"):
+            read_window(path, _format_timestamps(raw.timestamps[self.H - 1]), self.H)
+        write_series_csv(path, RawSeries("s", raw.timestamps[:self.H], raw.values[:self.H]))
+        with pytest.raises(DimensionError, match="need 24 history steps"):
+            read_window(path, None, self.H)
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("time,value\n2020-01-01T00:00:00Z,1\n")
+        with pytest.raises(InvalidInputError, match="expected header"):
+            read_window(path, None, 0)
