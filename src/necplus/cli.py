@@ -145,13 +145,13 @@ def cmd_plotdata(args) -> int:
     if not (0 <= args.section < len(sections)):
         raise ConfigError(
             f"section index {args.section} out of range (0..{len(sections) - 1})")
-    start = sections[args.section][0]
+    start, stop = sections[args.section]
     bundle, truth, _, baseline = engine.forecast_sections(
         run, features, labels, raw_values, [sections[args.section]])
     with _output(args.out) as out:
         out.write("timestamp,truth,nec_plus,baseline\n")
-        for i in range(run.config.f):
-            out.write(f"{stamps[start + i]},{float(truth[0, i])!r},"
+        for i, stamp in enumerate(series._format_timestamps(stamps[start:stop])):
+            out.write(f"{stamp},{float(truth[0, i])!r},"
                       f"{float(bundle.raw_scale[0, i])!r},{float(baseline[0, i])!r}\n")
     return 0
 

@@ -11,7 +11,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from itertools import compress, count, islice, product, repeat
+from itertools import compress, count, repeat
 from operator import getitem, ne, not_
 from pathlib import Path
 
@@ -84,7 +84,7 @@ class StandardizedSeries:
     source_id: str = ""
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not self.scale > 0:  # also a NaN scale
             raise DegenerateSeriesError("scale must be positive")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
@@ -170,11 +170,17 @@ def difference_standardize(series: RawSeries) -> StandardizedSeries:
         raise InvalidInputError("series must be gap-filled before standardizing")
     if len(series) < 2:
         raise InvalidInputError("need at least 2 points to difference")
-    diffs = np.diff(series.values)
-    scale = float(np.std(diffs))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        diffs = np.diff(series.values)
+        location, scale = float(np.mean(diffs)), float(np.std(diffs))
+    for name, value in (("first differences", diffs), ("location", location),
+                        ("scale", scale)):
+        if not np.isfinite(value).all():
+            raise InvalidInputError(f"{name} not finite: the series' values are too "
+                                    "large to difference and standardize in float64")
     if scale == 0.0:
         raise DegenerateSeriesError("all first differences identical; cannot standardize")
-    return standardize(series, float(np.mean(diffs)), scale)
+    return standardize(series, location, scale)
 
 
 def standardize(series: RawSeries, location: float,
@@ -217,8 +223,8 @@ def reconstruct_raw(std: StandardizedSeries) -> np.ndarray:
 
 def label_extremes(series: StandardizedSeries, epsilon: float) -> ExtremeLabels:
     """Label points outside the closed interval [-epsilon, epsilon] extreme."""
-    if not (epsilon > 0):
-        raise InvalidInputError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise InvalidInputError("epsilon must be finite and positive")
     return ExtremeLabels(epsilon=float(epsilon),
                          labels=np.abs(series.values) > epsilon)
 
@@ -241,62 +247,81 @@ def _format_timestamps(epochs) -> list[str]:
                                  unit="s", timezone="UTC").tolist()
 
 
-def _hourly_row_starts(first: int, n: int) -> list[str]:
+def _hourly_rows_text(first: int, n: int) -> str:
     """How the n rows of an hourly run from epoch second `first` start when
-    written by `_format_timestamps`: each stamp and its comma, up to the end
-    of year 9999. Built as the date text of each day joined to 24 hour
-    suffixes."""
+    written by `_format_timestamps`, one a line: each stamp and its comma,
+    up to the end of year 9999. Built as the date text of each day joined to
+    24 hour suffixes."""
     day, second = divmod(first, 86400)
     hour, rest = divmod(second, HOUR)
     first_day = _EPOCH_ORDINAL + day
     if not 1 <= first_day <= date.max.toordinal():
-        return []  # a UTC instant outside years 0001-9999 has no such text
-    suffixes = ["T%02d:%02d:%02dZ," % (h, *divmod(rest, 60)) for h in range(24)]
+        return ""  # a UTC instant outside years 0001-9999 has no such text
+    suffixes = ["", *("T%02d:%02d:%02dZ,\n" % (h, *divmod(rest, 60)) for h in range(24))]
     last_day = min(first_day + (hour + n - 1) // 24, date.max.toordinal())
     dates = [date.fromordinal(d).isoformat() for d in range(first_day, last_day + 1)]
-    return list(islice(map("".join, product(dates, suffixes)), hour, hour + n))
+    # date.join(["", s0, .., s23]) is date + s0 + date + s1 .. + date + s23
+    text = "".join(map(str.join, dates, repeat(suffixes)))
+    line = _ROW_START_WIDTH + 1
+    return text[hour * line:(hour + n) * line - 1]
 
 
-def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and values of stripped, non-blank `timestamp,value` rows.
+def _hourly_row_starts(first: int, n: int) -> list[str]:
+    """The lines of `_hourly_rows_text(first, n)`."""
+    return _hourly_rows_text(first, n).splitlines()
+
+
+def _parse_rows(rows: list[str], convert: Callable):
+    """Timestamps of stripped, non-blank `timestamp,cells` rows, and
+    `convert(rows, start)`: what the converter makes of the cells
+    `row[start:]` of each row.
 
     Only the first stamp is parsed as a datetime. Row i is `first` plus i
-    hours if its text starts with `_hourly_row_starts(first, n)[i]`; any
-    other row's stamp is parsed on its own. A bad row raises ValueError or
+    hours if its text starts with `_hourly_row_starts(first, n)[i]`: all
+    rows are compared at once, a line each, and one by one only if that
+    differs. Any other row's stamp is parsed on its own, and its cells are
+    moved to where the other rows' start. A bad row raises ValueError or
     OverflowError, not necessarily the first bad row's.
     """
     if not rows:
-        return np.empty(0, dtype=np.int64), np.empty(0)
+        return np.empty(0, dtype=np.int64), convert([], 0)
     first = _parse_timestamp(rows[0].partition(",")[0])
-    starts = _hourly_row_starts(first, len(rows))
-    heads = map(getitem, rows, repeat(slice(_ROW_START_WIDTH)))
-    off_run = list(compress(count(), map(ne, heads, starts)))
-    off_run += range(len(starts), len(rows))  # rows past year 9999
-    del starts  # before the cells are cut, to keep the peak memory low
-    cells = list(map(getitem, rows, repeat(slice(_ROW_START_WIDTH, None))))
+    heads = list(map(getitem, rows, repeat(slice(_ROW_START_WIDTH))))
+    off_run = []
+    if "\n".join(heads) != _hourly_rows_text(first, len(rows)):
+        starts = _hourly_row_starts(first, len(rows))
+        off_run = list(compress(count(), map(ne, heads, starts)))
+        off_run += range(len(starts), len(rows))  # rows past year 9999
+    del heads  # before the converter cuts the cells, to keep the peak memory low
     timestamps = first + HOUR * np.arange(len(rows), dtype=np.int64)
     for i in off_run:
-        ts_text, _, cells[i] = rows[i].partition(",")
+        ts_text, _, cells = rows[i].partition(",")
         timestamps[i] = _parse_timestamp(ts_text)
+        rows[i] = "," * _ROW_START_WIDTH + cells
+    return timestamps, convert(rows, _ROW_START_WIDTH)
+
+
+def _gap_or_float(rows: list[str], start: int) -> np.ndarray:
+    """The raw-series value in each row's cells `row[start:]`: a float, or
+    NaN (a gap) for an empty cell."""
+    cells = list(map(getitem, rows, repeat(slice(start, None))))
     for i in compress(count(), map(not_, cells)):
-        cells[i] = "nan"  # an empty cell is a gap
-    return timestamps, np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        cells[i] = "nan"
+    return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
 
 
-def _raise_first_bad_row(path: Path, lines: list[str], first_lineno: int) -> None:
-    """Raise the InvalidInputError of the first of the file's data `lines`,
-    numbered from `first_lineno`, whose stamp or value does not parse."""
-    for lineno, line in enumerate(lines, first_lineno):
-        line = line.strip()
-        if not line:
-            continue
-        ts_text, _, val_text = line.partition(",")
-        try:
-            _parse_timestamp(ts_text)
-            if val_text:
-                float(val_text)
-        except (ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+def _value_and_label(rows: list[str], start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The finite std_value and the is_extreme flag, 0 or 1, as a bool, in
+    each row's `preprocessed.csv` cells `row[start:]`. A row is checked for
+    its flag at its end: a cell shorter than that leaves an empty value."""
+    if not all(map(str.endswith, rows, repeat((",0", ",1")))):
+        raise ValueError("is_extreme must be 0 or 1")
+    values = np.fromiter(map(float, map(getitem, rows, repeat(slice(start, -2)))),
+                         dtype=np.float64, count=len(rows))
+    if not np.isfinite(values).all():
+        raise ValueError("std_value must be finite")
+    flags = "".join(map(getitem, rows, repeat(-1))).encode()  # each now "0" or "1"
+    return values, np.frombuffer(flags, dtype=np.uint8) == ord("1")
 
 
 def _check_header(path: Path, line: str) -> None:
@@ -304,18 +329,24 @@ def _check_header(path: Path, line: str) -> None:
         raise InvalidInputError(f"{path}: expected header 'timestamp,value'")
 
 
-def _parse_lines(path: Path, lines: list[str],
-                 first_lineno: Callable[[], int]) -> RawSeries:
-    """The series of a file's data `lines`, skipping blank ones. A bad row
+def _parse_lines(path: Path, lines: list[str], first_lineno: Callable[[], int],
+                 convert: Callable):
+    """`_parse_rows` of a file's data `lines`, skipping blank ones. If a row
+    does not parse, the rows are checked one by one, and the first bad one
     is reported by its line number, counting the first of `lines` as line
     `first_lineno()`, which is called only then."""
-    rows = list(filter(None, map(str.strip, lines)))
     try:
-        timestamps, values = _parse_rows(rows)
+        return _parse_rows(list(filter(None, map(str.strip, lines))), convert)
     except (ValueError, OverflowError):
-        _raise_first_bad_row(path, lines, first_lineno())
+        for lineno, line in enumerate(map(str.strip, lines), first_lineno()):
+            ts_text, _, cells = line.partition(",")
+            try:
+                if line:
+                    _parse_timestamp(ts_text)
+                    convert([cells], 0)
+            except (ValueError, OverflowError) as exc:
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
         raise
-    return RawSeries(path.stem, timestamps, values)
 
 
 def read_series_csv(path: str | Path) -> RawSeries:
@@ -330,7 +361,7 @@ def read_series_csv(path: str | Path) -> RawSeries:
     with reading(path):
         lines = path.read_text().split("\n")  # newlines are universal
     _check_header(path, lines[0])
-    return _parse_lines(path, lines[1:], lambda: 2)
+    return RawSeries(path.stem, *_parse_lines(path, lines[1:], lambda: 2, _gap_or_float))
 
 
 # A line ends at \n, \r\n or a lone \r, as text mode reads it.
@@ -421,7 +452,8 @@ def read_window(path: str | Path, timestamp: str | None, h: int) -> RawSeries:
             at_start, at_end = lo == data_start, hi == size
             fh.seek(lo)
             offset, lines = _whole_lines(fh.read(hi - lo), at_start, at_end)
-            raw = _parse_lines(path, lines, lambda: _line_count(fh, lo + offset) + 1)
+            raw = RawSeries(path.stem, *_parse_lines(
+                path, lines, lambda: _line_count(fh, lo + offset) + 1, _gap_or_float))
             stamps = raw.timestamps
             left_of = target is not None and (not len(stamps) or target < stamps[0])
             right_of = target is not None and (not len(stamps) or target > stamps[-1])
@@ -517,31 +549,21 @@ def write_preprocessed(out_dir: str | Path, series: RawSeries,
 
 def read_preprocessed(in_dir: str | Path):
     """Read what `write_preprocessed` wrote: (standardized series, extreme
-    labels as a bool array, epsilon, the timestamp text of each point).
-    Every value must be finite and every label 0 or 1."""
+    labels as a bool array, epsilon, the epoch seconds of each point). Rows
+    are read as `read_series_csv` reads them, and must be hourly."""
     path = Path(in_dir) / "preprocessed.csv"
-    stamps, values, flags = [], [], []
-    with reading(path), path.open() as fh:
-        if fh.readline().strip() != _PREPROCESSED_HEADER:
-            raise InvalidInputError(f"{path}: expected header {_PREPROCESSED_HEADER!r}")
-        for line in fh:
-            try:
-                ts, val, ext = line.strip().split(",")
-                values.append(float(val))
-            except ValueError as exc:  # the header and each parsed row are one line
-                lineno = len(values) + 2
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
-            stamps.append(ts)
-            flags.append(ext)
+    with reading(path):
+        lines = path.read_text().split("\n")  # newlines are universal
+    if lines[0].strip() != _PREPROCESSED_HEADER:
+        raise InvalidInputError(f"{path}: expected header {_PREPROCESSED_HEADER!r}")
+    stamps, (values, labels) = _parse_lines(path, lines[1:], lambda: 2, _value_and_label)
+    late = np.flatnonzero(np.diff(stamps) != HOUR)
+    if len(late):
+        row = int(late[0]) + 1  # numbered among the non-blank data lines
+        lineno = 2 + list(compress(count(), map(str.strip, lines[1:])))[row]
+        before, after = _format_timestamps(stamps[row - 1:row + 1])
+        raise InvalidInputError(f"{path}:{lineno}: {after} is not one hour after {before}")
     std, epsilon = read_transform_meta(Path(in_dir) / "transform.meta", values)
-    if not (np.isfinite(std.values).all() and {"0", "1"}.issuperset(flags)):
-        for lineno, (val, flag) in enumerate(zip(values, flags), 2):
-            if not np.isfinite(val):
-                raise InvalidInputError(f"{path}:{lineno}: std_value {val!r} is not finite")
-            if flag not in ("0", "1"):
-                raise InvalidInputError(f"{path}:{lineno}: is_extreme {flag!r} is not 0 or 1")
-    # every flag is now one ASCII character
-    labels = np.frombuffer("".join(flags).encode(), dtype=np.uint8) == ord("1")
     return std, labels, epsilon, stamps
 
 

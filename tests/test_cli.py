@@ -365,6 +365,43 @@ class TestMalformedInput:
         assert code == 1
         assert "series.csv:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_preprocess_non_finite_epsilon_writes_nothing(self, pipeline, tmp_path,
+                                                           capsys, epsilon):
+        csv, out = pipeline[1], tmp_path / "data"
+        code = main(["preprocess", "--input", str(csv), "--out-dir", str(out),
+                     "--epsilon", epsilon])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidInputError: epsilon must be finite and positive\n")
+        assert not out.exists()
+
+    def test_preprocess_overflowing_differences_writes_nothing(self, tmp_path, capsys):
+        """numpy's overflow warnings are errors under the tests' filter, so
+        this also checks that none escapes."""
+        csv, out = tmp_path / "series.csv", tmp_path / "data"
+        csv.write_text("timestamp,value\n2020-01-01T00:00:00Z,1e308\n"
+                       "2020-01-01T01:00:00Z,-1e308\n2020-01-01T02:00:00Z,1e308\n"
+                       "2020-01-01T03:00:00Z,1.0\n")
+        assert main(["preprocess", "--input", str(csv), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInputError: first differences not finite")
+        assert not out.exists()
+
+    def test_fit_gmm_names_a_deleted_row(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline[2], data)
+        path = data / "preprocessed.csv"
+        lines = path.read_text().splitlines(True)
+        del lines[100]  # line 101: the row that was on line 102 moves up
+        path.write_text("".join(lines))
+        before = (data / "gmm.model").read_text()
+        assert main(["fit-gmm", "--in-dir", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidInputError: {path}:101: ")
+        assert "is not one hour after" in err
+        assert (data / "gmm.model").read_text() == before
+
     def test_missing_input_directory_exits_one(self, tmp_path, capsys):
         code = main(["fit-gmm", "--in-dir", str(tmp_path / "missing")])
         assert code == 1

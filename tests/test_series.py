@@ -141,6 +141,24 @@ class TestDifferenceStandardize:
         assert abs(np.std(std.values) - 1.0) < 1e-9
 
 
+    @pytest.mark.parametrize("values, what", [
+        ([1e308, -1e308, 1e308, 1.0], "first differences"),
+        ([-1.7e308, 0.0, 1.7e308, 1.7e308], "location"),  # the differences sum past float64
+        ([0.0, 1.7e308, 0.0, 1.7e308], "scale"),  # their squares do
+    ])
+    def test_overflow_is_named_without_a_warning(self, values, what):
+        """Differences, location or scale that overflow float64 end as a
+        NecError, and numpy's RuntimeWarning, which the tests turn into an
+        error, does not escape."""
+        with pytest.raises(InvalidInputError, match=f"^{what} not finite"):
+            difference_standardize(make_series(values))
+
+    def test_nan_scale_is_rejected(self):
+        with pytest.raises(DegenerateSeriesError, match="scale must be positive"):
+            series.StandardizedSeries(values=np.zeros(3), location=0.0,
+                                      scale=float("nan"), anchor=0.0)
+
+
 class TestInvertTransform:
     def test_hand_computed(self):
         ref = difference_standardize(make_series([5.0, 7.0, 4.0]))
@@ -243,6 +261,12 @@ class TestLabelExtremes:
         with pytest.raises(InvalidInputError):
             label_extremes(std, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), -1.0])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        std = difference_standardize(make_series([1.0, 2.0, 4.0]))
+        with pytest.raises(InvalidInputError, match="epsilon must be finite and positive"):
+            label_extremes(std, epsilon)
+
 
 class TestCsv:
     def test_round_trip_with_gaps(self, tmp_path):
@@ -287,7 +311,7 @@ class TestPreprocessedCsv:
             std.location, std.scale, std.anchor, "r1")
         np.testing.assert_array_equal(back_labels, labels.labels)
         assert epsilon == 1.0
-        assert len(stamps) == len(std) and stamps[0] == "1970-01-01T01:00:00Z"
+        assert len(stamps) == len(std) and stamps[0] == HOUR
 
     def test_transform_meta_without_scale_names_file_and_key(self, tmp_path):
         raw = make_series([1.0, 2.0, 4.0, 3.0])
@@ -346,6 +370,102 @@ class TestPreprocessedCsv:
         lines[2] = f"1970-01-01T02:00:00Z,{cells}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidInputError, match="preprocessed.csv:3"):
+            read_preprocessed(tmp_path)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def preprocessed_dirs(draw):
+    """What `write_preprocessed` is given: the series it takes the stamps
+    from, the standardized series and the labels."""
+    n = draw(st.integers(1, 40))
+    start = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9998, 1, 1)))
+    values = draw(st.lists(st.one_of(st.sampled_from(EDGE_VALUES), FINITE),
+                           min_size=n, max_size=n))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    raw = RawSeries("r", epoch(start) + HOUR * np.arange(n + 1), np.zeros(n + 1))
+    std = series.StandardizedSeries(
+        values=np.array(values), location=draw(FINITE),
+        scale=draw(st.floats(min_value=5e-324, allow_infinity=False)),
+        anchor=draw(FINITE), source_id="r")
+    return raw, std, series.ExtremeLabels(draw(st.floats(1e-3, 1e3)), np.array(labels))
+
+
+def rewrite_lines(path, end="\n", blank_after=()):
+    """Rewrite the file at `path` with `end` line ends and a blank line
+    after each data row index in `blank_after`."""
+    lines = path.read_text().splitlines()
+    for i in sorted(blank_after, reverse=True):
+        lines.insert(i + 2, " " if i % 2 else "")
+    path.write_bytes((end.join(lines) + end).encode())
+
+
+class TestPreprocessedRows:
+    """`preprocessed.csv` rows are read by the raw series' row parser: blank
+    lines are skipped, and each stamp must be an hour after the one before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(preprocessed_dirs(), st.sampled_from(["\n", "\r\n"]),
+           st.lists(st.integers(0, 40), max_size=4))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, written, end, blank_after):
+        raw, std, labels = written
+        out = tmp_path_factory.mktemp("pre")
+        write_preprocessed(out, raw, std, labels)
+        rewrite_lines(out / "preprocessed.csv", end, [i for i in blank_after if i < len(std)])
+        back, back_labels, epsilon, stamps = read_preprocessed(out)
+        assert back.values.tobytes() == std.values.tobytes()
+        assert (back.location, back.scale, back.anchor, back.source_id) == (
+            std.location, std.scale, std.anchor, "r")
+        assert back_labels.tolist() == labels.labels.tolist()
+        assert epsilon == labels.epsilon
+        assert stamps.dtype == np.int64 and stamps.tolist() == raw.timestamps[1:].tolist()
+
+    @staticmethod
+    def _late(rows, i):
+        stamp, _, cells = rows[i].partition(",")
+        late = _format_timestamps(_parse_timestamp(stamp) + HOUR)
+        return rows[:i] + [f"{late},{cells}"] + rows[i + 1:]
+
+    # Each takes the data rows and a row index, and returns the rows and the
+    # index of the first row that is bad among them.
+    MUTATIONS = {
+        "deleted": lambda rows, i: (rows[:i] + rows[i + 1:], i),
+        "duplicated": lambda rows, i: (rows[:i + 1] + rows[i:], i + 1),
+        "swapped": lambda rows, i: (rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2:], i),
+        "yesterday": lambda rows, i: (rows[:i] + ["yesterday" + rows[i][20:]] + rows[i + 1:], i),
+        "hour_late": lambda rows, i: (TestPreprocessedRows._late(rows, i), i),
+    }
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("row", [1, 5, 27])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_a_moved_or_bad_stamp_names_its_line(self, tmp_path, mutation, row, end):
+        raw = make_series(np.random.default_rng(4).normal(size=30).cumsum())
+        std = difference_standardize(raw)
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.0))
+        path = tmp_path / "preprocessed.csv"
+        header, *rows = path.read_text().splitlines()
+        rows, bad = self.MUTATIONS[mutation](rows, row)
+        path.write_text("\n".join([header] + rows) + "\n")
+        rewrite_lines(path, end, blank_after=[3])
+        lineno = 2 + bad + (bad > 3)  # the header, then a blank line after data row 3
+        with pytest.raises(InvalidInputError, match=f"preprocessed.csv:{lineno}: "):
+            read_preprocessed(tmp_path)
+
+    def test_step_error_names_both_stamps(self, tmp_path):
+        raw = make_series([1.0, 2.0, 4.0, 3.0, 5.0])
+        std = difference_standardize(raw)
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        path = tmp_path / "preprocessed.csv"
+        lines = path.read_text().splitlines()
+        del lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match="preprocessed.csv:3: 1970-01-01T03:00:00Z "
+                                                    "is not one hour after 1970-01-01T01:00:00Z"):
             read_preprocessed(tmp_path)
 
 
@@ -553,6 +673,21 @@ class TestBulkReader:
                         "2020-01-01T01:00:00Z,oops\n\n2020-01-01T02:00:00ZZ,3\n")
         with pytest.raises(InvalidInputError, match="s.csv:3: .*oops"):
             read_series_csv(path)
+
+
+class TestRunCheck:
+    """`_parse_rows` compares the rows' starts with the hourly run's all at
+    once; a row start split across two short rows must not pass for one."""
+
+    def test_short_rows_are_not_one_row_start(self, tmp_path):
+        """The run from 9999-12-31T23 has one row start before year 10000,
+        which these two rows' starts spell when joined."""
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,value\n9999-12-31T23\n:00:00Z,\n")
+        with pytest.raises(InvalidInputError, match="s.csv:3: Invalid isoformat"):
+            read_series_csv(path)
+        assert (read_outcome(read_series_csv, path)
+                == read_outcome(reference_read_series_csv, path))
 
 
 def write_with_line_ends(path, series_, end, blank_after=()):
