@@ -266,37 +266,35 @@ def _hourly_rows_text(first: int, n: int) -> str:
     return text[hour * line:(hour + n) * line - 1]
 
 
-def _hourly_row_starts(first: int, n: int) -> list[str]:
-    """The lines of `_hourly_rows_text(first, n)`."""
-    return _hourly_rows_text(first, n).splitlines()
-
-
 def _parse_rows(rows: list[str], convert: Callable):
-    """Timestamps of stripped, non-blank `timestamp,cells` rows, and
-    `convert(rows, start)`: what the converter makes of the cells
-    `row[start:]` of each row.
+    """Timestamps of stripped, non-blank `timestamp,cells` rows, which must
+    advance in one-hour steps from the first, and `convert(rows, start)`:
+    what the converter makes of the cells `row[start:]` of each row.
 
     Only the first stamp is parsed as a datetime. Row i is `first` plus i
-    hours if its text starts with `_hourly_row_starts(first, n)[i]`: all
-    rows are compared at once, a line each, and one by one only if that
-    differs. Any other row's stamp is parsed on its own, and its cells are
-    moved to where the other rows' start. A bad row raises ValueError or
-    OverflowError, not necessarily the first bad row's.
+    hours if its text starts with line i of `_hourly_rows_text(first, n)`:
+    all rows are compared at once, a line each, and one by one only if that
+    differs. Any other row's stamp is parsed on its own and must be that
+    instant, and its cells are moved to where the other rows' start. A bad
+    row raises ValueError or OverflowError, not necessarily the first bad
+    row's.
     """
     if not rows:
         return np.empty(0, dtype=np.int64), convert([], 0)
     first = _parse_timestamp(rows[0].partition(",")[0])
     heads = list(map(getitem, rows, repeat(slice(_ROW_START_WIDTH))))
+    run = _hourly_rows_text(first, len(rows))
     off_run = []
-    if "\n".join(heads) != _hourly_rows_text(first, len(rows)):
-        starts = _hourly_row_starts(first, len(rows))
+    if "\n".join(heads) != run:
+        starts = run.splitlines()
         off_run = list(compress(count(), map(ne, heads, starts)))
         off_run += range(len(starts), len(rows))  # rows past year 9999
-    del heads  # before the converter cuts the cells, to keep the peak memory low
+    del heads, run  # before the converter cuts the cells, to keep the peak memory low
     timestamps = first + HOUR * np.arange(len(rows), dtype=np.int64)
     for i in off_run:
         ts_text, _, cells = rows[i].partition(",")
-        timestamps[i] = _parse_timestamp(ts_text)
+        if _parse_timestamp(ts_text) != timestamps[i]:
+            raise ValueError("a row is off the hourly run")
         rows[i] = "," * _ROW_START_WIDTH + cells
     return timestamps, convert(rows, _ROW_START_WIDTH)
 
@@ -331,21 +329,29 @@ def _check_header(path: Path, line: str) -> None:
 
 def _parse_lines(path: Path, lines: list[str], first_lineno: Callable[[], int],
                  convert: Callable):
-    """`_parse_rows` of a file's data `lines`, skipping blank ones. If a row
-    does not parse, the rows are checked one by one, and the first bad one
-    is reported by its line number, counting the first of `lines` as line
-    `first_lineno()`, which is called only then."""
+    """`_parse_rows` of a file's data `lines`, skipping blank ones. If that
+    fails, the rows are checked one by one, and the first bad one is
+    reported by its line number, counting the first of `lines` as line
+    `first_lineno()`, which is called only then. A row is bad if its stamp
+    or cells do not parse, or if its stamp is not one hour after the stamp
+    of the row before it."""
     try:
         return _parse_rows(list(filter(None, map(str.strip, lines))), convert)
     except (ValueError, OverflowError):
+        last = None
         for lineno, line in enumerate(map(str.strip, lines), first_lineno()):
+            if not line:
+                continue
             ts_text, _, cells = line.partition(",")
             try:
-                if line:
-                    _parse_timestamp(ts_text)
-                    convert([cells], 0)
+                stamp = _parse_timestamp(ts_text)
+                convert([cells], 0)
+                if last is not None and stamp != last + HOUR:
+                    raise ValueError("%s is not one hour after %s"
+                                     % tuple(_format_timestamps([stamp, last])))
             except (ValueError, OverflowError) as exc:
                 raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+            last = stamp
         raise
 
 
@@ -366,53 +372,49 @@ def read_series_csv(path: str | Path) -> RawSeries:
 
 # A line ends at \n, \r\n or a lone \r, as text mode reads it.
 _NEWLINE = re.compile(rb"\r\n|\r|\n")
+# A line end, then the line that follows it.
+_LINE_AFTER = re.compile(rb"(?:\r\n|\r|\n)([^\r\n]*)")
 
 
-def _whole_lines(block: bytes, first: bool, last: bool) -> tuple[int, list[str]]:
-    """(offset, lines) of the whole text lines in `block`, a slice of a
-    file: unless `first`, the block starts inside or at the start of a line
-    that is dropped; unless `last`, the line the block ends in is dropped.
-    `offset` is where the kept lines start in the block."""
-    start = 0
+def _whole_lines(data: bytes, lo: int, hi: int, first: bool) -> tuple[int, list[str]]:
+    """(start, lines): the whole text lines in the bytes data[lo:hi] of a
+    file, and the offset in `data` at which they start. Unless `first`, the
+    line that `lo` falls in or starts is dropped; unless `hi` is the end of
+    `data`, so is the line that `hi` falls in."""
+    start = lo
     if not first:
-        match = _NEWLINE.search(block)
-        start = match.end() if match else len(block)
-    end = len(block)
-    if not last:
-        end = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        match = _NEWLINE.search(data, lo, hi)
+        start = match.end() if match else hi
+    end = hi
+    if hi < len(data):
+        end = max(data.rfind(b"\n", lo, hi), data.rfind(b"\r", lo, hi)) + 1
     if end <= start:
         return start, []
-    text = block[start:end].decode().replace("\r\n", "\n").replace("\r", "\n")
+    text = data[start:end].decode().replace("\r\n", "\n").replace("\r", "\n")
     return start, text.split("\n")
 
 
-def _stamp_after(fh, pos: int, size: int) -> int | None:
-    """Epoch seconds of the first row that starts after byte `pos` of the
-    file `fh` and whose stamp parses; None if there is no such row."""
-    n = 256
-    while True:
-        fh.seek(pos)
-        block = fh.read(n)
-        last = pos + len(block) >= size
-        for line in _whole_lines(block, False, last)[1]:
-            try:
-                return _parse_timestamp(line.strip().partition(",")[0])
-            except (ValueError, OverflowError):
-                continue  # a blank or malformed row: try the next
-        if last:
-            return None
-        n *= 4
+def _stamp_after(data: bytes, pos: int) -> int | None:
+    """Epoch seconds of the first row of the file `data` that starts after
+    byte `pos` and whose stamp parses; None if there is no such row."""
+    for match in _LINE_AFTER.finditer(data, pos):
+        line = match[1].decode()
+        try:
+            return _parse_timestamp(line.strip().partition(",")[0])
+        except (ValueError, OverflowError):
+            continue  # a blank or malformed row: try the next
+    return None
 
 
-def _seek_row(fh, lo: int, size: int, target: int, near: int) -> tuple[int, int]:
-    """Byte offsets (lo, hi) of the file `fh`, at most `near` apart, such
+def _seek_row(data: bytes, lo: int, target: int, near: int) -> tuple[int, int]:
+    """Byte offsets (lo, hi) of the file `data`, at most `near` apart, such
     that the row stamped `target` of a sorted file starts after `lo` and no
     later than the first row after `hi`: a binary search, from `lo` to the
     end of the file, on the stamp of the first row after each probe."""
-    hi = size
+    hi = len(data)
     while hi - lo > near:
         mid = (lo + hi) // 2
-        stamp = _stamp_after(fh, mid, size)
+        stamp = _stamp_after(data, mid)
         if stamp is None or stamp >= target:
             hi = mid
         else:
@@ -425,35 +427,33 @@ def read_window(path: str | Path, timestamp: str | None, h: int) -> RawSeries:
     at the forecast origin `timestamp` (default: the last row): what a
     forecast reads.
 
-    Only a span of rows around the window is read and checked, as
-    `read_series_csv` checks the whole file. The origin is found by a
-    binary search on byte offsets, which holds for a file of sorted
-    rows, or in a tail of the file. The span grows until every gap that
-    touches the window lies in it with its anchors; only those gaps are
-    filled, with the values `fill_gaps` gives the whole series.
+    The file is read whole, but only a span of rows around the window is
+    decoded and checked, as `read_series_csv` checks the whole file. The
+    origin is found by a binary search on byte offsets, which holds for a
+    file of sorted rows, or in a tail of the file. The span grows until
+    every gap that touches the window lies in it with its anchors; only
+    those gaps are filled, with the values `fill_gaps` gives the whole series.
     """
     path = Path(path)
     target = None if timestamp is None else _origin_epoch(timestamp)
-    with reading(path), path.open("rb") as fh:
-        head = fh.readline()  # all of a file with \r line ends only
-        match = _NEWLINE.search(head)
-        _check_header(path, head[:match.start() if match else None].decode())
-        data_start = match.end() if match else len(head)
-        size = fh.seek(0, 2)
-        fh.seek(data_start)
-        width = 1 + max(map(len, fh.read(4096).splitlines()), default=0)  # per row
-        centre = size
+    with reading(path):
+        data = path.read_bytes()
+        match = _NEWLINE.search(data)
+        _check_header(path, data[:match.start() if match else None].decode())
+        data_start = match.end() if match else len(data)
+        width = 1 + max(map(len, data[data_start:data_start + 4096].splitlines()),
+                        default=0)  # per row
+        centre = len(data)
         before, after = width * (h + 8), width * 8
         if target is not None:
-            lo, centre = _seek_row(fh, data_start, size, target, 8 * width)
+            lo, centre = _seek_row(data, data_start, target, 8 * width)
             before += centre - lo
         while True:
-            lo, hi = max(data_start, centre - before), min(size, centre + after)
-            at_start, at_end = lo == data_start, hi == size
-            fh.seek(lo)
-            offset, lines = _whole_lines(fh.read(hi - lo), at_start, at_end)
+            lo, hi = max(data_start, centre - before), min(len(data), centre + after)
+            at_start, at_end = lo == data_start, hi == len(data)
+            start, lines = _whole_lines(data, lo, hi, at_start)
             raw = RawSeries(path.stem, *_parse_lines(
-                path, lines, lambda: _line_count(fh, lo + offset) + 1, _gap_or_float))
+                path, lines, lambda: _line_count(data, start) + 1, _gap_or_float))
             stamps = raw.timestamps
             left_of = target is not None and (not len(stamps) or target < stamps[0])
             right_of = target is not None and (not len(stamps) or target > stamps[-1])
@@ -480,11 +480,9 @@ def read_window(path: str | Path, timestamp: str | None, h: int) -> RawSeries:
     return RawSeries(raw.sensor_id, stamps[window], values[window])
 
 
-def _line_count(fh, end: int) -> int:
-    """How many lines end in the first `end` bytes of the file `fh`."""
-    fh.seek(0)
-    prefix = fh.read(end)
-    return prefix.count(b"\n") + prefix.count(b"\r") - prefix.count(b"\r\n")
+def _line_count(data: bytes, end: int) -> int:
+    """How many lines end in the first `end` bytes of `data`."""
+    return len(_NEWLINE.findall(data, 0, end))
 
 
 def _touching_runs(missing: np.ndarray, first: int, last: int) -> list[tuple[int, int]]:
@@ -557,12 +555,6 @@ def read_preprocessed(in_dir: str | Path):
     if lines[0].strip() != _PREPROCESSED_HEADER:
         raise InvalidInputError(f"{path}: expected header {_PREPROCESSED_HEADER!r}")
     stamps, (values, labels) = _parse_lines(path, lines[1:], lambda: 2, _value_and_label)
-    late = np.flatnonzero(np.diff(stamps) != HOUR)
-    if len(late):
-        row = int(late[0]) + 1  # numbered among the non-blank data lines
-        lineno = 2 + list(compress(count(), map(str.strip, lines[1:])))[row]
-        before, after = _format_timestamps(stamps[row - 1:row + 1])
-        raise InvalidInputError(f"{path}:{lineno}: {after} is not one hour after {before}")
     std, epsilon = read_transform_meta(Path(in_dir) / "transform.meta", values)
     return std, labels, epsilon, stamps
 

@@ -615,7 +615,7 @@ class TestPredictSpan:
 
     @pytest.mark.parametrize("fault,error", [
         ("bad_row", "InvalidInputError: {csv}:7: "),
-        ("missing_hour", "InvalidInputError: timestamps must advance"),
+        ("missing_hour", "InvalidInputError: {csv}:7: "),
         ("long_gap", "UnfillableGapError: gap of 337 points")])
     def test_only_preprocess_rejects_a_fault_far_from_the_window(
             self, pipeline, tmp_path, capsys, fault, error):

@@ -20,7 +20,7 @@ from necplus.errors import (
 from necplus.series import (
     HOUR,
     _format_timestamps,
-    _hourly_row_starts,
+    _hourly_rows_text,
     _parse_timestamp,
     RawSeries,
     difference_standardize,
@@ -440,21 +440,46 @@ class TestPreprocessedRows:
         "hour_late": lambda rows, i: (TestPreprocessedRows._late(rows, i), i),
     }
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"])
-    @pytest.mark.parametrize("row", [1, 5, 27])
-    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-    def test_a_moved_or_bad_stamp_names_its_line(self, tmp_path, mutation, row, end):
+    # Each reads the file at `path`; read_window at the forecast origin `origin`.
+    READERS = {
+        "read_preprocessed": lambda path, origin: read_preprocessed(path.parent),
+        "read_series_csv": lambda path, origin: read_series_csv(path),
+        "read_window": lambda path, origin: read_window(path, origin, 8),
+    }
+
+    def assert_names_the_line(self, tmp_path, reader, mutation, row, end):
+        """`reader` names the first bad row of a file with `mutation` at
+        data row `row`, `end` line ends and a blank line after data row 3."""
         raw = make_series(np.random.default_rng(4).normal(size=30).cumsum())
-        std = difference_standardize(raw)
-        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.0))
-        path = tmp_path / "preprocessed.csv"
+        if reader == "read_preprocessed":
+            std = difference_standardize(raw)
+            write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.0))
+            path = tmp_path / "preprocessed.csv"
+        else:
+            path = tmp_path / "s.csv"
+            write_series_csv(path, raw)
         header, *rows = path.read_text().splitlines()
         rows, bad = self.MUTATIONS[mutation](rows, row)
         path.write_text("\n".join([header] + rows) + "\n")
         rewrite_lines(path, end, blank_after=[3])
         lineno = 2 + bad + (bad > 3)  # the header, then a blank line after data row 3
-        with pytest.raises(InvalidInputError, match=f"preprocessed.csv:{lineno}: "):
-            read_preprocessed(tmp_path)
+        origin = rows[min(bad + 2, len(rows) - 1)][:20]  # its window's span holds the bad row
+        with pytest.raises(InvalidInputError, match=f"{path.name}:{lineno}: "):
+            self.READERS[reader](path, origin)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("row", [1, 5, 27])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_a_moved_or_bad_stamp_names_its_line(self, tmp_path, mutation, row, end):
+        self.assert_names_the_line(tmp_path, "read_preprocessed", mutation, row, end)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("row", [1, 5, 27])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("reader", ["read_series_csv", "read_window"])
+    def test_a_moved_or_bad_raw_stamp_names_its_line(self, tmp_path, reader, mutation,
+                                                      row, end):
+        self.assert_names_the_line(tmp_path, reader, mutation, row, end)
 
     def test_step_error_names_both_stamps(self, tmp_path):
         raw = make_series([1.0, 2.0, 4.0, 3.0, 5.0])
@@ -467,6 +492,24 @@ class TestPreprocessedRows:
         with pytest.raises(InvalidInputError, match="preprocessed.csv:3: 1970-01-01T03:00:00Z "
                                                     "is not one hour after 1970-01-01T01:00:00Z"):
             read_preprocessed(tmp_path)
+
+
+UTF8_CHARS = st.characters(exclude_categories=("Cs",))  # those UTF-8 can encode
+FUZZED_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                          st.sampled_from(["", "oops", "1e999", "nan", "1,2"]))
+
+
+def fuzzed_rows(*cells):
+    """Up to 8 data lines of a CSV, each any text or a stamp, which may be
+    out of range, off the hour or oddly zoned, followed by one of each of
+    `cells`."""
+    return st.lists(st.one_of(
+        st.text(UTF8_CHARS, max_size=30),
+        st.builds(("{}T{:02d}:00:00{}" + ",{}" * len(cells)).format,
+                  st.sampled_from(["2020-01-01", "0001-01-01", "9999-12-31", "2020-02-30"]),
+                  st.integers(0, 25), st.sampled_from(["Z", "", "+01:00", "-05:00", "ZZ"]),
+                  *cells)),
+        max_size=8)
 
 
 class TestMalformedSeriesCsv:
@@ -486,14 +529,7 @@ class TestMalformedSeriesCsv:
             read_series_csv(path)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(
-        st.text(st.characters(exclude_categories=("Cs",)), max_size=30),
-        st.builds("{}T{:02d}:00:00{},{}".format,
-                  st.sampled_from(["2020-01-01", "0001-01-01", "9999-12-31", "2020-02-30"]),
-                  st.integers(0, 25), st.sampled_from(["Z", "", "+01:00", "-05:00", "ZZ"]),
-                  st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
-                            st.sampled_from(["", "oops", "1e999", "nan", "1,2"])))),
-        max_size=8))
+    @given(fuzzed_rows(FUZZED_VALUES))
     def test_fuzzed_rows_raise_only_domain_errors(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("fuzz") / "s.csv"
         path.write_text("timestamp,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
@@ -503,10 +539,27 @@ class TestMalformedSeriesCsv:
             return
         assert len(series.timestamps) == len(series.values)
 
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_rows(FUZZED_VALUES, st.one_of(st.sampled_from(["0", "1"]),
+                                                st.text(UTF8_CHARS, max_size=3))))
+    def test_fuzzed_preprocessed_rows_raise_only_domain_errors(self, tmp_path_factory, rows):
+        out = tmp_path_factory.mktemp("fuzz")
+        raw = make_series([1.0, 2.0, 4.0])
+        std = difference_standardize(raw)
+        write_preprocessed(out, raw, std, label_extremes(std, 1.5))
+        (out / "preprocessed.csv").write_text(
+            "timestamp,std_value,is_extreme\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        try:
+            back, labels, _, stamps = read_preprocessed(out)
+        except NecError:
+            return
+        assert len(back.values) == len(labels) == len(stamps)
+
 
 def reference_read_series_csv(path: str | Path, sensor_id: str | None = None) -> RawSeries:
-    """The reader before bulk reading: one `_parse_timestamp` per row. Kept
-    verbatim as the reference that `read_series_csv` must agree with."""
+    """The reader before bulk reading: one `_parse_timestamp` per row, and
+    each stamp checked against the row before. Kept as the reference that
+    `read_series_csv` must agree with."""
     path = Path(path)
     timestamps: list[int] = []
     values: list[float] = []
@@ -520,13 +573,17 @@ def reference_read_series_csv(path: str | Path, sensor_id: str | None = None) ->
             if not line:
                 blank += 1
                 continue
+            lineno = 2 + blank + len(values)  # header, blanks, parsed rows
             ts_text, _, val_text = line.partition(",")
             try:
                 timestamps.append(_parse_timestamp(ts_text))
                 values.append(float(val_text) if val_text else np.nan)
             except (ValueError, OverflowError) as exc:
-                lineno = 2 + blank + len(values)  # header, blanks, parsed rows
                 raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+            if len(timestamps) > 1 and timestamps[-1] != timestamps[-2] + HOUR:
+                after, before = _format_timestamps(timestamps[-1:-3:-1])
+                raise InvalidInputError(
+                    f"{path}:{lineno}: {after} is not one hour after {before}")
     return RawSeries(sensor_id or path.stem, np.array(timestamps, dtype=np.int64),
                      np.array(values))
 
@@ -628,13 +685,13 @@ class TestBulkReader:
         n = 100
         written = [s + "," for s in _format_timestamps(first + HOUR * np.arange(n))
                    if len(s) == 20]  # those of years up to 9999
-        assert _hourly_row_starts(first, n) == written
+        assert _hourly_rows_text(first, n).splitlines() == written
 
     def test_instants_outside_years_1_to_9999_have_no_row_starts(self):
         before_year_1 = epoch(datetime(1, 1, 1)) - HOUR
         after_year_9999 = epoch(datetime(9999, 12, 31, 23)) + HOUR
-        assert _hourly_row_starts(before_year_1, 5) == []
-        assert _hourly_row_starts(after_year_9999, 5) == []
+        assert _hourly_rows_text(before_year_1, 5).splitlines() == []
+        assert _hourly_rows_text(after_year_9999, 5).splitlines() == []
 
     def test_a_canonical_file_parses_one_datetime(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
