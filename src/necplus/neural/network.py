@@ -13,6 +13,12 @@ extreme (E) regressors use 3 tapering affine layers after the top LSTM; the
 classifier (C) uses a single affine layer of f units under a sigmoid.
 Parameters live in a flat name -> array dict so optimizers and the gradient
 checker can treat them uniformly.
+
+Two paths run a forward. `NetStack.forward` is the reference: one stack,
+layer by layer through `lstm_forward`; training and its validation use it.
+Serving uses `forward_members`, which runs every layer of every member as
+one wavefront of T + L - 1 steps over a state of a few rows per window
+(`_forward_wavefront`); its outputs match the reference to rounding.
 """
 
 from __future__ import annotations
@@ -170,6 +176,8 @@ def _as_batch(x, input_dim: int):
         x = x[None]
     if x.ndim != 3 or x.shape[2] != input_dim:
         raise DimensionError(f"expected (*, h, {input_dim}) input, got {x.shape}")
+    if x.shape[1] == 0:
+        raise DimensionError("a window needs at least one step")
     return x, single
 
 
@@ -247,9 +255,15 @@ class NetStack:
     def forward(self, x):
         """Predict f values (probabilities for the classifier head) from a
         batch (B, h, input_dim) or a single window (h, input_dim), keeping
-        no gradient cache. For one stack the merged layers of
-        `_forward_fused` are the stack's own, bit for bit."""
-        return _forward_fused([self], x)[0]
+        no gradient cache: `lstm_forward` layer by layer, the reference
+        that training's validation and `forward_members` are held to."""
+        x, single = _as_batch(x, self.input_dim)
+        seq = x
+        for layer in range(self.n_layers):
+            # [0]: the layer's cache is freed before the next layer allocates its own
+            seq = lstm_forward(*self._lstm_params(layer), seq)[0]
+        out = self._head(seq[:, -1])[-1]
+        return out[0] if single else out
 
     def _forward_cached(self, x):
         """(`forward(x)`, the cache `backward` reads): the input, each
@@ -350,49 +364,95 @@ class NetStack:
 # Inference over several members
 
 
-def _merge_layer(stacks, layer: int, bounds):
-    """One LSTM layer of several stacks as a single layer of their summed
-    width. Member m owns columns bounds[m]:bounds[m + 1] of the hidden state
-    and the same slice of each gate block i, f, g, o. Layer 0 stacks the
-    members' input rows, since they share the input; deeper layers are
-    block-diagonal, each member reading only its own hidden slice."""
-    total = bounds[-1]
-    d_in = stacks[0].input_dim if layer == 0 else total
-    w_x = np.zeros((4, total, d_in))
-    w_h = np.zeros((4, total, total))
-    b = np.zeros((4, total))
-    for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:]):
-        p_wx, p_wh, p_b = stack._lstm_params(layer)
-        cols = slice(None) if layer == 0 else slice(lo, hi)
-        w_x[:, lo:hi, cols] = p_wx.reshape(4, hi - lo, -1)
-        w_h[:, lo:hi, lo:hi] = p_wh.reshape(4, hi - lo, hi - lo)
-        b[:, lo:hi] = p_b.reshape(4, hi - lo)
-    return w_x.reshape(4 * total, d_in), w_h.reshape(4 * total, total), b.reshape(-1)
+def _wavefront_matrix(stacks):
+    """The one matrix of a wavefront step for stacks of equal depth L and
+    input width D, of merged width M (the sum of their widths).
 
-
-def _forward_fused(stacks, x):
-    """[stack.forward(x) for stack in stacks] for stacks of equal depth and
-    input width, with one recurrence over the merged layers."""
-    x, single = _as_batch(x, stacks[0].input_dim)
+    A row of the state it multiplies is [h_0 ... h_{L-1} | x_t | 1]: every
+    layer's hidden state, the input and a one. Its 4·L·M columns are the
+    gate blocks i, f, g, o, each split as [layer 0 ... layer L-1] of width
+    M, and member m owns columns lo:hi of every layer's M. Layer l's gates
+    read its own hidden state through lstm{l}_wh, the state of layer l - 1
+    (the input, for layer 0) through lstm{l}_wx, and the one through
+    lstm{l}_b. Every other entry is zero: a member reads only its own
+    hidden slices.
+    """
+    depth, d_in = stacks[0].n_layers, stacks[0].input_dim
     bounds = np.cumsum([0] + [stack.width for stack in stacks])
-    seq = x
-    for layer in range(stacks[0].n_layers):
-        # [0]: the layer's cache is freed before the next layer allocates its own
-        seq = lstm_forward(*_merge_layer(stacks, layer, bounds), seq)[0]
-    last = seq[:, -1]
-    outs = [stack._head(last[:, lo:hi])[-1]
+    merged = bounds[-1]
+    stacked = depth * merged
+    w = np.zeros((stacked + d_in + 1, 4, depth, merged))
+    for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:]):
+        for layer in range(depth):
+            p_wx, p_wh, p_b = stack._lstm_params(layer)
+            below = (slice(stacked, stacked + d_in) if layer == 0
+                     else slice((layer - 1) * merged + lo, (layer - 1) * merged + hi))
+            own = slice(layer * merged + lo, layer * merged + hi)
+            w[below, :, layer, lo:hi] = p_wx.reshape(4, hi - lo, -1).transpose(2, 0, 1)
+            w[own, :, layer, lo:hi] = p_wh.reshape(4, hi - lo, -1).transpose(2, 0, 1)
+            w[-1, :, layer, lo:hi] = p_b.reshape(4, hi - lo)
+    return w.reshape(stacked + d_in + 1, 4 * stacked)
+
+
+def _forward_wavefront(stacks, x):
+    """[stack.forward(x) for stack in stacks] for stacks of equal depth L
+    and input width, all layers of all stacks in T + L - 1 steps.
+
+    Step s runs layer l at time s - l (Appleyard, Kocisky & Blunsom 2016,
+    arXiv:1604.01946): one product of the state rows with
+    `_wavefront_matrix`, then `lstm_forward`'s elementwise step over every
+    layer at once. After step s < L - 1 the layers above s, which ran
+    before their time 0, get back their zero state. The state is a few rows
+    per window, and no per-step array is kept. The sums differ in order
+    from the layer-by-layer `forward`, so the outputs agree to rounding.
+    """
+    x, single = _as_batch(x, stacks[0].input_dim)
+    batch, steps, d_in = x.shape
+    depth = stacks[0].n_layers
+    bounds = np.cumsum([0] + [stack.width for stack in stacks])
+    merged = bounds[-1]
+    stacked = depth * merged
+    scale, shift = _gate_affine(stacked)
+    w = _wavefront_matrix(stacks)
+    w *= scale
+    state = np.zeros((batch, stacked + d_in + 1))
+    state[:, -1] = 1.0
+    hidden, x_t = state[:, :stacked], state[:, stacked:stacked + d_in]
+    z = np.empty((batch, 4 * stacked))
+    gi, gf, gg, go = _gate_blocks(z)
+    scale_rows = np.tile(scale, (batch, 1))
+    shift_rows = np.tile(shift, (batch, 1))
+    cells = np.zeros((batch, stacked))
+    tanh_c = np.empty((batch, stacked))
+    input_part = np.empty((batch, stacked))
+    for s in range(steps + depth - 1):
+        if s < steps:  # past T, layer 0 runs on; no output reads it
+            x_t[...] = x[:, s]
+        np.matmul(state, w, out=z)
+        np.tanh(z, out=z)
+        z *= scale_rows
+        z += shift_rows
+        cells *= gf
+        cells += np.multiply(gi, gg, out=input_part)
+        np.tanh(cells, out=tanh_c)
+        np.multiply(go, tanh_c, out=hidden)
+        if s < depth - 1:
+            hidden[:, (s + 1) * merged:] = 0.0
+            cells[:, (s + 1) * merged:] = 0.0
+    top = hidden[:, stacked - merged:]
+    outs = [stack._head(top[:, lo:hi])[-1]
             for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:])]
     return [out[0] for out in outs] if single else outs
 
 
 def forward_members(stacks, x) -> list:
-    """The output of each member's `forward(x)`, in order.
+    """The output of each member's `forward(x)`, in order, to rounding.
 
-    The members see the same input, so the LSTM layers of every group of
-    NetStacks with equal depth and input width run as one stack (see
-    `_merge_layer`): one recurrence instead of one per member, and no
-    gradient cache is kept. Each head reads its own slice of the top hidden
-    state. Any other member runs its own `forward`.
+    The members see the same input, so every group of NetStacks with equal
+    depth and input width runs as one wavefront (`_forward_wavefront`):
+    T + L - 1 steps for all layers of all its members, and no gradient
+    cache is kept. Each head reads its own slice of the top hidden state.
+    Any other member runs its own `forward`.
     """
     outs = [None] * len(stacks)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -402,7 +462,7 @@ def forward_members(stacks, x) -> list:
         else:
             outs[i] = stack.forward(x)
     for idx in groups.values():
-        for i, out in zip(idx, _forward_fused([stacks[i] for i in idx], x)):
+        for i, out in zip(idx, _forward_wavefront([stacks[i] for i in idx], x)):
             outs[i] = out
     return outs
 

@@ -7,6 +7,9 @@ mutate their inputs.
 
 from __future__ import annotations
 
+import contextlib
+import mmap
+import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -427,17 +430,16 @@ def read_window(path: str | Path, timestamp: str | None, h: int) -> RawSeries:
     at the forecast origin `timestamp` (default: the last row): what a
     forecast reads.
 
-    The file is read whole, but only a span of rows around the window is
-    decoded and checked, as `read_series_csv` checks the whole file. The
-    origin is found by a binary search on byte offsets, which holds for a
-    file of sorted rows, or in a tail of the file. The span grows until
+    The file is mapped (`_mapped`), and only a span of rows around the
+    window is read, decoded and checked, as `read_series_csv` checks the
+    whole file. The origin is found by a binary search on byte offsets,
+    which holds for a file of sorted rows, or in a tail of the file. The span grows until
     every gap that touches the window lies in it with its anchors; only
     those gaps are filled, with the values `fill_gaps` gives the whole series.
     """
     path = Path(path)
     target = None if timestamp is None else _origin_epoch(timestamp)
-    with reading(path):
-        data = path.read_bytes()
+    with reading(path), _mapped(path) as data:
         match = _NEWLINE.search(data)
         _check_header(path, data[:match.start() if match else None].decode())
         data_start = match.end() if match else len(data)
@@ -478,6 +480,19 @@ def read_window(path: str | Path, timestamp: str | None, h: int) -> RawSeries:
         _fill_run(values, observed, start, stop, stamps)
     window = slice(origin - h, origin + 1)
     return RawSeries(raw.sensor_id, stamps[window], values[window])
+
+
+@contextlib.contextmanager
+def _mapped(path: Path):
+    """The bytes of the file `path`, mapped read-only, so that a search
+    reads only the pages it probes. An empty file, which cannot be mapped,
+    gives b""."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            yield b""
+        else:
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                yield data
 
 
 def _line_count(data: bytes, end: int) -> int:

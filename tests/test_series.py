@@ -830,6 +830,17 @@ class TestReadWindow:
         with pytest.raises(DimensionError, match="need 24 history steps"):
             read_window(path, None, self.H)
 
+    @pytest.mark.parametrize("origin", [None, "2010-01-01T00:00:00Z"])
+    def test_empty_or_header_only_file(self, tmp_path, origin):
+        # an empty file cannot be mapped; it fails as a missing header does
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"")
+        with pytest.raises(InvalidInputError, match="s.csv: expected header"):
+            read_window(path, origin, self.H)
+        path.write_text("timestamp,value\n")
+        with pytest.raises(ConfigError if origin else DimensionError):
+            read_window(path, origin, self.H)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("time,value\n2020-01-01T00:00:00Z,1\n")
