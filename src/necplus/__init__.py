@@ -8,7 +8,6 @@ density indicator.
 
 from .engine import ForecastBundle, NecConfig, ModelSpec, predict, train_nec
 from .series import (
-    ExtremeLabels,
     RawSeries,
     StandardizedSeries,
     difference_standardize,
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ForecastBundle", "NecConfig", "ModelSpec", "predict", "train_nec",
-    "ExtremeLabels", "RawSeries", "StandardizedSeries",
+    "RawSeries", "StandardizedSeries",
     "difference_standardize", "fill_gaps", "invert_transform",
     "label_extremes", "__version__",
 ]

@@ -29,7 +29,8 @@ def cmd_synth(args) -> int:
     series.write_series_csv(args.out, raw)
     spikes = Path(args.out).with_suffix(".spikes.csv")
     with writing(spikes):
-        np.savetxt(spikes, onsets, fmt="%d", header="spike_index", comments="")
+        spikes.write_text("".join(f"{line}\n" for line in ["spike_index", *onsets.tolist()]),
+                          encoding="utf-8")
     print(f"wrote {args.length} points to {args.out} ({len(onsets)} spikes)")
     return 0
 
@@ -39,13 +40,13 @@ def cmd_preprocess(args) -> int:
     filled = series.fill_gaps(raw)
     std = series.difference_standardize(filled)
     labels = series.label_extremes(std, args.epsilon)
-    series.write_preprocessed(args.out_dir, filled, std, labels)
+    series.write_preprocessed(args.out_dir, filled, std, labels, args.epsilon)
     # self-test: the stored parameters must invert the transform
     recovered = series.invert_transform(std.values, std,
                                         anchor_override=filled.values[0])
     roundtrip = float(np.max(np.abs(recovered - filled.values[1:])))
     print(f"preprocessed {len(std)} points; extreme fraction "
-          f"{labels.extreme_fraction:.6f}; roundtrip max error {roundtrip:.3e}")
+          f"{labels.mean():.6f}; roundtrip max error {roundtrip:.3e}")
     return 0
 
 
@@ -108,7 +109,7 @@ def _output(path: str | None):
     if path is None:
         yield sys.stdout
     else:
-        with writing(path), open(path, "w") as out:
+        with writing(path), open(path, "w", encoding="utf-8") as out:
             yield out
 
 

@@ -350,7 +350,7 @@ def save_run(run_dir: str | Path, config: NecConfig,
             save_checkpoint(run_dir / f"{name}.ckpt", models[name],
                             extra_meta={"config_hash": digest})
         if logs is not None:
-            with (run_dir / "train.log").open("w") as fh:
+            with (run_dir / "train.log").open("w", encoding="utf-8") as fh:
                 for name in MEMBERS:
                     log = logs[name]
                     fh.write(f"model {name} best_epoch {log.best_epoch} "

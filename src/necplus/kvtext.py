@@ -35,12 +35,12 @@ def loads(text: str) -> dict[str, str]:
 
 def write(path: str | Path, pairs: dict) -> None:
     with writing(path):
-        Path(path).write_text(dumps(pairs))
+        Path(path).write_text(dumps(pairs), encoding="utf-8")
 
 
 def read(path: str | Path) -> dict[str, str]:
     with reading(path):
-        return loads(Path(path).read_text())
+        return loads(Path(path).read_text(encoding="utf-8"))
 
 
 def get(pairs: dict[str, str], key: str, path, conv):

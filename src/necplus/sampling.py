@@ -92,14 +92,10 @@ def _place_sections(ranges, count: int, f: int,
     order = sorted(range(len(ranges)), key=lambda i: -capacities[i])
     remaining = count
     while remaining:
-        progressed = False
         for i in order:
             if remaining and alloc[i] < capacities[i]:
                 alloc[i] += 1
                 remaining -= 1
-                progressed = True
-        if not progressed:  # pragma: no cover - guarded by capacity check
-            raise SplitInfeasibleError("unable to allocate holdout sections")
     sections = []
     for (start, stop), k in zip(ranges, alloc):
         if k == 0:
@@ -178,7 +174,7 @@ def draw_samples(features: np.ndarray, labels, h: int, f: int, volume: int,
 
 def dump_split_csv(path, split: Split) -> None:
     """Audit dump: `set,start_index` rows for holdout sections."""
-    with writing(path), open(path, "w") as fh:
+    with writing(path), open(path, "w", encoding="utf-8") as fh:
         fh.write("set,start_index\n")
         for start, _ in split.val_sections:
             fh.write(f"val,{start}\n")

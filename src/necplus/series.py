@@ -7,12 +7,15 @@ mutate their inputs.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import functools
+import math
 import mmap
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import compress, count, repeat
 from operator import getitem, ne, not_
@@ -37,6 +40,7 @@ MAX_GAP = 14 * 24  # 14 days of hourly points
 MAX_DEGREE = 3  # highest degree of a gap-filling polynomial
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _ROW_START_WIDTH = len("0001-01-01T00:00:00Z,")  # the same for every year
+_SERIES_HEADER = "timestamp,value"
 _PREPROCESSED_HEADER = "timestamp,std_value,is_extreme"
 
 
@@ -95,16 +99,6 @@ class StandardizedSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ExtremeLabels:
-    epsilon: float
-    labels: np.ndarray = field(repr=False)
-
-    @property
-    def extreme_fraction(self) -> float:
-        return float(np.mean(self.labels)) if len(self.labels) else 0.0
-
-
 def _gap_runs(missing: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of missing values as half-open [start, stop) spans."""
     edges = np.diff(missing.astype(np.int8), prepend=0, append=0)
@@ -124,11 +118,18 @@ def fill_gaps(series: RawSeries) -> RawSeries:
     missing = series.missing
     if not missing.any():
         return series
+    return RawSeries(series.sensor_id, series.timestamps,
+                     _filled(series, _gap_runs(missing)))
+
+
+def _filled(series: RawSeries, runs) -> np.ndarray:
+    """The values of `series` with each gap run [start, stop) of `runs`
+    filled by `_fill_run`."""
     values = series.values.copy()
-    observed = np.flatnonzero(~missing)
-    for start, stop in _gap_runs(missing):
+    observed = np.flatnonzero(~series.missing)
+    for start, stop in runs:
         _fill_run(values, observed, start, stop, series.timestamps)
-    return RawSeries(series.sensor_id, series.timestamps, values)
+    return values
 
 
 def _fill_run(values: np.ndarray, observed: np.ndarray, start: int, stop: int,
@@ -224,12 +225,12 @@ def reconstruct_raw(std: StandardizedSeries) -> np.ndarray:
                                                      anchor_override=start)])
 
 
-def label_extremes(series: StandardizedSeries, epsilon: float) -> ExtremeLabels:
-    """Label points outside the closed interval [-epsilon, epsilon] extreme."""
+def label_extremes(series: StandardizedSeries, epsilon: float) -> np.ndarray:
+    """A bool per point: whether it lies outside the closed interval
+    [-epsilon, epsilon], that is, is extreme."""
     if not 0 < epsilon < np.inf:
         raise InvalidInputError("epsilon must be finite and positive")
-    return ExtremeLabels(epsilon=float(epsilon),
-                         labels=np.abs(series.values) > epsilon)
+    return np.abs(series.values) > epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -325,161 +326,10 @@ def _value_and_label(rows: list[str], start: int) -> tuple[np.ndarray, np.ndarra
     return values, np.frombuffer(flags, dtype=np.uint8) == ord("1")
 
 
-def _check_header(path: Path, line: str) -> None:
-    if line.strip().split(",")[:2] != ["timestamp", "value"]:
-        raise InvalidInputError(f"{path}: expected header 'timestamp,value'")
-
-
-def _parse_lines(path: Path, lines: list[str], first_lineno: Callable[[], int],
-                 convert: Callable):
-    """`_parse_rows` of a file's data `lines`, skipping blank ones. If that
-    fails, the rows are checked one by one, and the first bad one is
-    reported by its line number, counting the first of `lines` as line
-    `first_lineno()`, which is called only then. A row is bad if its stamp
-    or cells do not parse, or if its stamp is not one hour after the stamp
-    of the row before it."""
-    try:
-        return _parse_rows(list(filter(None, map(str.strip, lines))), convert)
-    except (ValueError, OverflowError):
-        last = None
-        for lineno, line in enumerate(map(str.strip, lines), first_lineno()):
-            if not line:
-                continue
-            ts_text, _, cells = line.partition(",")
-            try:
-                stamp = _parse_timestamp(ts_text)
-                convert([cells], 0)
-                if last is not None and stamp != last + HOUR:
-                    raise ValueError("%s is not one hour after %s"
-                                     % tuple(_format_timestamps([stamp, last])))
-            except (ValueError, OverflowError) as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
-            last = stamp
-        raise
-
-
-def read_series_csv(path: str | Path) -> RawSeries:
-    """Read a `timestamp,value` CSV; empty value fields are gaps. The file's
-    stem is the sensor id.
-
-    Timestamps must be continuous hourly ISO-8601 instants: a missing row is
-    an error, a missing value is a gap. Every row is checked, in bulk (see
-    `_parse_rows`); only a failure is traced back to its line.
-    """
-    path = Path(path)
-    with reading(path):
-        lines = path.read_text().split("\n")  # newlines are universal
-    _check_header(path, lines[0])
-    return RawSeries(path.stem, *_parse_lines(path, lines[1:], lambda: 2, _gap_or_float))
-
-
 # A line ends at \n, \r\n or a lone \r, as text mode reads it.
 _NEWLINE = re.compile(rb"\r\n|\r|\n")
 # A line end, then the line that follows it.
 _LINE_AFTER = re.compile(rb"(?:\r\n|\r|\n)([^\r\n]*)")
-
-
-def _whole_lines(data: bytes, lo: int, hi: int, first: bool) -> tuple[int, list[str]]:
-    """(start, lines): the whole text lines in the bytes data[lo:hi] of a
-    file, and the offset in `data` at which they start. Unless `first`, the
-    line that `lo` falls in or starts is dropped; unless `hi` is the end of
-    `data`, so is the line that `hi` falls in."""
-    start = lo
-    if not first:
-        match = _NEWLINE.search(data, lo, hi)
-        start = match.end() if match else hi
-    end = hi
-    if hi < len(data):
-        end = max(data.rfind(b"\n", lo, hi), data.rfind(b"\r", lo, hi)) + 1
-    if end <= start:
-        return start, []
-    text = data[start:end].decode().replace("\r\n", "\n").replace("\r", "\n")
-    return start, text.split("\n")
-
-
-def _stamp_after(data: bytes, pos: int) -> int | None:
-    """Epoch seconds of the first row of the file `data` that starts after
-    byte `pos` and whose stamp parses; None if there is no such row."""
-    for match in _LINE_AFTER.finditer(data, pos):
-        line = match[1].decode()
-        try:
-            return _parse_timestamp(line.strip().partition(",")[0])
-        except (ValueError, OverflowError):
-            continue  # a blank or malformed row: try the next
-    return None
-
-
-def _seek_row(data: bytes, lo: int, target: int, near: int) -> tuple[int, int]:
-    """Byte offsets (lo, hi) of the file `data`, at most `near` apart, such
-    that the row stamped `target` of a sorted file starts after `lo` and no
-    later than the first row after `hi`: a binary search, from `lo` to the
-    end of the file, on the stamp of the first row after each probe."""
-    hi = len(data)
-    while hi - lo > near:
-        mid = (lo + hi) // 2
-        stamp = _stamp_after(data, mid)
-        if stamp is None or stamp >= target:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def read_window(path: str | Path, timestamp: str | None, h: int) -> RawSeries:
-    """The h + 1 gap-filled raw points of a `timestamp,value` CSV that end
-    at the forecast origin `timestamp` (default: the last row): what a
-    forecast reads.
-
-    The file is mapped (`_mapped`), and only a span of rows around the
-    window is read, decoded and checked, as `read_series_csv` checks the
-    whole file. The origin is found by a binary search on byte offsets,
-    which holds for a file of sorted rows, or in a tail of the file. The span grows until
-    every gap that touches the window lies in it with its anchors; only
-    those gaps are filled, with the values `fill_gaps` gives the whole series.
-    """
-    path = Path(path)
-    target = None if timestamp is None else _origin_epoch(timestamp)
-    with reading(path), _mapped(path) as data:
-        match = _NEWLINE.search(data)
-        _check_header(path, data[:match.start() if match else None].decode())
-        data_start = match.end() if match else len(data)
-        width = 1 + max(map(len, data[data_start:data_start + 4096].splitlines()),
-                        default=0)  # per row
-        centre = len(data)
-        before, after = width * (h + 8), width * 8
-        if target is not None:
-            lo, centre = _seek_row(data, data_start, target, 8 * width)
-            before += centre - lo
-        while True:
-            lo, hi = max(data_start, centre - before), min(len(data), centre + after)
-            at_start, at_end = lo == data_start, hi == len(data)
-            start, lines = _whole_lines(data, lo, hi, at_start)
-            raw = RawSeries(path.stem, *_parse_lines(
-                path, lines, lambda: _line_count(data, start) + 1, _gap_or_float))
-            stamps = raw.timestamps
-            left_of = target is not None and (not len(stamps) or target < stamps[0])
-            right_of = target is not None and (not len(stamps) or target > stamps[-1])
-            if (left_of and not at_start) or (right_of and not at_end):
-                grow_left, grow_right = left_of, right_of
-            else:
-                origin = origin_index(raw, timestamp)  # ConfigError if absent
-                grow_left, grow_right = _short_sides(raw.missing, origin - h, origin)
-            grow_left &= not at_start
-            grow_right &= not at_end
-            if not (grow_left or grow_right):
-                break
-            if grow_left:
-                before *= 2
-            if grow_right:
-                after *= 2
-    if origin - h < 0:
-        raise DimensionError(f"need {h} history steps before the forecast origin")
-    values = raw.values.copy()
-    observed = np.flatnonzero(~raw.missing)
-    for start, stop in _touching_runs(raw.missing, origin - h, origin):
-        _fill_run(values, observed, start, stop, stamps)
-    window = slice(origin - h, origin + 1)
-    return RawSeries(raw.sensor_id, stamps[window], values[window])
 
 
 @contextlib.contextmanager
@@ -495,9 +345,146 @@ def _mapped(path: Path):
                 yield data
 
 
-def _line_count(data: bytes, end: int) -> int:
+def _rows_start(path: Path, data, header: str, prefix: bool) -> int:
+    """Offset in the file `data` of the line after its first, which must
+    read `header` or, if `prefix`, begin with its cells."""
+    match = _NEWLINE.search(data)
+    cells = data[:match.start() if match else len(data)].decode().strip().split(",")
+    want = header.split(",")
+    if cells[:len(want) if prefix else None] != want:
+        raise InvalidInputError(f"{path}: expected header {header!r}")
+    return match.end() if match else len(data)
+
+
+def _parse_lines(path: Path, data, lo: int, hi: int, convert: Callable):
+    """`_parse_rows` of the whole text lines in the bytes data[lo:hi] of the
+    file `path`, decoded as UTF-8, skipping blank ones. A line is whole if
+    it starts at or after `lo`, which is past the header, and its end is
+    before `hi` or `hi` is the end of `data`.
+
+    If the rows do not parse, they are checked one by one, and the first
+    bad one is reported by its line number in the file, which is counted
+    only then. A row is bad if its stamp or cells do not parse, or if its
+    stamp is not one hour after the stamp of the row before it."""
+    match = _NEWLINE.search(data, lo - 1, hi)  # at lo - 1 if lo starts a line
+    start = match.end() if match else hi
+    end = hi
+    if hi < len(data):
+        end = max(data.rfind(b"\n", start, hi), data.rfind(b"\r", start, hi)) + 1
+    text = data[start:end].decode()
+    if "\r" in text:  # newlines are universal
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    del text  # before the parse, to keep the peak memory low
+    try:
+        return _parse_rows(list(filter(None, map(str.strip, lines))), convert)
+    except (ValueError, OverflowError):
+        last = None
+        for lineno, line in enumerate(map(str.strip, lines), _line_count(data, start) + 1):
+            if not line:
+                continue
+            ts_text, _, cells = line.partition(",")
+            try:
+                stamp = _parse_timestamp(ts_text)
+                convert([cells], 0)
+                if last is not None and stamp != last + HOUR:
+                    raise ValueError("%s is not one hour after %s"
+                                     % tuple(_format_timestamps([stamp, last])))
+            except (ValueError, OverflowError) as exc:
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+            last = stamp
+        raise
+
+
+def _line_count(data, end: int) -> int:
     """How many lines end in the first `end` bytes of `data`."""
     return len(_NEWLINE.findall(data, 0, end))
+
+
+def _read_csv(path: Path, header: str, prefix: bool, convert: Callable):
+    """(timestamps, converted cells) of every row of the CSV file `path`
+    whose header `_rows_start` checks."""
+    with reading(path), _mapped(path) as data:
+        return _parse_lines(path, data, _rows_start(path, data, header, prefix),
+                            len(data), convert)
+
+
+def read_series_csv(path: str | Path) -> RawSeries:
+    """Read a `timestamp,value` CSV; empty value fields are gaps. The file's
+    stem is the sensor id.
+
+    Timestamps must be continuous hourly ISO-8601 instants: a missing row is
+    an error, a missing value is a gap. Every row is checked, in bulk (see
+    `_parse_rows`); only a failure is traced back to its line.
+    """
+    path = Path(path)
+    return RawSeries(path.stem, *_read_csv(path, _SERIES_HEADER, True, _gap_or_float))
+
+
+def _stamp_after(data, pos: int) -> float:
+    """Epoch seconds of the first row of the file `data` that starts after
+    byte `pos` and whose stamp parses; infinity if there is no such row."""
+    for match in _LINE_AFTER.finditer(data, pos):
+        line = match[1].decode()
+        try:
+            return _parse_timestamp(line.strip().partition(",")[0])
+        except (ValueError, OverflowError):
+            continue  # a blank or malformed row: try the next
+    return math.inf
+
+
+def read_window(path: str | Path, timestamp: str | None, h: int) -> RawSeries:
+    """The h + 1 gap-filled raw points of a `timestamp,value` CSV that end
+    at the forecast origin `timestamp` (default: the last row): what a
+    forecast reads.
+
+    The file is mapped (`_mapped`), and only a span of rows around the
+    window is decoded and checked by `_parse_lines`, as `read_series_csv`
+    checks the whole file. The span ends the file for the default origin;
+    a given origin centres it by one binary search on byte offsets, keyed
+    on the stamp of the row after each (`_stamp_after`), which holds for a
+    file of sorted rows. The origin's index is then looked up among the
+    span's parsed stamps. The span grows until it holds the origin and
+    every gap that touches the window with its anchors; only those gaps are
+    filled, with the values `fill_gaps` gives the whole series.
+    """
+    path = Path(path)
+    target = None if timestamp is None else _origin_epoch(timestamp)
+    with reading(path), _mapped(path) as data:
+        data_start = _rows_start(path, data, _SERIES_HEADER, True)
+        width = 1 + max(map(len, data[data_start:data_start + 4096].splitlines()),
+                        default=0)  # per row
+        centre = len(data) if target is None else bisect.bisect_left(
+            range(len(data)), target, lo=data_start, key=functools.partial(_stamp_after, data))
+        before, after = width * (h + 8), width * 8
+        while True:
+            lo, hi = max(data_start, centre - before), min(len(data), centre + after)
+            raw = RawSeries(path.stem, *_parse_lines(path, data, lo, hi, _gap_or_float))
+            stamps = raw.timestamps
+            if target is None:
+                origin, found = len(stamps) - 1, True
+            else:
+                origin = int(np.searchsorted(stamps, target))
+                found = origin < len(stamps) and stamps[origin] == target
+            if found:
+                grow_left, grow_right = _short_sides(raw.missing, origin - h, origin)
+            else:  # the origin lies past an end of the span, or is absent
+                grow_left, grow_right = origin == 0, origin == len(stamps)
+            grow_left &= lo > data_start
+            grow_right &= hi < len(data)
+            if not (grow_left or grow_right):
+                break
+            if grow_left:
+                before *= 2
+            if grow_right:
+                after *= 2
+    if not found:
+        raise ConfigError(f"timestamp {timestamp} not present in input series")
+    if origin - h < 0:
+        raise DimensionError(f"need {h} history steps before the forecast origin")
+    window = slice(origin - h, origin + 1)
+    values = _filled(raw, _touching_runs(raw.missing, origin - h, origin))
+    return RawSeries(raw.sensor_id, stamps[window], values[window])
 
 
 def _touching_runs(missing: np.ndarray, first: int, last: int) -> list[tuple[int, int]]:
@@ -527,37 +514,27 @@ def _origin_epoch(timestamp: str) -> int:
         raise ConfigError(f"--origin-timestamp {timestamp!r}: {exc}") from None
 
 
-def origin_index(raw: RawSeries, timestamp: str | None) -> int:
-    """Index of the last known raw value before the forecast; default: the end."""
-    if timestamp is None:
-        return len(raw) - 1
-    target = _origin_epoch(timestamp)
-    idx = np.searchsorted(raw.timestamps, target)
-    if idx >= len(raw) or raw.timestamps[idx] != target:
-        raise ConfigError(f"timestamp {timestamp} not present in input series")
-    return int(idx)
-
-
 def write_series_csv(path: str | Path, series: RawSeries) -> None:
     rows = (f"{ts},{'' if val != val else repr(val)}\n"  # val != val: NaN, a gap
             for ts, val in zip(_format_timestamps(series.timestamps),
                                series.values.tolist()))
     with writing(path):
-        Path(path).write_text("timestamp,value\n" + "".join(rows))
+        Path(path).write_text(_SERIES_HEADER + "\n" + "".join(rows), encoding="utf-8")
 
 
-def write_preprocessed(out_dir: str | Path, series: RawSeries,
-                       std: StandardizedSeries, labels: ExtremeLabels) -> None:
-    """Emit `preprocessed.csv` plus a `transform.meta` sidecar."""
+def write_preprocessed(out_dir: str | Path, series: RawSeries, std: StandardizedSeries,
+                       labels: np.ndarray, epsilon: float) -> None:
+    """Emit `preprocessed.csv`, with the bool extreme `labels` of `std` at
+    `epsilon`, plus a `transform.meta` sidecar."""
     out_dir = Path(out_dir)
     path = out_dir / "preprocessed.csv"
     rows = (f"{ts},{val!r},{ext}\n" for ts, val, ext in zip(
         _format_timestamps(series.timestamps[1:]), std.values.tolist(),
-        labels.labels.astype(np.int8).tolist()))
+        labels.astype(np.int8).tolist()))
     with writing(path):
         out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(_PREPROCESSED_HEADER + "\n" + "".join(rows))
-    kvtext.write(out_dir / "transform.meta", transform_meta(std, labels.epsilon))
+        path.write_text(_PREPROCESSED_HEADER + "\n" + "".join(rows), encoding="utf-8")
+    kvtext.write(out_dir / "transform.meta", transform_meta(std, epsilon))
 
 
 def read_preprocessed(in_dir: str | Path):
@@ -565,11 +542,8 @@ def read_preprocessed(in_dir: str | Path):
     labels as a bool array, epsilon, the epoch seconds of each point). Rows
     are read as `read_series_csv` reads them, and must be hourly."""
     path = Path(in_dir) / "preprocessed.csv"
-    with reading(path):
-        lines = path.read_text().split("\n")  # newlines are universal
-    if lines[0].strip() != _PREPROCESSED_HEADER:
-        raise InvalidInputError(f"{path}: expected header {_PREPROCESSED_HEADER!r}")
-    stamps, (values, labels) = _parse_lines(path, lines[1:], lambda: 2, _value_and_label)
+    stamps, (values, labels) = _read_csv(path, _PREPROCESSED_HEADER, False,
+                                         _value_and_label)
     std, epsilon = read_transform_meta(Path(in_dir) / "transform.meta", values)
     return std, labels, epsilon, stamps
 

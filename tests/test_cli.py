@@ -56,13 +56,18 @@ def pipeline(tmp_path_factory):
     return root, csv, data, run, config
 
 
+def subprocess_env():
+    """The environment of a child Python that imports this necplus."""
+    src = str(Path(necplus.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_loads_no_scipy():
     """Every subcommand pays for what `necplus.cli` imports, and scipy is
     only a test dependency: the CLI loads none of it, and the GEV fit runs
     where it cannot be imported."""
-    src = str(Path(necplus.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = subprocess_env()
     probe = ("import sys, necplus.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
@@ -75,6 +80,30 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", blocked], env=env,
                             capture_output=True, text=True, timeout=120)
     assert (result.returncode, result.stdout.strip()) == (0, "True"), result.stderr
+
+
+def test_every_text_file_is_opened_as_utf8(tmp_path):
+    """The seven subcommands run with every open that falls back on the
+    locale's encoding turned into an error: each text file they write or
+    read is opened as UTF-8, whatever the platform."""
+    write_config(tmp_path / "config")
+    steps = [
+        ["synth", "--seed", "42", "--length", "2000", "--spike-rate", "0.01",
+         "--out", "series.csv"],
+        ["preprocess", "--input", "series.csv", "--out-dir", "data", "--epsilon", "1.5"],
+        ["fit-gmm", "--in-dir", "data", "--components", "2", "--seed", "0"],
+        ["train", "--config", "config", "--data", "data", "--out", "run"],
+        ["predict", "--run-dir", "run", "--input", "series.csv", "--out", "forecast.csv"],
+        ["evaluate", "--run-dir", "run", "--data", "data", "--split", "test",
+         "--baseline", "--wilcoxon"],
+        ["plotdata", "--run-dir", "run", "--data", "data", "--section", "0",
+         "--out", "plot.csv"]]
+    for argv in steps:
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "necplus.cli", *argv],
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, (argv, result.stderr)
 
 
 class TestExitCodes:
@@ -468,7 +497,8 @@ def whole_series_forecast(run_dir, csv, origin_stamp):
     filled = series.fill_gaps(series.read_series_csv(csv))
     std = series.standardize(filled, run.transform.location, run.transform.scale)
     features = engine.assemble_features(std.values, run.gmm)
-    origin = series.origin_index(filled, origin_stamp)
+    origin = (len(filled) - 1 if origin_stamp is None else
+              int(np.searchsorted(filled.timestamps, series._parse_timestamp(origin_stamp))))
     bundle = engine.predict(run.models, features[origin - config.h:origin],
                             anchor=filled.values[origin], transform=run.transform,
                             threshold=config.gate_threshold)
@@ -515,6 +545,25 @@ class TestPredictWindow:
         assert err.startswith(f"error: ConfigError: --origin-timestamp {origin!r}:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestTrainServeAgree:
+    """The two data paths to a forecast: `plotdata` reads the preprocessed
+    series, `predict` the raw CSV. Both must give the same raw forecast."""
+
+    def test_predict_before_each_test_section_equals_plotdata(self, pipeline, tmp_path):
+        _, csv, data, run, _ = pipeline
+        plot, forecast = tmp_path / "plot.csv", tmp_path / "forecast.csv"
+        for section in range(engine.load_run(run).config.holdout_sections):
+            assert main(["plotdata", "--run-dir", str(run), "--data", str(data),
+                         "--section", str(section), "--out", str(plot)]) == 0
+            rows = [line.split(",") for line in plot.read_text().splitlines()[1:]]
+            origin = series._format_timestamps(
+                series._parse_timestamp(rows[0][0]) - series.HOUR)
+            assert main(["predict", "--run-dir", str(run), "--input", str(csv),
+                         "--origin-timestamp", origin, "--out", str(forecast)]) == 0
+            raw = [line.split(",")[6] for line in forecast.read_text().splitlines()[1:]]
+            assert raw == [row[2] for row in rows]
 
 
 def fillable_away_from_window(cells, first, last):

@@ -232,7 +232,7 @@ class TestLabelExtremes:
         std = difference_standardize(make_series([0.0, 1.0, 3.0]))
         # values are exactly (-1, 1); epsilon 1.0 puts them on the boundary
         labels = label_extremes(std, 1.0)
-        assert not labels.labels.any()
+        assert not labels.any()
 
     @staticmethod
     def _std(values):
@@ -243,16 +243,16 @@ class TestLabelExtremes:
     def test_zero_always_normal(self):
         std = self._std([0.0])
         for eps in (0.01, 1.0, 10.0):
-            assert not label_extremes(std, eps).labels.any()
+            assert not label_extremes(std, eps).any()
 
     def test_hand_counted_fraction(self):
         labels = label_extremes(self._std([0.2, -0.2, 2.0, -2.0, 0.0]), 1.5)
-        assert labels.extreme_fraction == pytest.approx(2 / 5)
+        assert labels.mean() == pytest.approx(2 / 5)
 
     def test_fraction_monotone_in_epsilon(self):
         rng = np.random.default_rng(1)
         std = difference_standardize(make_series(np.cumsum(rng.normal(size=400))))
-        fracs = [label_extremes(std, e).extreme_fraction
+        fracs = [label_extremes(std, e).mean()
                  for e in (0.5, 1.0, 1.5, 2.0, 3.0)]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
@@ -304,19 +304,19 @@ class TestPreprocessedCsv:
         raw = make_series(np.random.default_rng(6).normal(size=30).cumsum(), "r1")
         std = difference_standardize(raw)
         labels = label_extremes(std, 1.0)
-        write_preprocessed(tmp_path, raw, std, labels)
+        write_preprocessed(tmp_path, raw, std, labels, 1.0)
         back, back_labels, epsilon, stamps = read_preprocessed(tmp_path)
         np.testing.assert_array_equal(back.values, std.values)
         assert (back.location, back.scale, back.anchor, back.source_id) == (
             std.location, std.scale, std.anchor, "r1")
-        np.testing.assert_array_equal(back_labels, labels.labels)
+        np.testing.assert_array_equal(back_labels, labels)
         assert epsilon == 1.0
         assert len(stamps) == len(std) and stamps[0] == HOUR
 
     def test_transform_meta_without_scale_names_file_and_key(self, tmp_path):
         raw = make_series([1.0, 2.0, 4.0, 3.0])
         std = difference_standardize(raw)
-        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5), 1.5)
         meta = tmp_path / "transform.meta"
         meta.write_text("".join(line for line in meta.read_text().splitlines(True)
                                 if not line.startswith("scale ")))
@@ -328,7 +328,7 @@ class TestPreprocessedCsv:
     def test_non_finite_transform_meta_names_file_and_key(self, tmp_path, key, value):
         raw = make_series([1.0, 2.0, 4.0, 3.0])
         std = difference_standardize(raw)
-        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5), 1.5)
         meta = tmp_path / "transform.meta"
         meta.write_text("".join(f"{key} {value}\n" if line.startswith(f"{key} ") else line
                                 for line in meta.read_text().splitlines(True)))
@@ -341,7 +341,7 @@ class TestPreprocessedCsv:
     def test_non_positive_transform_meta_names_file_and_key(self, tmp_path, key, value):
         raw = make_series([1.0, 2.0, 4.0, 3.0])
         std = difference_standardize(raw)
-        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5), 1.5)
         meta = tmp_path / "transform.meta"
         meta.write_text("".join(f"{key} {value}\n" if line.startswith(f"{key} ") else line
                                 for line in meta.read_text().splitlines(True)))
@@ -352,7 +352,7 @@ class TestPreprocessedCsv:
     def test_missing_header_names_file(self, tmp_path):
         raw = make_series([1.0, 2.0, 4.0, 3.0])
         std = difference_standardize(raw)
-        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5), 1.5)
         path = tmp_path / "preprocessed.csv"
         path.write_text("".join(path.read_text().splitlines(True)[1:]))
         with pytest.raises(InvalidInputError,
@@ -364,7 +364,7 @@ class TestPreprocessedCsv:
     def test_malformed_row_names_file_and_line(self, tmp_path, cells):
         raw = make_series([1.0, 2.0, 4.0, 3.0])
         std = difference_standardize(raw)
-        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5), 1.5)
         path = tmp_path / "preprocessed.csv"
         lines = path.read_text().splitlines()
         lines[2] = f"1970-01-01T02:00:00Z,{cells}"
@@ -381,7 +381,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def preprocessed_dirs(draw):
     """What `write_preprocessed` is given: the series it takes the stamps
-    from, the standardized series and the labels."""
+    from, the standardized series, the labels and epsilon."""
     n = draw(st.integers(1, 40))
     start = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9998, 1, 1)))
     values = draw(st.lists(st.one_of(st.sampled_from(EDGE_VALUES), FINITE),
@@ -392,7 +392,7 @@ def preprocessed_dirs(draw):
         values=np.array(values), location=draw(FINITE),
         scale=draw(st.floats(min_value=5e-324, allow_infinity=False)),
         anchor=draw(FINITE), source_id="r")
-    return raw, std, series.ExtremeLabels(draw(st.floats(1e-3, 1e3)), np.array(labels))
+    return raw, std, np.array(labels), draw(st.floats(1e-3, 1e3))
 
 
 def rewrite_lines(path, end="\n", blank_after=()):
@@ -412,16 +412,16 @@ class TestPreprocessedRows:
     @given(preprocessed_dirs(), st.sampled_from(["\n", "\r\n"]),
            st.lists(st.integers(0, 40), max_size=4))
     def test_round_trip_is_bit_exact(self, tmp_path_factory, written, end, blank_after):
-        raw, std, labels = written
+        raw, std, labels, written_epsilon = written
         out = tmp_path_factory.mktemp("pre")
-        write_preprocessed(out, raw, std, labels)
+        write_preprocessed(out, raw, std, labels, written_epsilon)
         rewrite_lines(out / "preprocessed.csv", end, [i for i in blank_after if i < len(std)])
         back, back_labels, epsilon, stamps = read_preprocessed(out)
         assert back.values.tobytes() == std.values.tobytes()
         assert (back.location, back.scale, back.anchor, back.source_id) == (
             std.location, std.scale, std.anchor, "r")
-        assert back_labels.tolist() == labels.labels.tolist()
-        assert epsilon == labels.epsilon
+        assert back_labels.tolist() == labels.tolist()
+        assert epsilon == written_epsilon
         assert stamps.dtype == np.int64 and stamps.tolist() == raw.timestamps[1:].tolist()
 
     @staticmethod
@@ -453,7 +453,7 @@ class TestPreprocessedRows:
         raw = make_series(np.random.default_rng(4).normal(size=30).cumsum())
         if reader == "read_preprocessed":
             std = difference_standardize(raw)
-            write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.0))
+            write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.0), 1.0)
             path = tmp_path / "preprocessed.csv"
         else:
             path = tmp_path / "s.csv"
@@ -484,7 +484,7 @@ class TestPreprocessedRows:
     def test_step_error_names_both_stamps(self, tmp_path):
         raw = make_series([1.0, 2.0, 4.0, 3.0, 5.0])
         std = difference_standardize(raw)
-        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5))
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5), 1.5)
         path = tmp_path / "preprocessed.csv"
         lines = path.read_text().splitlines()
         del lines[2]
@@ -546,7 +546,7 @@ class TestMalformedSeriesCsv:
         out = tmp_path_factory.mktemp("fuzz")
         raw = make_series([1.0, 2.0, 4.0])
         std = difference_standardize(raw)
-        write_preprocessed(out, raw, std, label_extremes(std, 1.5))
+        write_preprocessed(out, raw, std, label_extremes(std, 1.5), 1.5)
         (out / "preprocessed.csv").write_text(
             "timestamp,std_value,is_extreme\n" + "\n".join(rows) + "\n", encoding="utf-8")
         try:
