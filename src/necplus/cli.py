@@ -1,4 +1,4 @@
-"""Batch command-line frontend: argument parsing and printing only.
+"""Batch command-line frontend: arguments, each stage's library calls, output.
 
 Subcommands: synth, preprocess, fit-gmm, train, predict, evaluate,
 plotdata. Each one parses its arguments, calls the library (`series` for
@@ -74,8 +74,7 @@ def cmd_train(args) -> int:
     features = engine.assemble_features(std.values, gmm)
     split = sampling.make_split(len(std), config.split_spec())
     models, logs = engine.train_nec(config, features, labels, split)
-    engine.save_run(args.out, config, gmm, std, models, logs)
-    sampling.dump_split_csv(Path(args.out) / "split.csv", split)
+    engine.save_run(args.out, config, gmm, std, models, logs, split)
     for name in engine.MEMBERS:
         log = logs[name]
         print(f"{name}: best epoch {log.best_epoch}, "

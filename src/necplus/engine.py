@@ -14,12 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import distributions, evaluation, kvtext, series, sampling
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DimensionError,
-    writing,
-)
+from .errors import CheckpointError, ConfigError, writing
 from .neural import (
     NetStack,
     TrainConfig,
@@ -209,10 +204,6 @@ def predict(models: dict, window: np.ndarray, anchor,
     probability exceeds the threshold; composition happens on the
     standardized scale and the inversion to raw scale comes last.
     """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim not in (2, 3):
-        raise DimensionError(
-            f"expected (h, channels) or (S, h, channels), got {window.shape}")
     n_pred, e_pred, c_prob = forward_members([models[m] for m in MEMBERS], window)
     gate = c_prob > threshold
     composed = np.where(gate, e_pred, n_pred)
@@ -261,66 +252,61 @@ def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+# run-config key -> NecConfig field; each value parses as its field's
+# default is typed, and the holdout ranges as `_ranges_text` writes them
 CONFIG_KEYS = {
-    "input_length_h": ("h", int),
-    "forecast_length_f": ("f", int),
-    "extreme_threshold_epsilon": ("epsilon", float),
-    "gmm_components_m": ("gmm_components", int),
-    "loss_alpha": ("alpha", float),
-    "loss_beta": ("beta", float),
-    "gate_threshold": ("gate_threshold", float),
-    "holdout_sections": ("holdout_sections", int),
-    "val_ranges": ("val_ranges", _parse_ranges),
-    "test_ranges": ("test_ranges", _parse_ranges),
-    "split_seed": ("split_seed", int),
-    "max_epochs": ("max_epochs", int),
-    "lr_recurrent": ("lr_recurrent", float),
-    "lr_fc": ("lr_fc", float),
+    "input_length_h": "h",
+    "forecast_length_f": "f",
+    "extreme_threshold_epsilon": "epsilon",
+    "gmm_components_m": "gmm_components",
+    "loss_alpha": "alpha",
+    "loss_beta": "beta",
+    "gate_threshold": "gate_threshold",
+    "holdout_sections": "holdout_sections",
+    "val_ranges": "val_ranges",
+    "test_ranges": "test_ranges",
+    "split_seed": "split_seed",
+    "max_epochs": "max_epochs",
+    "lr_recurrent": "lr_recurrent",
+    "lr_fc": "lr_fc",
 }
 
-MODEL_KEYS = {
-    "batch_size": ("batch_size", int),
-    "hidden": ("hidden", int),
-    "layers": ("layers", int),
-    "volume": ("volume", int),
-    "oversampling_os": ("oversampling_os", float),
-    "seed": ("seed", int),
-    "patience": ("patience", int),
-}
+# ModelSpec fields, stored per member as `<member>_<field>`
+MODEL_KEYS = ("batch_size", "hidden", "layers", "volume", "oversampling_os",
+              "seed", "patience")
 
 
 def config_to_pairs(config: NecConfig) -> dict:
-    pairs: dict = {}
-    for key, (attr, _) in CONFIG_KEYS.items():
-        value = getattr(config, attr)
-        if attr in ("val_ranges", "test_ranges"):
-            value = _ranges_text(value)
-        pairs[key] = value
+    pairs = {key: getattr(config, attr) for key, attr in CONFIG_KEYS.items()}
+    for key in ("val_ranges", "test_ranges"):
+        pairs[key] = _ranges_text(pairs[key])
     for name in MEMBERS:
         spec = getattr(config, name)
-        for key, (attr, _) in MODEL_KEYS.items():
+        for key in MODEL_KEYS:
             if name == "n" and key == "oversampling_os":
                 continue  # the normal model never oversamples
-            pairs[f"{name}_{key}"] = getattr(spec, attr)
+            pairs[f"{name}_{key}"] = getattr(spec, key)
     return pairs
 
 
 def config_from_pairs(pairs: dict) -> NecConfig:
+    defaults = NecConfig()
     kwargs: dict = {}
     specs = {name: {} for name in MEMBERS}
     for key, raw in pairs.items():
         prefix, _, rest = key.partition("_")
         if key in CONFIG_KEYS:
-            (attr, conv), target = CONFIG_KEYS[key], kwargs
+            attr, target, owner = CONFIG_KEYS[key], kwargs, defaults
         elif prefix in MEMBERS and rest in MODEL_KEYS:
-            (attr, conv), target = MODEL_KEYS[rest], specs[prefix]
+            attr, target, owner = rest, specs[prefix], ModelSpec
         else:
             raise ConfigError(f"unknown config key {key!r}")
+        default = getattr(owner, attr)
         try:
-            target[attr] = conv(raw)
+            target[attr] = (_parse_ranges(raw) if isinstance(default, tuple)
+                            else type(default)(raw))
         except ValueError:
             raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
-    defaults = NecConfig()
     for name in MEMBERS:
         if specs[name]:
             kwargs[name] = replace(getattr(defaults, name), **specs[name])
@@ -337,7 +323,8 @@ def config_hash(config: NecConfig) -> str:
 
 def save_run(run_dir: str | Path, config: NecConfig,
              gmm: distributions.GmmModel, transform: series.StandardizedSeries,
-             models: dict, logs: dict | None = None) -> None:
+             models: dict, logs: dict, split: sampling.Split) -> None:
+    """Write the run's whole file set, `train.log` and `split.csv` included."""
     run_dir = Path(run_dir)
     with writing(run_dir):
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -349,14 +336,14 @@ def save_run(run_dir: str | Path, config: NecConfig,
         for name in MEMBERS:
             save_checkpoint(run_dir / f"{name}.ckpt", models[name],
                             extra_meta={"config_hash": digest})
-        if logs is not None:
-            with (run_dir / "train.log").open("w", encoding="utf-8") as fh:
-                for name in MEMBERS:
-                    log = logs[name]
-                    fh.write(f"model {name} best_epoch {log.best_epoch} "
-                             f"stopped_early {int(log.stopped_early)}\n")
-                    for i, (tl, vl) in enumerate(zip(log.train_losses, log.val_losses)):
-                        fh.write(f"model {name} epoch {i} train {tl!r} val {vl!r}\n")
+        with (run_dir / "train.log").open("w", encoding="utf-8") as fh:
+            for name in MEMBERS:
+                log = logs[name]
+                fh.write(f"model {name} best_epoch {log.best_epoch} "
+                         f"stopped_early {int(log.stopped_early)}\n")
+                for i, (tl, vl) in enumerate(zip(log.train_losses, log.val_losses)):
+                    fh.write(f"model {name} epoch {i} train {tl!r} val {vl!r}\n")
+        sampling.dump_split_csv(run_dir / "split.csv", split)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,13 @@ class Sgd:
             params[key] -= self.lr * grads[key]
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -36,8 +36,8 @@ class Adam:
             if key not in self.m:
                 self.m[key] = np.zeros_like(g)
                 self.v[key] = np.zeros_like(g)
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
-            m_hat = self.m[key] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[key] / (1 - self.beta2 ** self.t)
-            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[key] = BETA1 * self.m[key] + (1 - BETA1) * g
+            self.v[key] = BETA2 * self.v[key] + (1 - BETA2) * g * g
+            m_hat = self.m[key] / (1 - BETA1 ** self.t)
+            v_hat = self.v[key] / (1 - BETA2 ** self.t)
+            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -77,7 +77,8 @@ def gather_windows(features: np.ndarray, labels, origins, h: int,
 def _place_sections(ranges, count: int, f: int,
                     rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
     """Randomly place `count` non-overlapping f-length sections inside the
-    given ranges, allocating counts proportionally to range capacity."""
+    given ranges, dealt round-robin, largest capacity first, up to each
+    range's capacity: capacities 100 and 10 with 20 sections get 10 and 10."""
     if count == 0:
         return ()
     if not ranges:

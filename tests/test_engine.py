@@ -197,6 +197,25 @@ class TestConfigPairs:
             assert key in pairs
         assert "n_oversampling_os" not in pairs
 
+    def test_default_config_text_and_hash_are_pinned(self):
+        # every checkpoint carries this digest: a renamed, reordered or
+        # reformatted key orphans every saved run
+        config = engine.NecConfig()
+        assert kvtext.dumps(engine.config_to_pairs(config)) == (
+            "input_length_h 360\nforecast_length_f 72\n"
+            "extreme_threshold_epsilon 1.5\ngmm_components_m 3\n"
+            "loss_alpha 1.0\nloss_beta 1.0\ngate_threshold 0.5\n"
+            "holdout_sections 24\nval_ranges \ntest_ranges \nsplit_seed 0\n"
+            "max_epochs 50\nlr_recurrent 0.001\nlr_fc 0.0005\n"
+            "n_batch_size 32\nn_hidden 16\nn_layers 2\nn_volume 1000\n"
+            "n_seed 1\nn_patience 3\n"
+            "e_batch_size 32\ne_hidden 16\ne_layers 2\ne_volume 1000\n"
+            "e_oversampling_os 1.0\ne_seed 2\ne_patience 4\n"
+            "c_batch_size 32\nc_hidden 16\nc_layers 2\nc_volume 1000\n"
+            "c_oversampling_os 1.0\nc_seed 3\nc_patience 4\n")
+        assert engine.config_hash(config) == (
+            "9fd63cf1bc8a883256eee9b053429f9ef4f4fce4bfd589bd9e694b99b5916cf4")
+
     def test_unknown_key_rejected(self):
         pairs = engine.config_to_pairs(small_config())
         pairs["mystery_knob"] = 7
@@ -226,7 +245,7 @@ def trained_run(tmp_path_factory):
                                           location=0.1, scale=1.2,
                                           anchor=100.0, source_id="s1")
     run_dir = tmp_path_factory.mktemp("run")
-    engine.save_run(run_dir, config, gmm, transform, models, logs)
+    engine.save_run(run_dir, config, gmm, transform, models, logs, split)
     return run_dir, config, models, features
 
 
@@ -245,7 +264,7 @@ class TestRunPersistence:
     def test_expected_files(self, trained_run):
         run_dir = trained_run[0]
         for name in ("config", "gmm.model", "transform.meta", "n.ckpt",
-                     "e.ckpt", "c.ckpt", "train.log"):
+                     "e.ckpt", "c.ckpt", "train.log", "split.csv"):
             assert (run_dir / name).exists(), name
 
     def test_missing_member_rejected(self, trained_run, tmp_path):
