@@ -173,12 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="fill gaps, difference, standardize, label")
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--epsilon", type=float, default=1.5)
+    p.add_argument("--epsilon", type=float, default=engine.NecConfig.epsilon)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("fit-gmm", help="fit the mixture indicator model")
     p.add_argument("--in-dir", required=True)
-    p.add_argument("--components", "-m", type=int, default=3)
+    p.add_argument("--components", "-m", type=int,
+                   default=engine.NecConfig.gmm_components)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fit_gmm)
 

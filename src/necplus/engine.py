@@ -193,7 +193,7 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
 
 def predict(models: dict, window: np.ndarray, anchor,
             transform: series.StandardizedSeries,
-            threshold: float = 0.5) -> ForecastBundle:
+            threshold: float = NecConfig.gate_threshold) -> ForecastBundle:
     """Run the three members on one h-step feature window (h, channels), or
     on a stack of S windows (S, h, channels) with S anchors, and compose.
     The members run through `forward_members`: the LSTM layers of members

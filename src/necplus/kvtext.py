@@ -22,13 +22,17 @@ def dumps(pairs: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads(text: str) -> dict[str, str]:
+def loads(text: str, path) -> dict[str, str]:
+    """The pairs of the text of the file `path`; a key set twice raises
+    InvalidInputError naming the file and the key."""
     pairs: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
+        if key in pairs:
+            raise InvalidInputError(f"{path}: repeated key {key!r}")
         pairs[key] = value.strip()
     return pairs
 
@@ -40,7 +44,7 @@ def write(path: str | Path, pairs: dict) -> None:
 
 def read(path: str | Path) -> dict[str, str]:
     with reading(path):
-        return loads(Path(path).read_text(encoding="utf-8"))
+        return loads(Path(path).read_text(encoding="utf-8"), path)
 
 
 def get(pairs: dict[str, str], key: str, path, conv):

@@ -277,7 +277,7 @@ class NetStack:
         activations = self._head(seq[:, -1])
         out = activations[-1]
         return (out[0] if single else out), {"x": x, "lstm": caches,
-                                             "fc": activations, "single": single}
+                                             "fc": activations}
 
     def _lstm_params(self, layer: int):
         return (self.params[f"lstm{layer}_wx"], self.params[f"lstm{layer}_wh"],
@@ -303,9 +303,7 @@ class NetStack:
     def backward(self, cache, d_out) -> dict[str, np.ndarray]:
         """Backpropagate d_out (gradient w.r.t. the head output; for the
         classifier, w.r.t. the probabilities) into parameter gradients."""
-        d_out = np.asarray(d_out, dtype=np.float64)
-        if cache["single"] or d_out.ndim == 1:
-            d_out = np.atleast_2d(d_out)
+        d_out = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         activations = cache["fc"]
         n_fc = len(self.fc_sizes) - 1
@@ -368,20 +366,21 @@ def _wavefront_matrix(stacks):
     """The one matrix of a wavefront step for stacks of equal depth L and
     input width D, of merged width M (the sum of their widths).
 
-    A row of the state it multiplies is [h_0 ... h_{L-1} | x_t | 1]: every
-    layer's hidden state, the input and a one. Its 4·L·M columns are the
-    gate blocks i, f, g, o, each split as [layer 0 ... layer L-1] of width
-    M, and member m owns columns lo:hi of every layer's M. Layer l's gates
-    read its own hidden state through lstm{l}_wh, the state of layer l - 1
-    (the input, for layer 0) through lstm{l}_wx, and the one through
-    lstm{l}_b. Every other entry is zero: a member reads only its own
-    hidden slices.
+    A row of the state it multiplies is [h_0 ... h_{L-1} | x_t | a_0 ...
+    a_{L-1}]: every layer's hidden state, the input, and each layer's alive
+    input a_l, which is 1 once layer l has started and 0 before. Its 4·L·M
+    columns are the gate blocks i, f, g, o, each split as [layer 0 ... layer
+    L-1] of width M, and member m owns columns lo:hi of every layer's M.
+    Layer l's gates read its own hidden state through lstm{l}_wh, the state
+    of layer l - 1 (the input, for layer 0) through lstm{l}_wx, and a_l
+    through lstm{l}_b. Every other entry is zero: a member reads only its
+    own hidden slices.
     """
     depth, d_in = stacks[0].n_layers, stacks[0].input_dim
     bounds = np.cumsum([0] + [stack.width for stack in stacks])
     merged = bounds[-1]
     stacked = depth * merged
-    w = np.zeros((stacked + d_in + 1, 4, depth, merged))
+    w = np.zeros((stacked + d_in + depth, 4, depth, merged))
     for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:]):
         for layer in range(depth):
             p_wx, p_wh, p_b = stack._lstm_params(layer)
@@ -390,8 +389,8 @@ def _wavefront_matrix(stacks):
             own = slice(layer * merged + lo, layer * merged + hi)
             w[below, :, layer, lo:hi] = p_wx.reshape(4, hi - lo, -1).transpose(2, 0, 1)
             w[own, :, layer, lo:hi] = p_wh.reshape(4, hi - lo, -1).transpose(2, 0, 1)
-            w[-1, :, layer, lo:hi] = p_b.reshape(4, hi - lo)
-    return w.reshape(stacked + d_in + 1, 4 * stacked)
+            w[stacked + d_in + layer, :, layer, lo:hi] = p_b.reshape(4, hi - lo)
+    return w.reshape(stacked + d_in + depth, 4 * stacked)
 
 
 def _forward_wavefront(stacks, x):
@@ -401,9 +400,10 @@ def _forward_wavefront(stacks, x):
     Step s runs layer l at time s - l (Appleyard, Kocisky & Blunsom 2016,
     arXiv:1604.01946): one product of the state rows with
     `_wavefront_matrix`, then `lstm_forward`'s elementwise step over every
-    layer at once. After step s < L - 1 the layers above s, which ran
-    before their time 0, get back their zero state. The state is a few rows
-    per window, and no per-step array is kept. The sums differ in order
+    layer at once. Layer l's alive input turns 1 at step l: before it, every
+    input of the layer is zero, so its gates are 1/2, 1/2, 0, 1/2 and its
+    cell and hidden state stay exactly 0. The state is a few rows per
+    window, and no per-step array is kept. The sums differ in order
     from the layer-by-layer `forward`, so the outputs agree to rounding.
     """
     x, single = _as_batch(x, stacks[0].input_dim)
@@ -415,9 +415,8 @@ def _forward_wavefront(stacks, x):
     scale, shift = _gate_affine(stacked)
     w = _wavefront_matrix(stacks)
     w *= scale
-    state = np.zeros((batch, stacked + d_in + 1))
-    state[:, -1] = 1.0
-    hidden, x_t = state[:, :stacked], state[:, stacked:stacked + d_in]
+    state = np.zeros((batch, stacked + d_in + depth))
+    hidden, x_t, alive = np.split(state, [stacked, stacked + d_in], axis=1)
     z = np.empty((batch, 4 * stacked))
     gi, gf, gg, go = _gate_blocks(z)
     scale_rows = np.tile(scale, (batch, 1))
@@ -428,6 +427,8 @@ def _forward_wavefront(stacks, x):
     for s in range(steps + depth - 1):
         if s < steps:  # past T, layer 0 runs on; no output reads it
             x_t[...] = x[:, s]
+        if s < depth:
+            alive[:, s] = 1.0
         np.matmul(state, w, out=z)
         np.tanh(z, out=z)
         z *= scale_rows
@@ -436,9 +437,6 @@ def _forward_wavefront(stacks, x):
         cells += np.multiply(gi, gg, out=input_part)
         np.tanh(cells, out=tanh_c)
         np.multiply(go, tanh_c, out=hidden)
-        if s < depth - 1:
-            hidden[:, (s + 1) * merged:] = 0.0
-            cells[:, (s + 1) * merged:] = 0.0
     top = hidden[:, stacked - merged:]
     outs = [stack._head(top[:, lo:hi])[-1]
             for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:])]

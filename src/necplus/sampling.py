@@ -165,12 +165,10 @@ def draw_samples(features: np.ndarray, labels, h: int, f: int, volume: int,
         raise StratificationInfeasibleError(
             "oversampling requested but no extreme-containing window exists")
     rng = np.random.default_rng(seed)
-    chosen = []
-    if quota > 0:
-        chosen.append(rng.choice(extreme_origins, size=quota, replace=True))
-    if volume - quota > 0:
-        chosen.append(rng.choice(origins, size=volume - quota, replace=True))
-    return gather_windows(features, labels, np.concatenate(chosen), h, f)
+    # a draw of size 0 takes nothing from the generator
+    chosen = np.concatenate([rng.choice(extreme_origins, size=quota, replace=True),
+                             rng.choice(origins, size=volume - quota, replace=True)])
+    return gather_windows(features, labels, chosen, h, f)
 
 
 def dump_split_csv(path, split: Split) -> None:

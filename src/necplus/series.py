@@ -107,13 +107,13 @@ def _gap_runs(missing: np.ndarray) -> list[tuple[int, int]]:
 
 
 def fill_gaps(series: RawSeries) -> RawSeries:
-    """Fill missing runs by adaptive polynomial interpolation.
+    """Fill missing runs by polynomial interpolation.
 
     For a gap of length L, the k = ceil(L/2) nearest observed points on each
-    side anchor a least-squares polynomial whose degree (1..MAX_DEGREE) is
-    chosen to minimize the residual on those anchors, ties going to the
-    lower degree. Observed points are never modified. A gap longer than
-    MAX_GAP points is an error.
+    side anchor one least-squares polynomial of degree
+    min(MAX_DEGREE, 2k - 1): a cubic, or the line through the two anchors
+    of a gap of one or two points. Observed points are never modified. A
+    gap longer than MAX_GAP points is an error.
     """
     missing = series.missing
     if not missing.any():
@@ -153,17 +153,8 @@ def _fill_run(values: np.ndarray, observed: np.ndarray, start: int, stop: int,
     anchors = np.concatenate([left, right])
     t0 = 0.5 * (start + stop - 1)  # center for conditioning
     ta = anchors - t0
-    ya = values[anchors]
-    best = None
-    for degree in range(1, MAX_DEGREE + 1):
-        if degree >= len(anchors):
-            break  # underdetermined; lower degrees already interpolate
-        coeffs = np.polyfit(ta, ya, degree)
-        resid = float(np.sum((np.polyval(coeffs, ta) - ya) ** 2))
-        if best is None or resid < best[0]:
-            best = (resid, coeffs)
-    tg = np.arange(start, stop) - t0
-    values[start:stop] = np.polyval(best[1], tg)
+    coeffs = np.polyfit(ta, values[anchors], min(MAX_DEGREE, len(anchors) - 1))
+    values[start:stop] = np.polyval(coeffs, np.arange(start, stop) - t0)
 
 
 def difference_standardize(series: RawSeries) -> StandardizedSeries:
@@ -357,30 +348,36 @@ def _rows_start(path: Path, data, header: str, prefix: bool) -> int:
 
 
 def _parse_lines(path: Path, data, lo: int, hi: int, convert: Callable):
-    """`_parse_rows` of the whole text lines in the bytes data[lo:hi] of the
-    file `path`, decoded as UTF-8, skipping blank ones. A line is whole if
-    it starts at or after `lo`, which is past the header, and its end is
-    before `hi` or `hi` is the end of `data`.
-
-    If the rows do not parse, they are checked one by one, and the first
-    bad one is reported by its line number in the file, which is counted
-    only then. A row is bad if its stamp or cells do not parse, or if its
-    stamp is not one hour after the stamp of the row before it."""
+    """`_parse_numbered` of the whole text lines in the bytes data[lo:hi] of
+    the file `path`: those that start at or after `lo`, which is past the
+    header, and end before `hi` or at the end of `data`."""
     match = _NEWLINE.search(data, lo - 1, hi)  # at lo - 1 if lo starts a line
     start = match.end() if match else hi
     end = hi
     if hi < len(data):
         end = max(data.rfind(b"\n", start, hi), data.rfind(b"\r", start, hi)) + 1
-    text = data[start:end].decode()
+    return _parse_numbered(path, _lines(data[start:end].decode()),
+                           lambda: 1 + len(_NEWLINE.findall(data, 0, start)), convert)
+
+
+def _lines(text: str) -> list[str]:
     if "\r" in text:  # newlines are universal
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    del text  # before the parse, to keep the peak memory low
+    return text.split("\n")
+
+
+def _parse_numbered(path: Path, lines: list[str], first_line: Callable[[], int],
+                    convert: Callable):
+    """`_parse_rows` of the non-blank `lines` of the file `path`, the first
+    of them on line `first_line()`. If the rows do not parse, they are
+    checked one by one, and the first bad one is reported by its line
+    number: a row whose stamp or cells do not parse, or whose stamp is not
+    one hour after the stamp of the row before it."""
     try:
         return _parse_rows(list(filter(None, map(str.strip, lines))), convert)
     except (ValueError, OverflowError):
         last = None
-        for lineno, line in enumerate(map(str.strip, lines), _line_count(data, start) + 1):
+        for lineno, line in enumerate(map(str.strip, lines), first_line()):
             if not line:
                 continue
             ts_text, _, cells = line.partition(",")
@@ -396,17 +393,14 @@ def _parse_lines(path: Path, data, lo: int, hi: int, convert: Callable):
         raise
 
 
-def _line_count(data, end: int) -> int:
-    """How many lines end in the first `end` bytes of `data`."""
-    return len(_NEWLINE.findall(data, 0, end))
-
-
 def _read_csv(path: Path, header: str, prefix: bool, convert: Callable):
     """(timestamps, converted cells) of every row of the CSV file `path`
-    whose header `_rows_start` checks."""
-    with reading(path), _mapped(path) as data:
-        return _parse_lines(path, data, _rows_start(path, data, header, prefix),
-                            len(data), convert)
+    whose header `_rows_start` checks, parsed once the file is unmapped:
+    its rows start on line 2."""
+    with reading(path):
+        with _mapped(path) as data:
+            lines = _lines(data[_rows_start(path, data, header, prefix):].decode())
+        return _parse_numbered(path, lines, lambda: 2, convert)
 
 
 def read_series_csv(path: str | Path) -> RawSeries:

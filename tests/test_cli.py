@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import necplus
 from necplus import engine, evaluation, kvtext, sampling, series
-from necplus.cli import main
+from necplus.cli import build_parser, main
 from necplus.errors import NecError
 
 
@@ -158,6 +159,17 @@ class TestExitCodes:
         assert err.startswith("error: InvalidInputError:")
         assert "seed must be non-negative" in err
         assert (data / "gmm.model").read_text() == before
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = build_parser()
+    defaults = engine.NecConfig()
+    preprocess = parser.parse_args(["preprocess", "--input", "s.csv", "--out-dir", "d"])
+    fit_gmm = parser.parse_args(["fit-gmm", "--in-dir", "d"])
+    assert preprocess.epsilon == defaults.epsilon
+    assert fit_gmm.components == defaults.gmm_components
+    threshold = inspect.signature(engine.predict).parameters["threshold"].default
+    assert threshold == defaults.gate_threshold
 
 
 class TestPipeline:
@@ -378,12 +390,33 @@ class TestMalformedInput:
         _, _, data, _, _ = pipeline
         config = tmp_path / "config"
         write_config(config)
-        config.write_text(config.read_text() + line + "\n")
+        key = line.split()[0]
+        kept = [row for row in config.read_text().splitlines(True)
+                if row.split()[0] != key]  # a key set twice is its own error
+        config.write_text("".join(kept) + line + "\n")
         code = main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ConfigError:") and line.split()[0] in err
+        assert err.startswith("error: ConfigError:") and key in err
+
+    @pytest.mark.parametrize("name", ["config", "transform.meta", "gmm.model"])
+    def test_repeated_key_exits_one(self, pipeline, tmp_path, capsys, name):
+        # the file's first line again: the key is set twice
+        data = tmp_path / "data"
+        shutil.copytree(pipeline[2], data)
+        config = tmp_path / "config"
+        write_config(config)
+        path = config if name == "config" else data / name
+        text = path.read_text()
+        path.write_text(text + text.splitlines()[0] + "\n")
+        key = text.split()[0]
+        code = main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: InvalidInputError: {path}: repeated key {key!r}\n")
+        assert not (tmp_path / "run").exists()
 
     def test_bad_series_cell_exits_one(self, tmp_path, capsys):
         csv = tmp_path / "series.csv"

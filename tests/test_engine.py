@@ -339,7 +339,7 @@ def test_fuzzed_config_raises_only_domain_errors(pairs):
     lines = [f"{key} {value}" for key, value in pairs.items()
              if key.strip() and " " not in key and "\n" not in key]
     try:
-        config = engine.config_from_pairs(kvtext.loads("\n".join(lines)))
+        config = engine.config_from_pairs(kvtext.loads("\n".join(lines), "config"))
     except NecError:
         return
     assert isinstance(config, engine.NecConfig)
@@ -349,7 +349,7 @@ def test_fuzzed_config_raises_only_domain_errors(pairs):
 @given(st.text(max_size=200))
 def test_fuzzed_config_text_raises_only_domain_errors(text):
     try:
-        engine.config_from_pairs(kvtext.loads(text))
+        engine.config_from_pairs(kvtext.loads(text, "config"))
     except NecError:
         pass
 

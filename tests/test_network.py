@@ -333,11 +333,11 @@ class TestForwardMembers:
         np.testing.assert_array_equal(fused[3], np.arange(3.0))
 
     def test_wavefront_matrix_layout(self):
-        # a state row [h_0 .. h_{L-1} | x | 1] times the matrix gives, in
-        # the columns [i|f|g|o] x [layer] x [member], each member's own gate
-        # pre-activations of each layer: its input from the layer below (x
-        # for layer 0), its own hidden state and its bias, and nothing of
-        # any other member
+        # a state row [h_0 .. h_{L-1} | x | a_0 .. a_{L-1}] times the matrix
+        # gives, in the columns [i|f|g|o] x [layer] x [member], each
+        # member's own gate pre-activations of each layer: its input from
+        # the layer below (x for layer 0), its own hidden state and its bias
+        # times its alive input a_l, and nothing of any other member
         widths, depth = (3, 4, 2), 3
         stacks = trained_like_members(widths=widths, layers=(depth,) * 3)
         w = network._wavefront_matrix(stacks)
@@ -345,14 +345,15 @@ class TestForwardMembers:
         rng = np.random.default_rng(35)
         hidden = [[rng.normal(size=width) for width in widths] for _ in range(depth)]
         x = rng.normal(size=2)
-        state = np.concatenate([*map(np.concatenate, hidden), x, [1.0]])
+        alive = rng.normal(size=depth)
+        state = np.concatenate([*map(np.concatenate, hidden), x, alive])
         z = (state @ w).reshape(4, depth, sum(widths))
         bounds = np.cumsum([0, *widths])
         for m, (stack, lo, hi) in enumerate(zip(stacks, bounds[:-1], bounds[1:])):
             for layer in range(depth):
                 w_x, w_h, b = stack._lstm_params(layer)
                 below = x if layer == 0 else hidden[layer - 1][m]
-                want = w_x @ below + w_h @ hidden[layer][m] + b
+                want = w_x @ below + w_h @ hidden[layer][m] + alive[layer] * b
                 np.testing.assert_allclose(z[:, layer, lo:hi], want.reshape(4, -1),
                                            rtol=0, atol=1e-14)
 

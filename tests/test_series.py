@@ -68,6 +68,17 @@ class TestFillGaps:
         filled = fill_gaps(s)
         np.testing.assert_allclose(filled.values, [2, 4, 6, 8, 10, 12], atol=1e-9)
 
+    def test_one_polynomial_of_the_top_degree(self):
+        # four anchors fit a cubic, even when they lie on a line: a search
+        # over degrees by residual on the anchors would pick the line
+        t = np.arange(20, dtype=np.float64)
+        vals = 3 * t + 2
+        vals[8:12] = np.nan
+        filled = fill_gaps(make_series(vals))
+        ta = np.array([6.0, 7.0, 12.0, 13.0]) - 9.5
+        want = np.polyval(np.polyfit(ta, 3 * (ta + 9.5) + 2, 3), t[8:12] - 9.5)
+        np.testing.assert_array_equal(filled.values[8:12], want)
+
     def test_quadratic_gap(self):
         t = np.arange(20, dtype=np.float64)
         vals = t**2
