@@ -1,12 +1,12 @@
 """Stacked-LSTM networks with a fully-connected head, implemented directly
 in numpy with analytic backpropagation through time.
 
-The LSTM kernel works time-major: the input projection of all steps is one
-GEMM before the recurrence, and the weight gradients are GEMMs over all
-steps after it, so the Python loop over timesteps holds only the true
-h -> h dependency. Every sigmoid uses the form 0.5 + 0.5 tanh(z/2), which
-needs no masks and cannot overflow; inside the kernel one tanh covers all
-four gate blocks of a step.
+The LSTM kernels work time-major: the input projection of all steps is one
+GEMM before the recurrence, and the weight gradients are GEMMs over many
+steps at once, so the Python loop over timesteps holds only the true
+h -> h dependency. Every sigmoid uses the form 0.5 + 0.5 tanh(z/2),
+which needs no masks and cannot overflow; inside a kernel one tanh covers
+all four gate blocks of a step.
 
 A :class:`NetStack` holds one of the three member models: the normal (N) and
 extreme (E) regressors use 3 tapering affine layers after the top LSTM; the
@@ -14,11 +14,15 @@ classifier (C) uses a single affine layer of f units under a sigmoid.
 Parameters live in a flat name -> array dict so optimizers and the gradient
 checker can treat them uniformly.
 
-Two paths run a forward. `NetStack.forward` is the reference: one stack,
-layer by layer through `lstm_forward`; training and its validation use it.
-Serving uses `forward_members`, which runs every layer of every member as
-one wavefront of T + L - 1 steps over a state of a few rows per window
-(`_forward_wavefront`); its outputs match the reference to rounding.
+`NetStack.forward` is the reference forward: one stack, layer by layer
+through `lstm_forward`; training's validation and the tests use it. The
+other paths run every layer as one wavefront of T + L - 1 steps, in which
+step s runs layer l at time s - l over one state row per window, and match
+the reference to rounding. Training (`NetStack.loss_and_grads`) keeps each
+step in `_forward_cached` and walks the same steps back in `backward`, a
+chunk of steps at a time. Serving (`forward_members`) runs every member of
+equal depth in one wavefront that keeps a few rows per window
+(`_forward_wavefront`).
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ from .losses import classifier_loss, masked_mse_loss
 
 CHECKPOINT_VERSION = 2
 HEAD_KINDS = ("normal", "extreme", "classifier")
+# Steps of the reverse wavefront whose tanh(c) and dz `NetStack.backward`
+# forms at once, in buffers of this many steps however long the window. At
+# B = 32, W = 16, L = 2, chunks of 8 and 16 steps ran at the same speed and
+# faster than 32, and 8 has the smallest peak
+BACKWARD_CHUNK = 8
 
 
 def _sigmoid(z):
@@ -63,6 +72,25 @@ def _gate_affine(width: int):
     scale[2 * width:3 * width] = 1.0
     shift[2 * width:3 * width] = 0.0
     return scale, shift
+
+
+def _gate_derivatives(gates, cells_prev, tanh_c, out=None):
+    """dz (steps, B, 4W), written to `out` if given: the derivative of each
+    activated gate w.r.t. its pre-activation, times the factor it meets in
+    dc (i, f, g) or in dh (o), from the forward's gates, the cells they
+    started from and tanh of the cells they made."""
+    gi, gf, gg, go = _gate_blocks(gates)
+    dz = np.subtract(1.0, gates, out=out)
+    dz_i, dz_f, dz_g, dz_o = _gate_blocks(dz)
+    # sigmoid' = s(1 - s) on every block, then tanh' = 1 - g^2 on g
+    dz *= gates
+    np.multiply(gg, gg, out=dz_g)
+    np.subtract(1.0, dz_g, out=dz_g)
+    dz_i *= gg
+    dz_f *= cells_prev
+    dz_g *= gi
+    dz_o *= tanh_c
+    return dz
 
 
 def lstm_forward(w_x, w_h, b, x):
@@ -121,6 +149,11 @@ def lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
     (d_wx, d_wh, d_b, d_x). The cache of `lstm_forward` is read, never
     written.
 
+    Training does not run it: `NetStack.backward` walks the wavefront. It
+    stays in the package as the layer-by-layer path the tests compare
+    training's memory with, and because the benchmark's tracer wraps it by
+    name; it moves to the tests once the tracer no longer names it.
+
     The local derivatives of all four gates for all steps are formed first
     in one time-major dz (T, B, 4W). The loop over steps then keeps only the
     dh/dc recurrence: it scales dz[t] in place by dc (i, f, g) or dh (o) and
@@ -131,19 +164,8 @@ def lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
     steps, batch, four_w = gates.shape
     width = four_w // 4
     d_in = x.shape[2]
-    gi, gf, gg, go = _gate_blocks(gates)
-    dz = np.empty_like(gates)
-    dz_i, dz_f, dz_g, dz_o = _gate_blocks(dz)
-    # sigmoid' = s(1 - s) on every block, then tanh' = 1 - g^2 on g
-    np.subtract(1.0, gates, out=dz)
-    dz *= gates
-    np.multiply(gg, gg, out=dz_g)
-    np.subtract(1.0, dz_g, out=dz_g)
-    # times the factor each gate meets in dc (i, f, g) or in dh (o)
-    dz_i *= gg
-    dz_f *= cells[:-1]
-    dz_g *= gi
-    dz_o *= tanh_c
+    _, gf, _, go = _gate_blocks(gates)
+    dz = _gate_derivatives(gates, cells[:-1], tanh_c)
     # dh reaches dc through h = o * tanh(c)
     dc_dh = np.multiply(tanh_c, tanh_c)
     np.subtract(1.0, dc_dh, out=dc_dh)
@@ -255,8 +277,9 @@ class NetStack:
     def forward(self, x):
         """Predict f values (probabilities for the classifier head) from a
         batch (B, h, input_dim) or a single window (h, input_dim), keeping
-        no gradient cache: `lstm_forward` layer by layer, the reference
-        that training's validation and `forward_members` are held to."""
+        no gradient cache: `lstm_forward` layer by layer. Training's
+        validation runs it, and the wavefronts of `_forward_cached` and
+        `forward_members` are held to it."""
         x, single = _as_batch(x, self.input_dim)
         seq = x
         for layer in range(self.n_layers):
@@ -266,18 +289,58 @@ class NetStack:
         return out[0] if single else out
 
     def _forward_cached(self, x):
-        """(`forward(x)`, the cache `backward` reads): the input, each
-        layer's hidden states and LSTM cache, and the head's activations."""
+        """(`forward(x)`, the cache `backward` reads), every layer in one
+        wavefront of S = T + L - 1 steps that keeps each step.
+
+        The steps are those of `_forward_wavefront` on this stack alone: the
+        state row [h_0 ... h_{L-1} | x_t | a_0 ... a_{L-1}] of step s times
+        `_wavefront_matrix([self])` gives every layer's gates, layer l at
+        time s - l. x is zero past T. The input and alive projection of all
+        steps is one GEMM before the loop, which adds only the hidden part.
+        The cache holds the state rows (S + 1, B, K), the last row's hidden
+        part the final one; the activated gates (S, B, 4LW); the cells
+        (S + 1, B, LW), cells[0] = 0; the unscaled matrix; and the head's
+        activations.
+        """
         x, single = _as_batch(x, self.input_dim)
-        caches = []
-        seq = x
-        for layer in range(self.n_layers):
-            seq, cache = lstm_forward(*self._lstm_params(layer), seq)
-            caches.append((seq, cache))
-        activations = self._head(seq[:, -1])
+        batch, steps, d_in = x.shape
+        depth = self.n_layers
+        stacked = depth * self.width
+        n_steps = steps + depth - 1
+        w = _wavefront_matrix([self])
+        scale, shift = _gate_affine(stacked)
+        w_scaled = w * scale
+        states = np.zeros((n_steps + 1, batch, stacked + d_in + depth))
+        states[:steps, :, stacked:stacked + d_in] = x.transpose(1, 0, 2)
+        # a_l is 1 from step l on
+        states[:n_steps, :, stacked + d_in:] = (
+            np.arange(n_steps)[:, None, None] >= np.arange(depth))
+        gates = np.empty((n_steps, batch, 4 * stacked))
+        np.matmul(states[:n_steps, :, stacked:].reshape(-1, d_in + depth),
+                  w_scaled[stacked:], out=gates.reshape(-1, 4 * stacked))
+        w_h = w_scaled[:stacked]
+        scale_rows = np.tile(scale, (batch, 1))
+        shift_rows = np.tile(shift, (batch, 1))
+        cells = np.zeros((n_steps + 1, batch, stacked))
+        tanh_c = np.empty((batch, stacked))
+        gi, gf, gg, go = _gate_blocks(gates)
+        input_part = np.empty((batch, stacked))
+        for s in range(n_steps):
+            z = gates[s]
+            if s:
+                z += states[s, :, :stacked] @ w_h
+            np.tanh(z, out=z)
+            z *= scale_rows
+            z += shift_rows
+            np.multiply(gf[s], cells[s], out=cells[s + 1])
+            cells[s + 1] += np.multiply(gi[s], gg[s], out=input_part)
+            np.tanh(cells[s + 1], out=tanh_c)
+            np.multiply(go[s], tanh_c, out=states[s + 1, :, :stacked])
+        activations = self._head(states[n_steps, :, stacked - self.width:stacked])
         out = activations[-1]
-        return (out[0] if single else out), {"x": x, "lstm": caches,
-                                             "fc": activations}
+        return (out[0] if single else out), {
+            "states": states, "gates": gates, "cells": cells, "w": w,
+            "fc": activations}
 
     def _lstm_params(self, layer: int):
         return (self.params[f"lstm{layer}_wx"], self.params[f"lstm{layer}_wh"],
@@ -302,7 +365,19 @@ class NetStack:
 
     def backward(self, cache, d_out) -> dict[str, np.ndarray]:
         """Backpropagate d_out (gradient w.r.t. the head output; for the
-        classifier, w.r.t. the probabilities) into parameter gradients."""
+        classifier, w.r.t. the probabilities) into parameter gradients,
+        reading the cache of `_forward_cached` and never writing it.
+
+        The LSTM part is a reverse wavefront over the forward's steps, a
+        chunk of BACKWARD_CHUNK steps at a time: the chunk's tanh(c) and dz
+        are formed from the cache, the loop scales dz[s] by dc (i, f, g) or
+        dh (o) and feeds dz[s] @ W[:LW].T back one step, to every layer's
+        own hidden state and the one below, and one GEMM adds the chunk's
+        state rows times its dz into the gradient of the wavefront matrix.
+        Each layer's wx, wh and b are blocks of it. A layer that has not
+        started reads only zero state rows and a_l = 0, and a step past T
+        gets no gradient, so neither adds anything to a block.
+        """
         d_out = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         activations = cache["fc"]
@@ -318,21 +393,43 @@ class NetStack:
             grads[f"fc{i}_b"] = delta.sum(axis=0)
             delta = delta @ self.params[f"fc{i}_w"]
         # delta is now the gradient w.r.t. the top layer's last hidden state
-        batch = delta.shape[0]
-        d_hidden = None
-        for layer in reversed(range(self.n_layers)):
-            hidden, layer_cache = cache["lstm"][layer]
-            if d_hidden is None:
-                d_hidden = np.zeros_like(hidden)
-                d_hidden[:, -1] = delta
-            x_in = cache["lstm"][layer - 1][0] if layer > 0 else cache["x"]
-            d_wx, d_wh, d_b, d_x = lstm_backward(
-                self.params[f"lstm{layer}_wx"], self.params[f"lstm{layer}_wh"],
-                x_in, hidden, layer_cache, d_hidden)
-            grads[f"lstm{layer}_wx"] = d_wx
-            grads[f"lstm{layer}_wh"] = d_wh
-            grads[f"lstm{layer}_b"] = d_b
-            d_hidden = d_x
+        states, gates, cells, w = (
+            cache[k] for k in ("states", "gates", "cells", "w"))
+        n_steps, batch, four_stacked = gates.shape
+        stacked = four_stacked // 4
+        w_h_t = w[:stacked].T
+        _, gf, _, go = _gate_blocks(gates)
+        d_w = np.zeros_like(w)
+        dh = np.zeros((batch, stacked))
+        dh[:, stacked - self.width:] = delta
+        dc_next = np.zeros((batch, stacked))
+        # one chunk's dz and tanh(c), written over for every chunk
+        dz_rows = np.empty((min(BACKWARD_CHUNK, n_steps), batch, four_stacked))
+        tanh_rows = np.empty(dz_rows.shape[:2] + (stacked,))
+        for lo in reversed(range(0, n_steps, BACKWARD_CHUNK)):
+            hi = min(lo + BACKWARD_CHUNK, n_steps)
+            tanh_c = np.tanh(cells[lo + 1:hi + 1], out=tanh_rows[:hi - lo])
+            dz = _gate_derivatives(gates[lo:hi], cells[lo:hi], tanh_c,
+                                   out=dz_rows[:hi - lo])
+            # dh reaches dc through h = o * tanh(c)
+            dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            dc_dh *= go[lo:hi]
+            for s in reversed(range(lo, hi)):
+                dc = dh * dc_dh[s - lo]
+                dc += dc_next
+                dz[s - lo] *= np.concatenate((dc, dc, dc, dh), axis=1)
+                np.multiply(dc, gf[s], out=dc_next)
+                dh = dz[s - lo] @ w_h_t
+            d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
+                    @ dz.reshape(-1, four_stacked))
+        d_w = d_w.reshape(-1, 4, self.n_layers, self.width)
+        for layer in range(self.n_layers):
+            below, own, alive = _layer_rows(layer, self.n_layers, self.width,
+                                            self.input_dim, 0, self.width)
+            grads[f"lstm{layer}_wx"] = _param_block(d_w[below, :, layer])
+            grads[f"lstm{layer}_wh"] = _param_block(d_w[own, :, layer])
+            grads[f"lstm{layer}_b"] = d_w[alive, :, layer].reshape(-1)
         for key, grad in grads.items():
             if not np.all(np.isfinite(grad)):
                 raise NumericInstabilityError(f"non-finite gradient in {key}")
@@ -384,13 +481,29 @@ def _wavefront_matrix(stacks):
     for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:]):
         for layer in range(depth):
             p_wx, p_wh, p_b = stack._lstm_params(layer)
-            below = (slice(stacked, stacked + d_in) if layer == 0
-                     else slice((layer - 1) * merged + lo, (layer - 1) * merged + hi))
-            own = slice(layer * merged + lo, layer * merged + hi)
+            below, own, alive = _layer_rows(layer, depth, merged, d_in, lo, hi)
             w[below, :, layer, lo:hi] = p_wx.reshape(4, hi - lo, -1).transpose(2, 0, 1)
             w[own, :, layer, lo:hi] = p_wh.reshape(4, hi - lo, -1).transpose(2, 0, 1)
-            w[stacked + d_in + layer, :, layer, lo:hi] = p_b.reshape(4, hi - lo)
+            w[alive, :, layer, lo:hi] = p_b.reshape(4, hi - lo)
     return w.reshape(stacked + d_in + depth, 4 * stacked)
+
+
+def _layer_rows(layer, depth, merged, d_in, lo, hi):
+    """(below, own, alive): the rows of a wavefront state [h_0 ... h_{L-1} |
+    x | a_0 ... a_{L-1}] that layer `layer` of the member owning lo:hi of
+    each layer's merged width reads through lstm{l}_wx, lstm{l}_wh and
+    lstm{l}_b."""
+    stacked = depth * merged
+    below = (slice(stacked, stacked + d_in) if layer == 0
+             else slice((layer - 1) * merged + lo, (layer - 1) * merged + hi))
+    own = slice(layer * merged + lo, layer * merged + hi)
+    return below, own, stacked + d_in + layer
+
+
+def _param_block(block):
+    """A weight's gradient (4W, n) from its block (n, 4, W) of the
+    gradient of `_wavefront_matrix`."""
+    return block.transpose(1, 2, 0).reshape(4 * block.shape[2], -1)
 
 
 def _forward_wavefront(stacks, x):

@@ -109,6 +109,44 @@ def _layer_inputs(steps=48, batch=5, d_in=3, width=6, seed=20):
     return w_x, w_h, b, x, d_hidden
 
 
+def perturbed(model, rng):
+    """The model, every parameter moved away from its init (biases too)."""
+    for key, value in model.params.items():
+        model.params[key] = value + rng.normal(scale=0.1, size=value.shape)
+    return model
+
+
+def reference_loss_and_grads(model, x, target, labels):
+    """`model.loss_and_grads` composed layer by layer from the per-step
+    reference LSTM, with the head's backward written out."""
+    seqs, caches = [x], []
+    for layer in range(model.n_layers):
+        hidden, cache = reference_lstm_forward(*model._lstm_params(layer), seqs[-1])
+        seqs.append(hidden)
+        caches.append(cache)
+    activations = model._head(seqs[-1][:, -1])
+    loss, delta = model.loss(activations[-1], target, labels)
+    grads = {}
+    n_fc = len(model.fc_sizes) - 1
+    for i in reversed(range(n_fc)):
+        out = activations[i + 1]
+        if model.head_kind == "classifier":
+            delta = delta * out * (1.0 - out)
+        elif i < n_fc - 1:
+            delta = delta * (1.0 - out * out)
+        grads[f"fc{i}_w"] = delta.T @ activations[i]
+        grads[f"fc{i}_b"] = delta.sum(axis=0)
+        delta = delta @ model.params[f"fc{i}_w"]
+    d_hidden = np.zeros_like(seqs[-1])
+    d_hidden[:, -1] = delta
+    for layer in reversed(range(model.n_layers)):
+        w_x, w_h, _ = model._lstm_params(layer)
+        (grads[f"lstm{layer}_wx"], grads[f"lstm{layer}_wh"], grads[f"lstm{layer}_b"],
+         d_hidden) = reference_lstm_backward(w_x, w_h, seqs[layer], seqs[layer + 1],
+                                             caches[layer], d_hidden)
+    return loss, {key: grads[key] for key in model.params}
+
+
 def _assert_head_loss_is(loss_kind, model, out, target, mask, labels,
                          alpha=1.0, beta=1.0):
     """The head's loss is `loss_kind`: a masked MSE over `mask` (the
@@ -135,27 +173,33 @@ class TestAgainstReference:
             np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("head,loss_kind", [
-        ("normal", "masked_mse"), ("classifier", "classifier")])
-    def test_stack(self, head, loss_kind, monkeypatch):
+        ("normal", "masked_mse"), ("classifier", "classifier"),
+        ("extreme", "masked_mse")])
+    def test_stack(self, head, loss_kind):
+        # T = 48 and 70 span several of the backward's chunks, and 70 is no
+        # multiple of one; T = 1 is one step per layer
         rng = np.random.default_rng(21)
-        model = NetStack(head, input_dim=3, width=6, n_layers=2, horizon=4,
-                         seed=22)
-        x = rng.normal(size=(5, 48, 3))
-        target = rng.normal(size=(5, 4))
-        mask = rng.uniform(size=(5, 4)) < 0.5
-        # the normal head fits the positions its labels mark normal
-        labels = ~mask if head == "normal" else mask
-        out = model.forward(x)
-        _assert_head_loss_is(loss_kind, model, out, target, mask, labels)
-        loss, grads = model.loss_and_grads(x, target, labels)
-        monkeypatch.setattr(network, "lstm_forward", reference_lstm_forward)
-        monkeypatch.setattr(network, "lstm_backward", reference_lstm_backward)
-        np.testing.assert_allclose(out, model.forward(x), rtol=1e-12)
-        ref_loss, ref_grads = model.loss_and_grads(x, target, labels)
-        assert loss == pytest.approx(ref_loss, rel=1e-12)
-        for key in grads:
-            np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12,
-                                       err_msg=key)
+        for n_layers in (1, 2, 3):
+            model = perturbed(NetStack(head, input_dim=3, width=6,
+                                       n_layers=n_layers, horizon=4, seed=22),
+                              rng)
+            for steps in (1, 48, 70):
+                x = rng.normal(size=(5, steps, 3))
+                target = rng.normal(size=(5, 4))
+                mask = rng.uniform(size=(5, 4)) < 0.5
+                # the normal head fits the positions its labels mark normal
+                labels = ~mask if head == "normal" else mask
+                _assert_head_loss_is(loss_kind, model, model.forward(x), target,
+                                     mask, labels)
+                loss, grads = model.loss_and_grads(x, target, labels)
+                ref_loss, ref_grads = reference_loss_and_grads(model, x, target,
+                                                               labels)
+                assert loss == pytest.approx(ref_loss, rel=1e-12)
+                assert list(grads) == list(ref_grads)
+                for key in grads:
+                    np.testing.assert_allclose(
+                        grads[key], ref_grads[key], rtol=1e-12,
+                        err_msg=f"{key}, L={n_layers}, T={steps}")
 
 
 class TestLstmForward:
@@ -249,13 +293,16 @@ class TestNetStackForward:
 
     @pytest.mark.parametrize("head", ["normal", "classifier"])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    def test_output_without_cache_equals_cached_output(self, head, n_layers):
+    def test_output_without_cache_matches_cached_output(self, head, n_layers):
+        # training's cached forward is a wavefront, `forward` runs layer by
+        # layer: the sums differ in order (at most 3.5e-18 measured)
         model = NetStack(head, input_dim=3, width=6, n_layers=n_layers,
                          horizon=4, seed=5)
         for shape in [(20, 3), (7, 20, 3)]:
             x = np.random.default_rng(6).normal(size=shape)
-            np.testing.assert_array_equal(model.forward(x),
-                                          model._forward_cached(x)[0])
+            cached = model._forward_cached(x)[0]
+            assert cached.shape == model.forward(x).shape
+            np.testing.assert_allclose(cached, model.forward(x), rtol=0, atol=1e-15)
 
     def test_without_cache_each_layer_cache_is_freed(self):
         """A forward without cache peaks at one layer's working set, however
@@ -280,13 +327,9 @@ def trained_like_members(widths=(16, 16, 16), layers=(2, 2, 2), input_dim=2,
     """N, E and C stacks with weights perturbed away from their init, as
     after training (biases included)."""
     rng = np.random.default_rng(seed)
-    stacks = [NetStack(head, input_dim, width, depth, horizon, seed=i)
-              for i, (head, width, depth) in enumerate(zip(
-                  ("normal", "extreme", "classifier"), widths, layers))]
-    for stack in stacks:
-        for key, value in stack.params.items():
-            stack.params[key] = value + rng.normal(scale=0.1, size=value.shape)
-    return stacks
+    return [perturbed(NetStack(head, input_dim, width, depth, horizon, seed=i), rng)
+            for i, (head, width, depth) in enumerate(zip(
+                ("normal", "extreme", "classifier"), widths, layers))]
 
 
 class TestForwardMembers:
@@ -405,15 +448,52 @@ class TestBackward:
         out, cache = model._forward_cached(x)
 
         def arrays(cache):
-            found = [cache["x"], *cache["fc"]]
-            for hidden, layer_cache in cache["lstm"]:
-                found += [hidden, *layer_cache]
+            found = []
+            for value in cache.values():
+                found += value if isinstance(value, list) else [value]
+            assert all(isinstance(a, np.ndarray) for a in found)
             return found
 
         before = [a.copy() for a in arrays(cache)]
         model.backward(cache, np.ones_like(out))
         for old, new in zip(before, arrays(cache), strict=True):
             np.testing.assert_array_equal(new, old)
+
+    def test_peak_memory_below_layer_by_layer(self):
+        # one training batch at the paper's shape: the wavefront keeps one
+        # cache for all layers and forms dz a chunk at a time, where the
+        # layer-by-layer path keeps every layer's cache and a whole dz
+        model = NetStack("normal", input_dim=2, width=16, n_layers=2,
+                         horizon=72, seed=17)
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(32, 360, 2))
+        target = rng.normal(size=(32, 72))
+        labels = rng.uniform(size=(32, 72)) < 0.05
+
+        def layer_by_layer():
+            seqs, caches = [x], []
+            for layer in range(model.n_layers):
+                hidden, cache = lstm_forward(*model._lstm_params(layer), seqs[-1])
+                seqs.append(hidden)
+                caches.append(cache)
+            d_hidden = np.zeros_like(seqs[-1])
+            d_hidden[:, -1] = 1.0
+            for layer in reversed(range(model.n_layers)):
+                w_x, w_h, _ = model._lstm_params(layer)
+                d_hidden = lstm_backward(w_x, w_h, seqs[layer], seqs[layer + 1],
+                                         caches[layer], d_hidden)[3]
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        wavefront = peak(lambda: model.loss_and_grads(x, target, labels))
+        reference = peak(layer_by_layer)
+        assert wavefront < reference, (wavefront, reference)
 
     def test_gradient_linearity(self):
         model = NetStack("normal", input_dim=2, width=4, n_layers=1,
@@ -428,18 +508,22 @@ class TestBackward:
                                        rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("head,loss_kind,alpha,beta", [
-    ("normal", "masked_mse", 1.0, 1.0),
-    ("extreme", "masked_mse", 1.0, 1.0),
-    ("classifier", "classifier", 1.0, 1.0),
-    ("classifier", "classifier", 2.0, 0.5),
-    ("classifier", "classifier", 3.0, 0.45),
-])
-def test_gradient_check(head, loss_kind, alpha, beta):
+@pytest.mark.parametrize("head,loss_kind,alpha,beta,steps,width", [
+    ("normal", "masked_mse", 1.0, 1.0, 9, 6),
+    ("extreme", "masked_mse", 1.0, 1.0, 9, 6),
+    ("classifier", "classifier", 1.0, 1.0, 9, 6),
+    ("classifier", "classifier", 2.0, 0.5, 9, 6),
+    ("classifier", "classifier", 3.0, 0.45, 9, 6),
+    # longer than the backward's chunk: the differences cross its seams
+    ("normal", "masked_mse", 1.0, 1.0, network.BACKWARD_CHUNK + 8, 3),
+], ids=["normal-masked_mse-1.0-1.0", "extreme-masked_mse-1.0-1.0",
+        "classifier-classifier-1.0-1.0", "classifier-classifier-2.0-0.5",
+        "classifier-classifier-3.0-0.45", "normal-masked_mse-1.0-1.0-chunks"])
+def test_gradient_check(head, loss_kind, alpha, beta, steps, width):
     rng = np.random.default_rng(10)
-    model = NetStack(head, input_dim=3, width=6, n_layers=2, horizon=4,
+    model = NetStack(head, input_dim=3, width=width, n_layers=2, horizon=4,
                      seed=11)
-    x = rng.normal(size=(2, 9, 3))
+    x = rng.normal(size=(2, steps, 3))
     target = rng.normal(size=(2, 4))
     mask = rng.uniform(size=(2, 4)) < 0.5
     mask[0, 0] = True  # keep at least one active position

@@ -16,6 +16,7 @@ if str(BENCH) not in sys.path:
 
 import tracing  # noqa: E402
 from necplus import engine, sampling, series, synth  # noqa: E402
+from necplus.neural import network  # noqa: E402
 from test_engine import training_inputs  # noqa: E402
 
 
@@ -36,6 +37,12 @@ def test_every_describe_hook_runs(tmp_path):
         raw_values = np.concatenate([[0.0], np.cumsum(features[:, 0])])
         engine.forecast_sections(run, features, labels, raw_values,
                                  split.test_sections)
+        # training's backward is the wavefront's own: call the layer
+        # backward once so its hook runs
+        w_x, w_h, b = models["n"]._lstm_params(0)
+        window = features[None, :config.h]
+        hidden, cache = network.lstm_forward(w_x, w_h, b, window)
+        network.lstm_backward(w_x, w_h, window, hidden, cache, np.ones_like(hidden))
     finally:
         tracer.uninstall()
     described = {t.span for t in tracing.TARGETS if t.describe is not None}
