@@ -14,15 +14,14 @@ classifier (C) uses a single affine layer of f units under a sigmoid.
 Parameters live in a flat name -> array dict so optimizers and the gradient
 checker can treat them uniformly.
 
-`NetStack.forward` is the reference forward: one stack, layer by layer
-through `lstm_forward`; training's validation and the tests use it. The
-other paths run every layer as one wavefront of T + L - 1 steps, in which
-step s runs layer l at time s - l over one state row per window, and match
-the reference to rounding. Training (`NetStack.loss_and_grads`) keeps each
-step in `_forward_cached` and walks the same steps back in `backward`, a
-chunk of steps at a time. Serving (`forward_members`) runs every member of
-equal depth in one wavefront that keeps a few rows per window
-(`_forward_wavefront`).
+The layers run as a wavefront: step s runs layer l at time s - l over one
+state row per window. Training keeps each of the T + L - 1 steps
+(`_forward_steps`) and walks them back a chunk at a time
+(`_backward_steps`). `lstm_forward`/`lstm_backward` are depth-one adapters
+of the two, kept for the benchmark's tracer; `NetStack.forward`, the
+reference forward, runs layer by layer through `lstm_forward`. Serving
+(`forward_members`) runs every member of equal depth in one wavefront that
+keeps a few rows per window (`_forward_wavefront`).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .losses import classifier_loss, masked_mse_loss
 
 CHECKPOINT_VERSION = 2
 HEAD_KINDS = ("normal", "extreme", "classifier")
-# Steps of the reverse wavefront whose tanh(c) and dz `NetStack.backward`
+# Steps of the reverse wavefront whose tanh(c) and dz `_backward_steps`
 # forms at once, in buffers of this many steps however long the window. At
 # B = 32, W = 16, L = 2, chunks of 8 and 16 steps ran at the same speed and
 # faster than 32, and 8 has the smallest peak
@@ -74,11 +73,11 @@ def _gate_affine(width: int):
     return scale, shift
 
 
-def _gate_derivatives(gates, cells_prev, tanh_c, out=None):
-    """dz (steps, B, 4W), written to `out` if given: the derivative of each
-    activated gate w.r.t. its pre-activation, times the factor it meets in
-    dc (i, f, g) or in dh (o), from the forward's gates, the cells they
-    started from and tanh of the cells they made."""
+def _gate_derivatives(gates, cells_prev, tanh_c, out):
+    """dz (steps, B, 4W), written to `out`: the derivative of each activated
+    gate w.r.t. its pre-activation, times the factor it meets in dc (i, f,
+    g) or in dh (o), from the forward's gates, the cells they started from
+    and tanh of the cells they made."""
     gi, gf, gg, go = _gate_blocks(gates)
     dz = np.subtract(1.0, gates, out=out)
     dz_i, dz_f, dz_g, dz_o = _gate_blocks(dz)
@@ -93,6 +92,104 @@ def _gate_derivatives(gates, cells_prev, tanh_c, out=None):
     return dz
 
 
+def _forward_steps(w, x, depth):
+    """The cache of `depth` layers run over x (B, T, D) as a wavefront of
+    S = T + depth - 1 steps that keeps each step.
+
+    The state row [h_0 ... h_{L-1} | x_t | a_0 ... a_{L-1}] of step s times
+    w, the unscaled `_wavefront_matrix`, gives every layer's gates, layer l
+    at time s - l; x is zero past T. The input and alive projection of all
+    steps is one GEMM before the loop, and one tanh covers a step's gates
+    (see `_gate_affine`). The cache holds the state rows (S + 1, B, K), the
+    activated gates (S, B, 4LW), the cells (S + 1, B, LW) from cells[0] = 0,
+    and w.
+    """
+    batch, steps, d_in = x.shape
+    stacked = w.shape[1] // 4
+    n_steps = steps + depth - 1
+    scale, shift = _gate_affine(stacked)
+    w_scaled = w * scale
+    states = np.zeros((n_steps + 1, batch, stacked + d_in + depth))
+    states[:steps, :, stacked:stacked + d_in] = x.transpose(1, 0, 2)
+    # a_l is 1 from step l on
+    states[:n_steps, :, stacked + d_in:] = (
+        np.arange(n_steps)[:, None, None] >= np.arange(depth))
+    gates = np.empty((n_steps, batch, 4 * stacked))
+    np.matmul(states[:n_steps, :, stacked:].reshape(-1, d_in + depth),
+              w_scaled[stacked:], out=gates.reshape(-1, 4 * stacked))
+    w_h = w_scaled[:stacked]
+    # full rows: a contiguous operand is faster than a broadcast one
+    scale_rows = np.tile(scale, (batch, 1))
+    shift_rows = np.tile(shift, (batch, 1))
+    cells = np.zeros((n_steps + 1, batch, stacked))
+    tanh_c = np.empty((batch, stacked))
+    gi, gf, gg, go = _gate_blocks(gates)
+    input_part = np.empty((batch, stacked))
+    for s in range(n_steps):
+        z = gates[s]
+        if s:
+            z += states[s, :, :stacked] @ w_h
+        np.tanh(z, out=z)
+        z *= scale_rows
+        z += shift_rows
+        np.multiply(gf[s], cells[s], out=cells[s + 1])
+        cells[s + 1] += np.multiply(gi[s], gg[s], out=input_part)
+        np.tanh(cells[s + 1], out=tanh_c)
+        np.multiply(go[s], tanh_c, out=states[s + 1, :, :stacked])
+    return {"states": states, "gates": gates, "cells": cells, "w": w}
+
+
+def _backward_steps(cache, d_top, depth, d_x=None):
+    """The gradient of `_forward_steps`' matrix w from d_top (B, n, W), the
+    gradient on the top layer's last n hidden states, reading the cache and
+    never writing it; d_x (S, B, D), if given, receives the gradient on x_t.
+
+    A chunk of BACKWARD_CHUNK steps at a time, tanh(c) and dz are formed
+    from the cache, the loop scales dz[s] by dc (i, f, g) or dh (o) and
+    feeds dz[s] @ W[:LW].T back one step, and one GEMM adds the chunk's
+    state rows times its dz into the gradient. A layer that has not started
+    reads only zero state rows and a_l = 0, and a step past T gets no
+    gradient, so neither adds anything to a layer's block.
+    """
+    states, gates, cells, w = (
+        cache[k] for k in ("states", "gates", "cells", "w"))
+    n_steps, batch, four_stacked = gates.shape
+    stacked = four_stacked // 4
+    top = slice(stacked - stacked // depth, stacked)
+    # the step that made the first hidden state d_top holds
+    first = n_steps - d_top.shape[1]
+    w_h_t = w[:stacked].T
+    _, gf, _, go = _gate_blocks(gates)
+    d_w = np.zeros_like(w)
+    dh = np.zeros((batch, stacked))
+    dc_next = np.zeros((batch, stacked))
+    # one chunk's dz and tanh(c), written over for every chunk
+    dz_rows = np.empty((min(BACKWARD_CHUNK, n_steps), batch, four_stacked))
+    tanh_rows = np.empty(dz_rows.shape[:2] + (stacked,))
+    for lo in reversed(range(0, n_steps, BACKWARD_CHUNK)):
+        hi = min(lo + BACKWARD_CHUNK, n_steps)
+        tanh_c = np.tanh(cells[lo + 1:hi + 1], out=tanh_rows[:hi - lo])
+        dz = _gate_derivatives(gates[lo:hi], cells[lo:hi], tanh_c,
+                               out=dz_rows[:hi - lo])
+        # dh reaches dc through h = o * tanh(c)
+        dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= go[lo:hi]
+        for s in reversed(range(lo, hi)):
+            if s >= first:
+                dh[:, top] += d_top[:, s - first]
+            dc = dh * dc_dh[s - lo]
+            dc += dc_next
+            dz[s - lo] *= np.concatenate((dc, dc, dc, dh), axis=1)
+            np.multiply(dc, gf[s], out=dc_next)
+            dh = dz[s - lo] @ w_h_t
+        d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
+                @ dz.reshape(-1, four_stacked))
+        if d_x is not None:
+            np.matmul(dz, w[stacked:-depth].T, out=d_x[lo:hi])
+    return d_w
+
+
 def lstm_forward(w_x, w_h, b, x):
     """Run one LSTM layer over a batch of sequences.
 
@@ -100,46 +197,16 @@ def lstm_forward(w_x, w_h, b, x):
     cache needed for backpropagation. Initial hidden and cell states are
     zero. Gate order along the 4W axis is input, forget, candidate, output.
 
-    The input projection x @ w_x.T + b of all T steps is one GEMM before
-    the recurrence. Each step adds h @ w_h.T and applies one tanh to the
-    whole gate block, the sigmoids in their tanh form (see `_gate_affine`).
-    Everything is time-major: the hidden states are returned as a (B, T, W)
-    view of a (T, B, W) array, and the cache is (gates, cells, tanh_c) with
-    gates (T, B, 4W) the activated i/f/g/o values, cells (T+1, B, W) the
-    cell states with cells[0] = 0, and tanh_c (T, B, W) their tanh.
+    A depth-one adapter of `_forward_steps`, kept for the benchmark's
+    tracer, which wraps it by name: the hidden states are a view of the
+    cache's state rows [h | x_t | 1].
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != w_x.shape[1]:
         raise DimensionError(
             f"input shape {x.shape} incompatible with weight shape {w_x.shape}")
-    batch, steps, d_in = x.shape
-    width = w_h.shape[1]
-    scale, shift = _gate_affine(width)
-    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, d_in)
-    gates = np.empty((steps, batch, 4 * width))
-    np.matmul(x_tm, (w_x * scale[:, None]).T, out=gates.reshape(-1, 4 * width))
-    gates += b * scale
-    w_h_t = (w_h * scale[:, None]).T
-    # full rows: a contiguous operand is faster than a broadcast one
-    scale_rows = np.tile(scale, (batch, 1))
-    shift_rows = np.tile(shift, (batch, 1))
-    cells = np.zeros((steps + 1, batch, width))
-    tanh_c = np.empty((steps, batch, width))
-    hidden = np.empty((steps, batch, width))
-    gi, gf, gg, go = _gate_blocks(gates)
-    input_part = np.empty((batch, width))
-    for t in range(steps):
-        z = gates[t]
-        if t:
-            z += hidden[t - 1] @ w_h_t
-        np.tanh(z, out=z)
-        z *= scale_rows
-        z += shift_rows
-        np.multiply(gf[t], cells[t], out=cells[t + 1])
-        cells[t + 1] += np.multiply(gi[t], gg[t], out=input_part)
-        np.tanh(cells[t + 1], out=tanh_c[t])
-        np.multiply(go[t], tanh_c[t], out=hidden[t])
-    return hidden.transpose(1, 0, 2), (gates, cells, tanh_c)
+    cache = _forward_steps(np.vstack([w_h.T, w_x.T, b[None]]), x, 1)
+    return cache["states"][1:, :, :w_h.shape[1]].transpose(1, 0, 2), cache
 
 
 def lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
@@ -149,45 +216,14 @@ def lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
     (d_wx, d_wh, d_b, d_x). The cache of `lstm_forward` is read, never
     written.
 
-    Training does not run it: `NetStack.backward` walks the wavefront. It
-    stays in the package as the layer-by-layer path the tests compare
-    training's memory with, and because the benchmark's tracer wraps it by
-    name; it moves to the tests once the tracer no longer names it.
-
-    The local derivatives of all four gates for all steps are formed first
-    in one time-major dz (T, B, 4W). The loop over steps then keeps only the
-    dh/dc recurrence: it scales dz[t] in place by dc (i, f, g) or dh (o) and
-    feeds dz[t] @ w_h back. The weight, bias and input gradients are single
-    GEMMs or reductions over all steps after the loop.
+    A depth-one adapter of `_backward_steps`, kept for the benchmark's
+    tracer, which wraps it by name; hidden is read only for the signature,
+    as the cache holds the states.
     """
-    gates, cells, tanh_c = cache
-    steps, batch, four_w = gates.shape
-    width = four_w // 4
-    d_in = x.shape[2]
-    _, gf, _, go = _gate_blocks(gates)
-    dz = _gate_derivatives(gates, cells[:-1], tanh_c)
-    # dh reaches dc through h = o * tanh(c)
-    dc_dh = np.multiply(tanh_c, tanh_c)
-    np.subtract(1.0, dc_dh, out=dc_dh)
-    dc_dh *= go
-    d_hidden = d_hidden.transpose(1, 0, 2)
-    dh_next = np.zeros((batch, width))
-    dc_next = np.zeros((batch, width))
-    for t in reversed(range(steps)):
-        dh = d_hidden[t] + dh_next
-        dc = dh * dc_dh[t]
-        dc += dc_next
-        dz[t] *= np.concatenate((dc, dc, dc, dh), axis=1)
-        np.multiply(dc, gf[t], out=dc_next)
-        dh_next = dz[t] @ w_h
-    dz_flat = dz.reshape(-1, four_w)
-    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, d_in)
-    h_prev = hidden.transpose(1, 0, 2)[:-1].reshape(-1, width)
-    d_wx = dz_flat.T @ x_tm
-    d_wh = dz[1:].reshape(-1, four_w).T @ h_prev
-    d_b = dz_flat.sum(axis=0)
-    d_x = (dz_flat @ w_x).reshape(steps, batch, d_in).transpose(1, 0, 2)
-    return d_wx, d_wh, d_b, d_x
+    d_x = np.empty((x.shape[1], x.shape[0], x.shape[2]))
+    d_w = _backward_steps(cache, d_hidden, 1, d_x)
+    width = w_h.shape[1]
+    return d_w[width:-1].T, d_w[:width].T, d_w[-1], d_x.transpose(1, 0, 2)
 
 
 def _as_batch(x, input_dim: int):
@@ -283,64 +319,23 @@ class NetStack:
         x, single = _as_batch(x, self.input_dim)
         seq = x
         for layer in range(self.n_layers):
-            # [0]: the layer's cache is freed before the next layer allocates its own
+            if layer:
+                # the hidden view, copied in its (T, B, W) order, frees the
+                # state rows of the layer below before this layer runs
+                seq = seq.copy(order="K")
             seq = lstm_forward(*self._lstm_params(layer), seq)[0]
         out = self._head(seq[:, -1])[-1]
         return out[0] if single else out
 
     def _forward_cached(self, x):
-        """(`forward(x)`, the cache `backward` reads), every layer in one
-        wavefront of S = T + L - 1 steps that keeps each step.
-
-        The steps are those of `_forward_wavefront` on this stack alone: the
-        state row [h_0 ... h_{L-1} | x_t | a_0 ... a_{L-1}] of step s times
-        `_wavefront_matrix([self])` gives every layer's gates, layer l at
-        time s - l. x is zero past T. The input and alive projection of all
-        steps is one GEMM before the loop, which adds only the hidden part.
-        The cache holds the state rows (S + 1, B, K), the last row's hidden
-        part the final one; the activated gates (S, B, 4LW); the cells
-        (S + 1, B, LW), cells[0] = 0; the unscaled matrix; and the head's
-        activations.
-        """
+        """(`forward(x)`, the cache `backward` reads): `_forward_steps` of
+        every layer, plus the head's activations as "fc"."""
         x, single = _as_batch(x, self.input_dim)
-        batch, steps, d_in = x.shape
-        depth = self.n_layers
-        stacked = depth * self.width
-        n_steps = steps + depth - 1
-        w = _wavefront_matrix([self])
-        scale, shift = _gate_affine(stacked)
-        w_scaled = w * scale
-        states = np.zeros((n_steps + 1, batch, stacked + d_in + depth))
-        states[:steps, :, stacked:stacked + d_in] = x.transpose(1, 0, 2)
-        # a_l is 1 from step l on
-        states[:n_steps, :, stacked + d_in:] = (
-            np.arange(n_steps)[:, None, None] >= np.arange(depth))
-        gates = np.empty((n_steps, batch, 4 * stacked))
-        np.matmul(states[:n_steps, :, stacked:].reshape(-1, d_in + depth),
-                  w_scaled[stacked:], out=gates.reshape(-1, 4 * stacked))
-        w_h = w_scaled[:stacked]
-        scale_rows = np.tile(scale, (batch, 1))
-        shift_rows = np.tile(shift, (batch, 1))
-        cells = np.zeros((n_steps + 1, batch, stacked))
-        tanh_c = np.empty((batch, stacked))
-        gi, gf, gg, go = _gate_blocks(gates)
-        input_part = np.empty((batch, stacked))
-        for s in range(n_steps):
-            z = gates[s]
-            if s:
-                z += states[s, :, :stacked] @ w_h
-            np.tanh(z, out=z)
-            z *= scale_rows
-            z += shift_rows
-            np.multiply(gf[s], cells[s], out=cells[s + 1])
-            cells[s + 1] += np.multiply(gi[s], gg[s], out=input_part)
-            np.tanh(cells[s + 1], out=tanh_c)
-            np.multiply(go[s], tanh_c, out=states[s + 1, :, :stacked])
-        activations = self._head(states[n_steps, :, stacked - self.width:stacked])
-        out = activations[-1]
-        return (out[0] if single else out), {
-            "states": states, "gates": gates, "cells": cells, "w": w,
-            "fc": activations}
+        cache = _forward_steps(_wavefront_matrix([self]), x, self.n_layers)
+        top = self.n_layers * self.width
+        cache["fc"] = self._head(cache["states"][-1, :, top - self.width:top])
+        out = cache["fc"][-1]
+        return (out[0] if single else out), cache
 
     def _lstm_params(self, layer: int):
         return (self.params[f"lstm{layer}_wx"], self.params[f"lstm{layer}_wh"],
@@ -368,15 +363,9 @@ class NetStack:
         classifier, w.r.t. the probabilities) into parameter gradients,
         reading the cache of `_forward_cached` and never writing it.
 
-        The LSTM part is a reverse wavefront over the forward's steps, a
-        chunk of BACKWARD_CHUNK steps at a time: the chunk's tanh(c) and dz
-        are formed from the cache, the loop scales dz[s] by dc (i, f, g) or
-        dh (o) and feeds dz[s] @ W[:LW].T back one step, to every layer's
-        own hidden state and the one below, and one GEMM adds the chunk's
-        state rows times its dz into the gradient of the wavefront matrix.
-        Each layer's wx, wh and b are blocks of it. A layer that has not
-        started reads only zero state rows and a_l = 0, and a step past T
-        gets no gradient, so neither adds anything to a block.
+        The LSTM part is the reverse wavefront `_backward_steps` from the
+        head's gradient on the top layer's last hidden state; each layer's
+        wx, wh and b are blocks of the gradient of the wavefront matrix.
         """
         d_out = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -393,36 +382,7 @@ class NetStack:
             grads[f"fc{i}_b"] = delta.sum(axis=0)
             delta = delta @ self.params[f"fc{i}_w"]
         # delta is now the gradient w.r.t. the top layer's last hidden state
-        states, gates, cells, w = (
-            cache[k] for k in ("states", "gates", "cells", "w"))
-        n_steps, batch, four_stacked = gates.shape
-        stacked = four_stacked // 4
-        w_h_t = w[:stacked].T
-        _, gf, _, go = _gate_blocks(gates)
-        d_w = np.zeros_like(w)
-        dh = np.zeros((batch, stacked))
-        dh[:, stacked - self.width:] = delta
-        dc_next = np.zeros((batch, stacked))
-        # one chunk's dz and tanh(c), written over for every chunk
-        dz_rows = np.empty((min(BACKWARD_CHUNK, n_steps), batch, four_stacked))
-        tanh_rows = np.empty(dz_rows.shape[:2] + (stacked,))
-        for lo in reversed(range(0, n_steps, BACKWARD_CHUNK)):
-            hi = min(lo + BACKWARD_CHUNK, n_steps)
-            tanh_c = np.tanh(cells[lo + 1:hi + 1], out=tanh_rows[:hi - lo])
-            dz = _gate_derivatives(gates[lo:hi], cells[lo:hi], tanh_c,
-                                   out=dz_rows[:hi - lo])
-            # dh reaches dc through h = o * tanh(c)
-            dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
-            np.subtract(1.0, dc_dh, out=dc_dh)
-            dc_dh *= go[lo:hi]
-            for s in reversed(range(lo, hi)):
-                dc = dh * dc_dh[s - lo]
-                dc += dc_next
-                dz[s - lo] *= np.concatenate((dc, dc, dc, dh), axis=1)
-                np.multiply(dc, gf[s], out=dc_next)
-                dh = dz[s - lo] @ w_h_t
-            d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
-                    @ dz.reshape(-1, four_stacked))
+        d_w = _backward_steps(cache, delta[:, None], self.n_layers)
         d_w = d_w.reshape(-1, 4, self.n_layers, self.width)
         for layer in range(self.n_layers):
             below, own, alive = _layer_rows(layer, self.n_layers, self.width,
@@ -512,7 +472,7 @@ def _forward_wavefront(stacks, x):
 
     Step s runs layer l at time s - l (Appleyard, Kocisky & Blunsom 2016,
     arXiv:1604.01946): one product of the state rows with
-    `_wavefront_matrix`, then `lstm_forward`'s elementwise step over every
+    `_wavefront_matrix`, then `_forward_steps`' elementwise step over every
     layer at once. Layer l's alive input turns 1 at step l: before it, every
     input of the layer is zero, so its gates are 1/2, 1/2, 0, 1/2 and its
     cell and hidden state stay exactly 0. The state is a few rows per

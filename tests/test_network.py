@@ -160,8 +160,17 @@ def _assert_head_loss_is(loss_kind, model, out, target, mask, labels,
 
 
 class TestAgainstReference:
-    def test_single_layer(self):
-        w_x, w_h, b, x, d_hidden = _layer_inputs()
+    # T = 45 and 48 span several of the backward's chunks, and 45 is no
+    # multiple of one; T = 1 is a single step. At T = 45 one d_wh element sums
+    # to far below its array's scale and carries that scale's rounding, in the
+    # reference's per-step sums as in the kernel's chunked ones (it misses
+    # rtol=1e-12 with either): there, an element may also sit within 1e-14 of
+    # its array's largest value (at most 1.0e-15 measured over 20 draws)
+    @pytest.mark.parametrize("steps,atol_scale", [
+        pytest.param(1, 0.0, id="T1"), pytest.param(45, 1e-14, id="T45"),
+        pytest.param(48, 0.0, id="T48")])
+    def test_single_layer(self, steps, atol_scale):
+        w_x, w_h, b, x, d_hidden = _layer_inputs(steps=steps)
         hidden, cache = lstm_forward(w_x, w_h, b, x)
         ref_hidden, ref_cache = reference_lstm_forward(w_x, w_h, b, x)
         np.testing.assert_allclose(hidden, ref_hidden, rtol=1e-12)
@@ -170,7 +179,9 @@ class TestAgainstReference:
                                             d_hidden)
         for name, got, want in zip(("d_wx", "d_wh", "d_b", "d_x"), grads,
                                    ref_grads):
-            np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=atol_scale * np.abs(want).max(),
+                                       err_msg=name)
 
     @pytest.mark.parametrize("head,loss_kind", [
         ("normal", "masked_mse"), ("classifier", "classifier"),
@@ -244,8 +255,9 @@ class TestLstmForward:
         w_h = np.zeros((4 * width, width))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hidden, (gates, _, _) = lstm_forward(w_x, w_h, np.zeros(4 * width),
-                                                 np.ones((2, 3, 1)))
+            hidden, cache = lstm_forward(w_x, w_h, np.zeros(4 * width),
+                                         np.ones((2, 3, 1)))
+        gates = cache["gates"]
         sigmoid_cols = np.r_[0:2 * width, 3 * width:4 * width]
         expected = np.where(sign > 0, 1.0, 0.0)[sigmoid_cols]
         np.testing.assert_array_equal(
@@ -294,15 +306,21 @@ class TestNetStackForward:
     @pytest.mark.parametrize("head", ["normal", "classifier"])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_output_without_cache_matches_cached_output(self, head, n_layers):
-        # training's cached forward is a wavefront, `forward` runs layer by
-        # layer: the sums differ in order (at most 3.5e-18 measured)
+        # both run `_forward_steps`: at one layer on the same matrix, bit for
+        # bit; deeper, the cached forward runs every layer in one wavefront
+        # and `forward` layer by layer, so the sums differ in order (at most
+        # 3.5e-18 measured)
         model = NetStack(head, input_dim=3, width=6, n_layers=n_layers,
                          horizon=4, seed=5)
         for shape in [(20, 3), (7, 20, 3)]:
             x = np.random.default_rng(6).normal(size=shape)
             cached = model._forward_cached(x)[0]
             assert cached.shape == model.forward(x).shape
-            np.testing.assert_allclose(cached, model.forward(x), rtol=0, atol=1e-15)
+            if n_layers == 1:
+                np.testing.assert_array_equal(cached, model.forward(x))
+            else:
+                np.testing.assert_allclose(cached, model.forward(x), rtol=0,
+                                           atol=1e-15)
 
     def test_without_cache_each_layer_cache_is_freed(self):
         """A forward without cache peaks at one layer's working set, however
@@ -461,8 +479,9 @@ class TestBackward:
 
     def test_peak_memory_below_layer_by_layer(self):
         # one training batch at the paper's shape: the wavefront keeps one
-        # cache for all layers and forms dz a chunk at a time, where the
-        # layer-by-layer path keeps every layer's cache and a whole dz
+        # cache for all layers, where the layer-by-layer path keeps one per
+        # layer (18.96 against 22.83 MB measured); both form dz a chunk at a
+        # time
         model = NetStack("normal", input_dim=2, width=16, n_layers=2,
                          horizon=72, seed=17)
         rng = np.random.default_rng(18)
