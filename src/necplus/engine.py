@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import distributions, evaluation, kvtext, series, sampling
-from .errors import CheckpointError, ConfigError, writing
+from .errors import CheckpointError, ConfigError, TrainingFailureError, writing
 from .neural import (
     NetStack,
     TrainConfig,
@@ -167,6 +172,12 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
     """Train the N, E, and C members; returns ({name: NetStack}, {name: log}).
 
     The three trainings are independent and deterministic per member seed.
+    When this process may use more than one CPU and can fork, they train on
+    one process per usable CPU, up to three: this one trains the first and
+    largest share of MEMBERS (N and E on two CPUs), and forked children,
+    which inherit the inputs, train the others. Otherwise the members train
+    here, one after another. Both paths return the same bits, and raise the
+    first failed member's exception, in MEMBERS order, unchanged.
     """
     labels = np.asarray(labels, dtype=bool)
     h, f = config.h, config.f
@@ -187,8 +198,98 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
                           alpha=config.alpha, beta=config.beta)
         return train(model, samples, val, cfg)
 
-    models, logs = zip(*(run_member(name) for name in MEMBERS))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    # no more training processes than CPUs: a process more only waits for
+    # a CPU, so each one's speed would vary with the others'
+    workers = min(cpus, len(MEMBERS)) if hasattr(os, "fork") else 1
+    if workers > 1:
+        results = _train_across_processes(run_member, workers)
+    else:
+        results = {name: run_member(name) for name in MEMBERS}
+    models, logs = zip(*(results[name] for name in MEMBERS))
     return dict(zip(MEMBERS, models)), dict(zip(MEMBERS, logs))
+
+
+def _train_across_processes(run_member, workers: int) -> dict:
+    """{name: run_member(name)} for every member, on `workers` processes:
+    MEMBERS split in order into `workers` shares, the first trained here and
+    each other one in a forked child that sends back its share's results or
+    the exception that ended it. Results are read in MEMBERS order, so the
+    exception raised is the one the in-process path raises; the children
+    still training are terminated first, and every child is reaped before
+    this returns or raises."""
+    # the first share is the largest, so the work that ends last runs in
+    # this process, whose speed the benchmark's SpeedProbe samples
+    bounds = [-(-i * len(MEMBERS) // workers) for i in range(workers + 1)]
+    shares = [MEMBERS[a:b] for a, b in zip(bounds, bounds[1:])]
+    readers, pids, reaped, results = [], [], set(), {}
+    # text still buffered here would be written once more by each child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for share in shares[1:]:
+            reader, writer = os.pipe()
+            readers.append(reader)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(readers, writer, run_member, share)
+            finally:
+                os.close(writer)
+            pids.append(pid)
+        for name in shares[0]:
+            results[name] = run_member(name)
+        for reader, pid, share in zip(readers, pids, shares[1:]):
+            with open(reader, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            if not sent:
+                reaped.add(pid)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise TrainingFailureError(
+                    f"the process training {' and '.join(share)} ended "
+                    f"without a result (exit code {code})")
+            result = pickle.loads(sent)
+            if isinstance(result, BaseException):
+                raise result
+            results.update(zip(share, result))
+    finally:
+        for pid, share in zip(pids, shares[1:]):
+            if share[-1] not in results and pid not in reaped:
+                os.kill(pid, signal.SIGTERM)
+        for reader in readers:
+            os.close(reader)
+        for pid in pids:
+            if pid not in reaped:
+                os.waitpid(pid, 0)
+    return results
+
+
+def _child(readers, writer, run_member, share):
+    """A forked child's whole life: train `share`, send its results, or the
+    exception that ended it, down `writer`, and exit without returning."""
+    code = 1
+    try:
+        # a child that held a reading end, its own or an earlier child's,
+        # would block for ever on a full pipe once the parent is gone
+        for reader in readers:
+            os.close(reader)
+        try:
+            result = [run_member(name) for name in share]
+        except Exception as exc:  # sent to the parent, which raises it
+            result = exc
+        # sent at once at the end: a send larger than the pipe's buffer
+        # blocks until the parent, busy with its own share, reads it
+        with open(writer, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        # never back into the parent's code, its exit handlers or buffers
+        os._exit(code)
 
 
 def predict(models: dict, window: np.ndarray, anchor,

@@ -17,6 +17,7 @@ import necplus
 from necplus import engine, evaluation, kvtext, sampling, series
 from necplus.cli import build_parser, main
 from necplus.errors import NecError
+from test_engine import assert_no_children, needs_fork, usable_cpus
 
 
 def write_config(path, **overrides):
@@ -81,6 +82,15 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", blocked], env=env,
                             capture_output=True, text=True, timeout=120)
     assert (result.returncode, result.stdout.strip()) == (0, "True"), result.stderr
+
+
+def test_cli_import_loads_no_multiprocessing():
+    """`train` forks its members with `os.fork`: no command pays for
+    importing multiprocessing, a one-shot `necplus predict` least of all."""
+    probe = "import sys, necplus.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_every_text_file_is_opened_as_utf8(tmp_path):
@@ -148,6 +158,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidInputError:") and message in err
         assert not out.exists()
+
+    @needs_fork
+    def test_member_error_exits_one_as_in_process(self, pipeline, tmp_path,
+                                                  monkeypatch, capsys):
+        # at this epsilon nothing is extreme, so E cannot oversample
+        _, csv, _, _, _ = pipeline
+        data, config = tmp_path / "data", tmp_path / "config"
+        assert main(["preprocess", "--input", str(csv), "--out-dir", str(data),
+                     "--epsilon", "1000"]) == 0
+        assert main(["fit-gmm", "--in-dir", str(data), "--components", "2",
+                     "--seed", "0"]) == 0
+        write_config(config, epsilon=1000.0)
+        capsys.readouterr()
+        errors = []
+        for cpus in ({0}, {0, 1}):
+            usable_cpus(monkeypatch, cpus)
+            assert main(["train", "--config", str(config), "--data", str(data),
+                         "--out", str(tmp_path / "run")]) == 1
+            errors.append(capsys.readouterr().err)
+            assert_no_children()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: StratificationInfeasibleError: ")
+        assert not (tmp_path / "run").exists()
 
     def test_fit_gmm_negative_seed_exits_one(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,5 +1,11 @@
+import contextlib
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from necplus import distributions, engine, evaluation, kvtext, sampling, series
-from necplus.errors import CheckpointError, ConfigError, DimensionError, NecError
+from necplus.errors import (
+    CheckpointError,
+    ConfigError,
+    DimensionError,
+    NecError,
+    TrainingFailureError,
+)
 
 
 class StubModel:
@@ -40,6 +52,23 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return engine.NecConfig(**defaults)
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make `engine.train_nec` see the CPU set `cpus`: with one CPU it trains
+    the members in process, with more it trains the first share of them and
+    forks a child for each other share."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+
+
+def assert_no_children():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def training_inputs(n=600, seed=0):
@@ -181,6 +210,97 @@ class TestTrainNec:
         assert models["e"].head_kind == "extreme"
         assert models["c"].head_kind == "classifier"
         assert all(len(logs[m].val_losses) >= 1 for m in engine.MEMBERS)
+
+    @needs_fork
+    @pytest.mark.parametrize("cpus, forks", [({0, 1}, 1), ({0, 1, 2, 3}, 2)])
+    def test_forked_and_in_process_paths_give_the_same_bits(self, monkeypatch,
+                                                            cpus, forks):
+        # one busy process per usable CPU, and never more than the members
+        config, features, labels, split, _ = training_inputs()
+        usable_cpus(monkeypatch, {0})
+        models, logs = engine.train_nec(config, features, labels, split)
+        forked = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        usable_cpus(monkeypatch, cpus)
+        forked_models, forked_logs = engine.train_nec(config, features, labels, split)
+        assert len(forked) == forks
+        assert_no_children()
+        for name in engine.MEMBERS:
+            params, other = models[name].params, forked_models[name].params
+            assert list(other) == list(params)
+            for key in params:
+                assert other[key].dtype == params[key].dtype
+                assert other[key].tobytes() == params[key].tobytes(), (name, key)
+        assert forked_logs == logs
+
+    @needs_fork
+    def test_a_child_killed_mid_training_is_a_training_failure(self, monkeypatch):
+        config, features, labels, split, _ = training_inputs()
+        parent, real_train = os.getpid(), engine.train
+
+        def train_or_die(model, samples, val, cfg):
+            if os.getpid() != parent and model.head_kind == "classifier":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_train(model, samples, val, cfg)
+
+        monkeypatch.setattr(engine, "train", train_or_die)
+        usable_cpus(monkeypatch, {0, 1})
+        with pytest.raises(TrainingFailureError,
+                           match=r"the process training c ended without a "
+                                 r"result \(exit code -9\)"):
+            engine.train_nec(config, features, labels, split)
+        assert_no_children()
+
+    @needs_fork
+    def test_children_end_when_the_parent_is_killed(self, tmp_path):
+        # each child kills the parent once it has trained a member; every
+        # result overflows a pipe's buffer, so a child still holding a
+        # reading end would block on its send for ever
+        pids = tmp_path / "pids"
+        script = f"""
+import os, signal, sys
+from dataclasses import replace
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from necplus import engine
+from test_engine import training_inputs
+config, features, labels, split, _ = training_inputs()
+config = replace(config, **{{name: replace(getattr(config, name), hidden=64)
+                             for name in engine.MEMBERS}})
+parent, real_train = os.getpid(), engine.train
+
+def train_then_kill_parent(*args):
+    result = real_train(*args)
+    if os.getpid() != parent:
+        with open({str(pids)!r}, "a") as fh:
+            fh.write(f"{{os.getpid()}}\\n")
+        os.kill(parent, signal.SIGKILL)
+    return result
+
+engine.train = train_then_kill_parent
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+engine.train_nec(config, features, labels, split)
+"""
+        src = str(Path(engine.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            # the children inherit stdout: it ends when the last one exits
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, timeout=60)
+        finally:
+            for pid in pids.read_text().split() if pids.exists() else ():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(pid), signal.SIGKILL)
+        assert result.returncode == -signal.SIGKILL, result.stderr
+        assert pids.read_text().split()
 
 
 class TestConfigPairs:

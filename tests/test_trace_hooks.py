@@ -17,10 +17,13 @@ if str(BENCH) not in sys.path:
 import tracing  # noqa: E402
 from necplus import engine, sampling, series, synth  # noqa: E402
 from necplus.neural import network  # noqa: E402
-from test_engine import training_inputs  # noqa: E402
+from test_engine import training_inputs, usable_cpus  # noqa: E402
 
 
-def test_every_describe_hook_runs(tmp_path):
+def test_every_describe_hook_runs(tmp_path, monkeypatch):
+    # the tracer records only this process's spans, so train in it: with one
+    # usable CPU, train_nec forks no member children
+    usable_cpus(monkeypatch, {0})
     csv = tmp_path / "series.csv"
     series.write_series_csv(csv, synth.generate(0, 50)[0])
     tracer = tracing.Tracer()
