@@ -14,13 +14,20 @@ import argparse
 import contextlib
 import ctypes
 import functools
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread per process, set before numpy loads its BLAS: train_nec
+# already runs one process per usable CPU, and a BLAS pool in each of them
+# only makes them wait for each other's CPUs. A value the user set wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from . import distributions, engine, evaluation, sampling, series, synth
-from .errors import ConfigError, InvalidInputError, NecError, writing
+import numpy as np  # noqa: E402
+
+from . import distributions, engine, evaluation, sampling, series, synth  # noqa: E402
+from .errors import ConfigError, InvalidInputError, NecError, writing  # noqa: E402
 
 
 def cmd_synth(args) -> int:

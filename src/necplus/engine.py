@@ -6,6 +6,7 @@ sections, and run persistence.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
@@ -30,6 +31,7 @@ from .neural import (
 )
 
 MEMBERS = ("n", "e", "c")
+_PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,13 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
     largest share of MEMBERS (N and E on two CPUs), and forked children,
     which inherit the inputs, train the others. Otherwise the members train
     here, one after another. Both paths return the same bits, and raise the
-    first failed member's exception, in MEMBERS order, unchanged.
+    first failed member's exception, in MEMBERS order, unchanged. On Linux a
+    child ends with this process, however it dies.
+
+    Each process should run one BLAS thread, or they wait for each other's
+    CPUs: the CLI sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+    MKL_NUM_THREADS to 1 unless they are set, and a library caller that
+    trains on several CPUs should do the same before it imports numpy.
     """
     labels = np.asarray(labels, dtype=bool)
     h, f = config.h, config.f
@@ -226,6 +234,7 @@ def _train_across_processes(run_member, workers: int) -> dict:
     bounds = [-(-i * len(MEMBERS) // workers) for i in range(workers + 1)]
     shares = [MEMBERS[a:b] for a, b in zip(bounds, bounds[1:])]
     readers, pids, reaped, results = [], [], set(), {}
+    parent = os.getpid()
     # text still buffered here would be written once more by each child
     sys.stdout.flush()
     sys.stderr.flush()
@@ -236,7 +245,7 @@ def _train_across_processes(run_member, workers: int) -> dict:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(readers, writer, run_member, share)
+                    _child(parent, readers, writer, run_member, share)
             finally:
                 os.close(writer)
             pids.append(pid)
@@ -267,11 +276,13 @@ def _train_across_processes(run_member, workers: int) -> dict:
     return results
 
 
-def _child(readers, writer, run_member, share):
+def _child(parent, readers, writer, run_member, share):
     """A forked child's whole life: train `share`, send its results, or the
-    exception that ended it, down `writer`, and exit without returning."""
+    exception that ended it, down `writer`, and exit without returning.
+    It ends with the process `parent` that forked it, however that dies."""
     code = 1
     try:
+        _end_with_parent(parent)
         # a child that held a reading end, its own or an earlier child's,
         # would block for ever on a full pipe once the parent is gone
         for reader in readers:
@@ -290,6 +301,21 @@ def _child(readers, writer, run_member, share):
     finally:
         # never back into the parent's code, its exit handlers or buffers
         os._exit(code)
+
+
+def _end_with_parent(parent: int) -> None:
+    """On Linux, have the kernel send this forked child SIGTERM when its
+    parent dies, even by SIGKILL, which runs no `finally` to end it; and
+    leave at once if `parent` died before that was asked."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def predict(models: dict, window: np.ndarray, anchor,

@@ -19,9 +19,9 @@ state row per window. Training keeps each of the T + L - 1 steps
 (`_forward_steps`) and walks them back a chunk at a time
 (`_backward_steps`). `lstm_forward`/`lstm_backward` are depth-one adapters
 of the two, kept for the benchmark's tracer; `NetStack.forward`, the
-reference forward, runs layer by layer through `lstm_forward`. Serving
-(`forward_members`) runs every member of equal depth in one wavefront that
-keeps a few rows per window (`_forward_wavefront`).
+reference forward, runs layer by layer through `lstm_forward`. Serving and
+training's validation (`forward_members`) run every member of equal depth in
+one wavefront that keeps a few rows per window (`_forward_wavefront`).
 """
 
 from __future__ import annotations
@@ -313,8 +313,8 @@ class NetStack:
     def forward(self, x):
         """Predict f values (probabilities for the classifier head) from a
         batch (B, h, input_dim) or a single window (h, input_dim), keeping
-        no gradient cache: `lstm_forward` layer by layer. Training's
-        validation runs it, and the wavefronts of `_forward_cached` and
+        no gradient cache: `lstm_forward` layer by layer. `gradient_check`
+        and the tests run it, and the wavefronts of `_forward_cached` and
         `forward_members` are held to it."""
         x, single = _as_batch(x, self.input_dim)
         seq = x

@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import TrainingFailureError
 # not called here: bench/test_bench.py checks that the tracer wraps this binding
 from .losses import masked_mse_loss  # noqa: F401
-from .network import NetStack
+from .network import NetStack, forward_members
 from .optimizers import Adam, Sgd
 
 
@@ -37,9 +37,12 @@ class TrainLog:
 
 def evaluate_loss(model: NetStack, windows, alpha: float = 1.0,
                   beta: float = 1.0) -> float:
-    """The model's loss (`NetStack.loss`) on a batch of windows."""
-    return model.loss(model.forward(windows.input), windows.target,
-                      windows.target_mask, alpha, beta)[0]
+    """The model's loss (`NetStack.loss`) on a batch of windows, its output
+    from the serving wavefront (`forward_members`): T + L - 1 steps that keep
+    a few rows per window, where `NetStack.forward` takes L·T steps and
+    stores each one."""
+    out = forward_members([model], windows.input)[0]
+    return model.loss(out, windows.target, windows.target_mask, alpha, beta)[0]
 
 
 def train(model: NetStack, samples, val, cfg: TrainConfig):

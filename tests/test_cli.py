@@ -93,6 +93,28 @@ def test_cli_import_loads_no_multiprocessing():
     assert result.stdout.strip() == "False"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc to count threads in")
+def test_cli_runs_one_blas_thread_unless_told_otherwise():
+    """`train` already runs one process per usable CPU, so `necplus.cli`
+    asks for one BLAS thread before numpy loads; a value the user set wins.
+    Without the variables, OpenBLAS would start one thread per CPU here."""
+    probe = ("import os, necplus.cli, numpy as np; a = np.ones((400, 400)); "
+             "a @ a; print(len(os.listdir('/proc/self/task')), "
+             "os.environ['OPENBLAS_NUM_THREADS'])")
+    unset = {k: v for k, v in subprocess_env().items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")}
+
+    def threads_and_setting(env):
+        return subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True).stdout.split()
+
+    assert threads_and_setting(unset) == ["1", "1"]
+    assert threads_and_setting({**unset, "OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+
+
 def test_every_text_file_is_opened_as_utf8(tmp_path):
     """The seven subcommands run with every open that falls back on the
     locale's encoding turned into an error: each text file they write or

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -69,6 +70,16 @@ def assert_no_children():
     """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def running(pid):
+    """Whether process `pid` exists and has not ended: a zombie, whose
+    parent has not reaped it, has ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
 
 
 def training_inputs(n=600, seed=0):
@@ -301,6 +312,60 @@ engine.train_nec(config, features, labels, split)
                     os.kill(int(pid), signal.SIGKILL)
         assert result.returncode == -signal.SIGKILL, result.stderr
         assert pids.read_text().split()
+
+    @needs_fork
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's")
+    def test_children_end_with_their_killed_parent(self, tmp_path):
+        # the parent SIGKILLs itself as it starts its own share, so no
+        # `finally` of its ends the child, whose share would train for hours
+        pids, log = tmp_path / "pids", tmp_path / "stderr"
+        script = f"""
+import os, signal, sys
+from dataclasses import replace
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from necplus import engine
+from test_engine import training_inputs
+config, features, labels, split, _ = training_inputs()
+config = replace(config, max_epochs=10**6, c=replace(config.c, patience=10**6))
+parent, real_fork, real_train = os.getpid(), os.fork, engine.train
+
+def fork_and_record():
+    pid = real_fork()
+    if pid:
+        with open({str(pids)!r}, "a") as fh:
+            fh.write(f"{{pid}}\\n")
+    return pid
+
+def train_or_die(*args):
+    if os.getpid() == parent:
+        os.kill(parent, signal.SIGKILL)
+    return real_train(*args)
+
+os.fork, engine.train = fork_and_record, train_or_die
+os.sched_getaffinity = lambda pid: {{0, 1}}
+engine.train_nec(config, features, labels, split)
+"""
+        src = str(Path(engine.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            with open(log, "w", encoding="utf-8") as err:
+                # not a pipe: the child would hold it open while it lives
+                returncode = subprocess.run(
+                    [sys.executable, "-c", script], env=env,
+                    stdout=subprocess.DEVNULL, stderr=err, timeout=60).returncode
+            assert returncode == -signal.SIGKILL, log.read_text(encoding="utf-8")
+            children = [int(pid) for pid in pids.read_text().split()]
+            assert len(children) == 1
+            deadline = time.monotonic() + 5.0
+            while any(map(running, children)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, children))
+        finally:
+            for pid in pids.read_text().split() if pids.exists() else ():
+                if running(int(pid)):
+                    os.kill(int(pid), signal.SIGKILL)
 
 
 class TestConfigPairs:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from necplus.errors import TrainingFailureError
 from necplus.neural import NetStack, TrainConfig, train
+from necplus.neural.training import evaluate_loss
 from necplus.sampling import Windows
 
 
@@ -98,9 +101,50 @@ class TestProgress:
         model = NetStack("normal", input_dim=2, width=4, n_layers=1,
                          horizon=3, seed=15)
         model, log = train(model, samples, val, cfg)
-        from necplus.neural.training import evaluate_loss
-        final_val = evaluate_loss(model, val)
-        assert final_val == pytest.approx(min(log.val_losses))
+        # the same parameters through the same path: the same bits
+        assert evaluate_loss(model, val) == min(log.val_losses)
+
+
+class TestEvaluateLoss:
+    # evaluate_loss runs the serving wavefront, whose sums run in another
+    # order than the layer-by-layer forward's: the outputs differ by rounding
+    # (at most 1.1e-16), and so the losses, of order 1, by a few ulps (at
+    # most 3.0e-16 relative over 20 seeds of these cases). 1e-14 leaves
+    # room for that and none for a wrong layer or a dropped step
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("head, alpha, beta", [
+        ("normal", 1.0, 1.0), ("extreme", 1.0, 1.0), ("classifier", 2.0, 0.7)])
+    def test_equals_the_loss_of_forward(self, head, alpha, beta, n_layers):
+        model = NetStack(head, input_dim=2, width=16, n_layers=n_layers,
+                         horizon=6, seed=20)
+        rng = np.random.default_rng(21)
+        for key, value in model.params.items():  # biases away from zero too
+            model.params[key] = value + rng.normal(scale=0.3, size=value.shape)
+        val = make_windows(24, 48, 6, 2, seed=22)
+        want = model.loss(model.forward(val.input), val.target,
+                          val.target_mask, alpha, beta)[0]
+        assert evaluate_loss(model, val, alpha, beta) == pytest.approx(
+            want, rel=1e-14, abs=0)
+
+    def test_peak_memory_is_a_few_rows_per_window(self):
+        # paper-shape validation: 24 windows of h = 360, two layers. forward
+        # stores every step's state rows, gates and cells (9.0 MB); the
+        # wavefront keeps a few rows per window (0.21 MB)
+        model = NetStack("normal", input_dim=2, width=16, n_layers=2,
+                         horizon=72, seed=0)
+        val = make_windows(24, 360, 72, 2, seed=1)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        streamed = peak(lambda: evaluate_loss(model, val))
+        stored = peak(lambda: model.forward(val.input))
+        assert streamed < stored / 10, (streamed, stored)
 
 
 def test_non_finite_validation_raises():
