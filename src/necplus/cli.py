@@ -234,10 +234,11 @@ def _steady_malloc() -> None:
 
     glibc starts by serving blocks over 128 KiB with mmap and trimming the
     heap top past 256 KiB, and raises both limits only as it sees larger
-    blocks freed. Training allocates and frees (T, B, 4W) kernel arrays every
-    batch, so until the limits have risen each batch faults its working set
-    in afresh: a process's first `train` ran about 12% slower than later
-    ones. Elsewhere than glibc this does nothing.
+    blocks freed. Training allocates and frees its wavefront cache, every
+    step's state rows, gates and cells, each batch, so until the limits have
+    risen each batch faults its working set in afresh: a process's first
+    `train` ran about 12% slower than later ones. Elsewhere than glibc this
+    does nothing.
     """
     if not sys.platform.startswith("linux"):
         return

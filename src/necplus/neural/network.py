@@ -1,12 +1,11 @@
 """Stacked-LSTM networks with a fully-connected head, implemented directly
 in numpy with analytic backpropagation through time.
 
-The LSTM kernels work time-major: the input projection of all steps is one
-GEMM before the recurrence, and the weight gradients are GEMMs over many
-steps at once, so the Python loop over timesteps holds only the true
-h -> h dependency. Every sigmoid uses the form 0.5 + 0.5 tanh(z/2),
-which needs no masks and cannot overflow; inside a kernel one tanh covers
-all four gate blocks of a step.
+The LSTM kernels work time-major: a step's gates are one product of its
+state rows with one matrix, and the weight gradients are GEMMs over many
+steps at once. Every sigmoid uses the form 0.5 + 0.5 tanh(z/2), which needs
+no masks and cannot overflow; one tanh covers all four gate blocks of a
+step.
 
 A :class:`NetStack` holds one of the three member models: the normal (N) and
 extreme (E) regressors use 3 tapering affine layers after the top LSTM; the
@@ -15,13 +14,15 @@ Parameters live in a flat name -> array dict so optimizers and the gradient
 checker can treat them uniformly.
 
 The layers run as a wavefront: step s runs layer l at time s - l over one
-state row per window. Training keeps each of the T + L - 1 steps
-(`_forward_steps`) and walks them back a chunk at a time
-(`_backward_steps`). `lstm_forward`/`lstm_backward` are depth-one adapters
-of the two, kept for the benchmark's tracer; `NetStack.forward`, the
-reference forward, runs layer by layer through `lstm_forward`. Serving and
-training's validation (`forward_members`) run every member of equal depth in
-one wavefront that keeps a few rows per window (`_forward_wavefront`).
+state row per window, and every step is the row product and `_lstm_step`.
+Training keeps each of the T + L - 1 steps (`_forward_steps`) and walks
+them back a chunk at a time (`_backward_steps`). Serving and training's
+validation (`forward_members`) run every member of equal depth in one
+wavefront that keeps a few rows per window (`_forward_wavefront`), so they
+compute what training's forward does, bit for bit. `lstm_forward`/
+`lstm_backward` are depth-one adapters of the stored kernel, kept for the
+benchmark's tracer; `NetStack.forward`, the reference forward, runs layer
+by layer through `lstm_forward`.
 """
 
 from __future__ import annotations
@@ -58,19 +59,40 @@ def _gate_blocks(a):
     return [a[..., k * width:(k + 1) * width] for k in range(4)]
 
 
-def _gate_affine(width: int):
-    """Per-column (scale, shift) over the i, f, g, o gate blocks.
+def _gate_affine(width: int, batch: int):
+    """(scale, shift), the (batch, 4W) rows that map tanh of the i, f, g, o
+    pre-activations to gate values.
 
     With sigmoid(z) = 0.5 + 0.5 tanh(z/2), scaling the i/f/o pre-activations
     by 1/2 (exact: a power of two) lets one tanh serve all four gates; the
     shift then turns the i/f/o columns from tanh into sigmoid values, while
-    g keeps scale 1 and shift 0.
+    g keeps scale 1 and shift 0. A wavefront scales its matrix's columns by
+    row 0 of scale; full rows are faster operands than a broadcast one.
     """
-    scale = np.full(4 * width, 0.5)
-    shift = np.full(4 * width, 0.5)
-    scale[2 * width:3 * width] = 1.0
-    shift[2 * width:3 * width] = 0.0
+    scale = np.full((batch, 4 * width), 0.5)
+    shift = np.full((batch, 4 * width), 0.5)
+    scale[:, 2 * width:3 * width] = 1.0
+    shift[:, 2 * width:3 * width] = 0.0
     return scale, shift
+
+
+def _lstm_step(z, blocks, cells_prev, cells, hidden, scale, shift, work):
+    """One wavefront step from its pre-activations z (B, 4W), the state row
+    times the scaled matrix: z becomes the activated gates, whose i, f, g, o
+    views are `blocks`, and cells and hidden (B, W) the new cell and hidden
+    state; cells may be cells_prev. work (B, W) is scratch.
+
+    Both wavefronts run it, so training's forward and serving agree bit for
+    bit.
+    """
+    gi, gf, gg, go = blocks
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
+    np.multiply(gf, cells_prev, out=cells)
+    cells += np.multiply(gi, gg, out=work)
+    np.tanh(cells, out=work)
+    np.multiply(go, work, out=hidden)
 
 
 def _gate_derivatives(gates, cells_prev, tanh_c, out):
@@ -97,45 +119,31 @@ def _forward_steps(w, x, depth):
     S = T + depth - 1 steps that keeps each step.
 
     The state row [h_0 ... h_{L-1} | x_t | a_0 ... a_{L-1}] of step s times
-    w, the unscaled `_wavefront_matrix`, gives every layer's gates, layer l
-    at time s - l; x is zero past T. The input and alive projection of all
-    steps is one GEMM before the loop, and one tanh covers a step's gates
-    (see `_gate_affine`). The cache holds the state rows (S + 1, B, K), the
+    w, the unscaled `_wavefront_matrix`, with its columns scaled as
+    `_gate_affine` says, gives every layer's pre-activations, layer l at
+    time s - l; x is zero past T. Each step is that one row product and
+    `_lstm_step`, as in `_forward_wavefront`. The cache holds the state rows (S + 1, B, K), the
     activated gates (S, B, 4LW), the cells (S + 1, B, LW) from cells[0] = 0,
     and w.
     """
     batch, steps, d_in = x.shape
     stacked = w.shape[1] // 4
     n_steps = steps + depth - 1
-    scale, shift = _gate_affine(stacked)
-    w_scaled = w * scale
+    scale, shift = _gate_affine(stacked, batch)
+    w_scaled = w * scale[0]
     states = np.zeros((n_steps + 1, batch, stacked + d_in + depth))
     states[:steps, :, stacked:stacked + d_in] = x.transpose(1, 0, 2)
     # a_l is 1 from step l on
     states[:n_steps, :, stacked + d_in:] = (
         np.arange(n_steps)[:, None, None] >= np.arange(depth))
     gates = np.empty((n_steps, batch, 4 * stacked))
-    np.matmul(states[:n_steps, :, stacked:].reshape(-1, d_in + depth),
-              w_scaled[stacked:], out=gates.reshape(-1, 4 * stacked))
-    w_h = w_scaled[:stacked]
-    # full rows: a contiguous operand is faster than a broadcast one
-    scale_rows = np.tile(scale, (batch, 1))
-    shift_rows = np.tile(shift, (batch, 1))
     cells = np.zeros((n_steps + 1, batch, stacked))
-    tanh_c = np.empty((batch, stacked))
     gi, gf, gg, go = _gate_blocks(gates)
-    input_part = np.empty((batch, stacked))
+    work = np.empty((batch, stacked))
     for s in range(n_steps):
-        z = gates[s]
-        if s:
-            z += states[s, :, :stacked] @ w_h
-        np.tanh(z, out=z)
-        z *= scale_rows
-        z += shift_rows
-        np.multiply(gf[s], cells[s], out=cells[s + 1])
-        cells[s + 1] += np.multiply(gi[s], gg[s], out=input_part)
-        np.tanh(cells[s + 1], out=tanh_c)
-        np.multiply(go[s], tanh_c, out=states[s + 1, :, :stacked])
+        np.matmul(states[s], w_scaled, out=gates[s])
+        _lstm_step(gates[s], (gi[s], gf[s], gg[s], go[s]), cells[s],
+                   cells[s + 1], states[s + 1, :, :stacked], scale, shift, work)
     return {"states": states, "gates": gates, "cells": cells, "w": w}
 
 
@@ -471,13 +479,16 @@ def _forward_wavefront(stacks, x):
     and input width, all layers of all stacks in T + L - 1 steps.
 
     Step s runs layer l at time s - l (Appleyard, Kocisky & Blunsom 2016,
-    arXiv:1604.01946): one product of the state rows with
-    `_wavefront_matrix`, then `_forward_steps`' elementwise step over every
-    layer at once. Layer l's alive input turns 1 at step l: before it, every
-    input of the layer is zero, so its gates are 1/2, 1/2, 0, 1/2 and its
-    cell and hidden state stay exactly 0. The state is a few rows per
-    window, and no per-step array is kept. The sums differ in order
-    from the layer-by-layer `forward`, so the outputs agree to rounding.
+    arXiv:1604.01946): one product of the state rows with the scaled
+    `_wavefront_matrix`, then `_lstm_step` over every layer at once, the
+    step training's `_forward_steps` takes. Layer l's alive input turns 1 at
+    step l: before it, every input of the layer is zero, so its gates are
+    1/2, 1/2, 0, 1/2 and its cell and hidden state stay exactly 0. The
+    state is a few rows per window, and no per-step array is kept. A
+    member's output equals its `_forward_cached` output bit for bit (merged
+    with others, where the BLAS adds each column's terms in the same order
+    as in the member's own matrix); the layer-by-layer `forward` sums in
+    another order, so it agrees to rounding.
     """
     x, single = _as_batch(x, stacks[0].input_dim)
     batch, steps, d_in = x.shape
@@ -485,31 +496,22 @@ def _forward_wavefront(stacks, x):
     bounds = np.cumsum([0] + [stack.width for stack in stacks])
     merged = bounds[-1]
     stacked = depth * merged
-    scale, shift = _gate_affine(stacked)
+    scale, shift = _gate_affine(stacked, batch)
     w = _wavefront_matrix(stacks)
-    w *= scale
+    w *= scale[0]
     state = np.zeros((batch, stacked + d_in + depth))
     hidden, x_t, alive = np.split(state, [stacked, stacked + d_in], axis=1)
     z = np.empty((batch, 4 * stacked))
-    gi, gf, gg, go = _gate_blocks(z)
-    scale_rows = np.tile(scale, (batch, 1))
-    shift_rows = np.tile(shift, (batch, 1))
+    blocks = _gate_blocks(z)
     cells = np.zeros((batch, stacked))
-    tanh_c = np.empty((batch, stacked))
-    input_part = np.empty((batch, stacked))
+    work = np.empty((batch, stacked))
     for s in range(steps + depth - 1):
         if s < steps:  # past T, layer 0 runs on; no output reads it
             x_t[...] = x[:, s]
         if s < depth:
             alive[:, s] = 1.0
         np.matmul(state, w, out=z)
-        np.tanh(z, out=z)
-        z *= scale_rows
-        z += shift_rows
-        cells *= gf
-        cells += np.multiply(gi, gg, out=input_part)
-        np.tanh(cells, out=tanh_c)
-        np.multiply(go, tanh_c, out=hidden)
+        _lstm_step(z, blocks, cells, cells, hidden, scale, shift, work)
     top = hidden[:, stacked - merged:]
     outs = [stack._head(top[:, lo:hi])[-1]
             for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:])]
@@ -517,21 +519,18 @@ def _forward_wavefront(stacks, x):
 
 
 def forward_members(stacks, x) -> list:
-    """The output of each member's `forward(x)`, in order, to rounding.
+    """The output of each NetStack's `forward(x)`, in order, to rounding:
+    that of its `_forward_cached(x)`, as `_forward_wavefront` says.
 
-    The members see the same input, so every group of NetStacks with equal
+    The members see the same input, so every group of stacks with equal
     depth and input width runs as one wavefront (`_forward_wavefront`):
     T + L - 1 steps for all layers of all its members, and no gradient
     cache is kept. Each head reads its own slice of the top hidden state.
-    Any other member runs its own `forward`.
     """
     outs = [None] * len(stacks)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, stack in enumerate(stacks):
-        if isinstance(stack, NetStack):
-            groups.setdefault((stack.n_layers, stack.input_dim), []).append(i)
-        else:
-            outs[i] = stack.forward(x)
+        groups.setdefault((stack.n_layers, stack.input_dim), []).append(i)
     for idx in groups.values():
         for i, out in zip(idx, _forward_wavefront([stacks[i] for i in idx], x)):
             outs[i] = out

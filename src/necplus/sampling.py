@@ -113,8 +113,14 @@ def make_split(series_len: int, spec: SplitSpec) -> Split:
     """Build holdout sections and the leakage-free training origin mask.
 
     Every origin whose h+f window would touch any holdout section is
-    excluded from training.
+    excluded from training. A val range and a test range may touch but not
+    overlap: a test section inside the val range would steer early stopping.
     """
+    for v_lo, v_hi in spec.val_ranges:
+        for t_lo, t_hi in spec.test_ranges:
+            if max(v_lo, t_lo) < min(v_hi, t_hi):
+                raise SplitInfeasibleError(
+                    f"val range {v_lo}-{v_hi} overlaps test range {t_lo}-{t_hi}")
     rng = np.random.default_rng(spec.seed)
     val = _place_sections(spec.val_ranges, spec.holdout_sections, spec.f, rng)
     test = _place_sections(spec.test_ranges, spec.holdout_sections, spec.f, rng)

@@ -212,7 +212,10 @@ class _Stub:
         return self.out
 
 
-def test_8_composition_identity():
+def test_8_composition_identity(monkeypatch):
+    # `forward_members` runs NetStacks only; the stubs give fixed outputs
+    monkeypatch.setattr(engine, "forward_members",
+                        lambda models, x: [m.forward(x) for m in models])
     rng = np.random.default_rng(4)
     transform = series.StandardizedSeries(values=np.array([]), location=0.2,
                                           scale=1.3, anchor=50.0)

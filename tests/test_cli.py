@@ -297,6 +297,19 @@ class TestPipeline:
         assert code == 1
         assert "epsilon" in capsys.readouterr().err
 
+    def test_train_overlapping_holdout_ranges_exits_one(self, pipeline, tmp_path,
+                                                       capsys):
+        _, _, data, _, _ = pipeline
+        bad = tmp_path / "config"
+        write_config(bad, test_ranges=((500, 1600),))
+        code = main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: SplitInfeasibleError: val range 200-600 overlaps test range "
+            "500-1600\n")
+        assert not (tmp_path / "run").exists()
+
     def test_train_needs_the_fitted_gmm(self, pipeline, tmp_path, capsys):
         _, _, data, _, config = pipeline
         bare = tmp_path / "data"

@@ -95,6 +95,12 @@ def training_inputs(n=600, seed=0):
 
 
 class TestPredictComposition:
+    @pytest.fixture(autouse=True)
+    def stub_members(self, monkeypatch):
+        # `forward_members` runs NetStacks only; the stubs give fixed outputs
+        monkeypatch.setattr(engine, "forward_members",
+                            lambda models, x: [m.forward(x) for m in models])
+
     def test_hard_gate_identity_randomized(self):
         rng = np.random.default_rng(0)
         window = rng.normal(size=(8, 2))

@@ -68,6 +68,32 @@ class TestMakeSplit:
         with pytest.raises(SplitInfeasibleError):
             make_split(5000, spec)
 
+    @pytest.mark.parametrize("val_ranges, test_ranges", [
+        (((100, 160),), ((100, 160),)),
+        (((0, 50), (100, 160)), ((300, 400), (150, 200))),
+        (((100, 400),), ((200, 250),)),
+    ])
+    def test_overlapping_val_and_test_ranges_rejected(self, val_ranges, test_ranges):
+        # a test section inside the val range would steer early stopping
+        spec = SplitSpec(h=24, f=6, holdout_sections=5, val_ranges=val_ranges,
+                         test_ranges=test_ranges)
+        (v_lo, v_hi), (t_lo, t_hi) = val_ranges[-1], test_ranges[-1]
+        with pytest.raises(SplitInfeasibleError,
+                           match=f"val range {v_lo}-{v_hi} overlaps test range "
+                                 f"{t_lo}-{t_hi}"):
+            make_split(1000, spec)
+
+    def test_touching_val_and_test_ranges_allowed(self):
+        # half-open ranges: (0, 100) and (100, 200) share no point
+        for val_ranges, test_ranges in ((((0, 100),), ((100, 200),)),
+                                        (((100, 200),), ((0, 100),))):
+            spec = SplitSpec(h=24, f=6, holdout_sections=5,
+                             val_ranges=val_ranges, test_ranges=test_ranges)
+            split = make_split(1000, spec)
+            val = {i for a, b in split.val_sections for i in range(a, b)}
+            test = {i for a, b in split.test_sections for i in range(a, b)}
+            assert len(val) == len(test) == 30 and not val & test
+
     def test_train_windows_never_overlap_holdout(self):
         # exhaustive overlap oracle on a small series
         spec = SplitSpec(h=20, f=5, holdout_sections=4,

@@ -123,8 +123,11 @@ class TestEvaluateLoss:
         val = make_windows(24, 48, 6, 2, seed=22)
         want = model.loss(model.forward(val.input), val.target,
                           val.target_mask, alpha, beta)[0]
-        assert evaluate_loss(model, val, alpha, beta) == pytest.approx(
-            want, rel=1e-14, abs=0)
+        got = evaluate_loss(model, val, alpha, beta)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+        # the serving wavefront takes training's steps: the same bits
+        assert got == model.loss(model._forward_cached(val.input)[0], val.target,
+                                 val.target_mask, alpha, beta)[0]
 
     def test_peak_memory_is_a_few_rows_per_window(self):
         # paper-shape validation: 24 windows of h = 360, two layers. forward
