@@ -324,11 +324,9 @@ def predict(models: dict, window: np.ndarray, anchor,
     """Run the three members on one h-step feature window (h, channels), or
     on a stack of S windows (S, h, channels) with S anchors, and compose.
     The members run through `forward_members`: the LSTM layers of members
-    of equal depth run as one wavefront of training's own steps, so each
-    member's output equals its training forward's bit for bit (merged with
-    others, where the BLAS adds each column's terms in the same order as in
-    the member's own matrix), and its layer-by-layer `forward` to rounding
-    (at most 1.1e-16 measured).
+    of equal depth and width run as one wavefront of training's own steps,
+    so each member's output equals its training forward's bit for bit, and
+    its layer-by-layer `forward` to rounding.
 
     The gate picks the extreme regressor wherever the classifier
     probability exceeds the threshold; composition happens on the

@@ -17,9 +17,10 @@ The layers run as a wavefront: step s runs layer l at time s - l over one
 state row per window, and every step is the row product and `_lstm_step`.
 Training keeps each of the T + L - 1 steps (`_forward_steps`) and walks
 them back a chunk at a time (`_backward_steps`). Serving and training's
-validation (`forward_members`) run every member of equal depth in one
-wavefront that keeps a few rows per window (`_forward_wavefront`), so they
-compute what training's forward does, bit for bit. `lstm_forward`/
+validation (`forward_members`) run the members of equal depth and width
+as one wavefront that keeps a few rows per window and multiplies each
+member's rows by its own matrix (`_forward_wavefront`), so they compute
+what training's forward does, bit for bit. `lstm_forward`/
 `lstm_backward` are depth-one adapters of the stored kernel, kept for the
 benchmark's tracer; `NetStack.forward`, the reference forward, runs layer
 by layer through `lstm_forward`.
@@ -339,7 +340,7 @@ class NetStack:
         """(`forward(x)`, the cache `backward` reads): `_forward_steps` of
         every layer, plus the head's activations as "fc"."""
         x, single = _as_batch(x, self.input_dim)
-        cache = _forward_steps(_wavefront_matrix([self]), x, self.n_layers)
+        cache = _forward_steps(_wavefront_matrix(self), x, self.n_layers)
         top = self.n_layers * self.width
         cache["fc"] = self._head(cache["states"][-1, :, top - self.width:top])
         out = cache["fc"][-1]
@@ -394,7 +395,7 @@ class NetStack:
         d_w = d_w.reshape(-1, 4, self.n_layers, self.width)
         for layer in range(self.n_layers):
             below, own, alive = _layer_rows(layer, self.n_layers, self.width,
-                                            self.input_dim, 0, self.width)
+                                            self.input_dim)
             grads[f"lstm{layer}_wx"] = _param_block(d_w[below, :, layer])
             grads[f"lstm{layer}_wh"] = _param_block(d_w[own, :, layer])
             grads[f"lstm{layer}_b"] = d_w[alive, :, layer].reshape(-1)
@@ -427,44 +428,38 @@ class NetStack:
 # Inference over several members
 
 
-def _wavefront_matrix(stacks):
-    """The one matrix of a wavefront step for stacks of equal depth L and
-    input width D, of merged width M (the sum of their widths).
+def _wavefront_matrix(stack):
+    """The one matrix (K, 4LW) of a wavefront step of a stack of depth L,
+    width W and input width D, for K = LW + D + L.
 
     A row of the state it multiplies is [h_0 ... h_{L-1} | x_t | a_0 ...
     a_{L-1}]: every layer's hidden state, the input, and each layer's alive
-    input a_l, which is 1 once layer l has started and 0 before. Its 4·L·M
+    input a_l, which is 1 once layer l has started and 0 before. Its 4LW
     columns are the gate blocks i, f, g, o, each split as [layer 0 ... layer
-    L-1] of width M, and member m owns columns lo:hi of every layer's M.
-    Layer l's gates read its own hidden state through lstm{l}_wh, the state
-    of layer l - 1 (the input, for layer 0) through lstm{l}_wx, and a_l
-    through lstm{l}_b. Every other entry is zero: a member reads only its
-    own hidden slices.
+    L-1] of width W. Layer l's gates read its own hidden state through
+    lstm{l}_wh, the state of layer l - 1 (the input, for layer 0) through
+    lstm{l}_wx, and a_l through lstm{l}_b; every other entry is zero.
     """
-    depth, d_in = stacks[0].n_layers, stacks[0].input_dim
-    bounds = np.cumsum([0] + [stack.width for stack in stacks])
-    merged = bounds[-1]
-    stacked = depth * merged
-    w = np.zeros((stacked + d_in + depth, 4, depth, merged))
-    for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:]):
-        for layer in range(depth):
-            p_wx, p_wh, p_b = stack._lstm_params(layer)
-            below, own, alive = _layer_rows(layer, depth, merged, d_in, lo, hi)
-            w[below, :, layer, lo:hi] = p_wx.reshape(4, hi - lo, -1).transpose(2, 0, 1)
-            w[own, :, layer, lo:hi] = p_wh.reshape(4, hi - lo, -1).transpose(2, 0, 1)
-            w[alive, :, layer, lo:hi] = p_b.reshape(4, hi - lo)
+    depth, width, d_in = stack.n_layers, stack.width, stack.input_dim
+    stacked = depth * width
+    w = np.zeros((stacked + d_in + depth, 4, depth, width))
+    for layer in range(depth):
+        p_wx, p_wh, p_b = stack._lstm_params(layer)
+        below, own, alive = _layer_rows(layer, depth, width, d_in)
+        w[below, :, layer] = p_wx.reshape(4, width, -1).transpose(2, 0, 1)
+        w[own, :, layer] = p_wh.reshape(4, width, -1).transpose(2, 0, 1)
+        w[alive, :, layer] = p_b.reshape(4, width)
     return w.reshape(stacked + d_in + depth, 4 * stacked)
 
 
-def _layer_rows(layer, depth, merged, d_in, lo, hi):
+def _layer_rows(layer, depth, width, d_in):
     """(below, own, alive): the rows of a wavefront state [h_0 ... h_{L-1} |
-    x | a_0 ... a_{L-1}] that layer `layer` of the member owning lo:hi of
-    each layer's merged width reads through lstm{l}_wx, lstm{l}_wh and
-    lstm{l}_b."""
-    stacked = depth * merged
+    x | a_0 ... a_{L-1}] that layer `layer` reads through lstm{l}_wx,
+    lstm{l}_wh and lstm{l}_b."""
+    stacked = depth * width
     below = (slice(stacked, stacked + d_in) if layer == 0
-             else slice((layer - 1) * merged + lo, (layer - 1) * merged + hi))
-    own = slice(layer * merged + lo, layer * merged + hi)
+             else slice((layer - 1) * width, layer * width))
+    own = slice(layer * width, (layer + 1) * width)
     return below, own, stacked + d_in + layer
 
 
@@ -475,62 +470,62 @@ def _param_block(block):
 
 
 def _forward_wavefront(stacks, x):
-    """[stack.forward(x) for stack in stacks] for stacks of equal depth L
-    and input width, all layers of all stacks in T + L - 1 steps.
+    """[stack.forward(x) for stack in stacks] for M stacks of equal depth L,
+    width W and input width, all layers of all stacks in T + L - 1 steps.
 
     Step s runs layer l at time s - l (Appleyard, Kocisky & Blunsom 2016,
-    arXiv:1604.01946): one product of the state rows with the scaled
-    `_wavefront_matrix`, then `_lstm_step` over every layer at once, the
-    step training's `_forward_steps` takes. Layer l's alive input turns 1 at
-    step l: before it, every input of the layer is zero, so its gates are
-    1/2, 1/2, 0, 1/2 and its cell and hidden state stay exactly 0. The
-    state is a few rows per window, and no per-step array is kept. A
-    member's output equals its `_forward_cached` output bit for bit (merged
-    with others, where the BLAS adds each column's terms in the same order
-    as in the member's own matrix); the layer-by-layer `forward` sums in
-    another order, so it agrees to rounding.
+    arXiv:1604.01946): one batched product of each member's state rows
+    with its own scaled `_wavefront_matrix`, then `_lstm_step` over every
+    layer of every member at once. Each member's slice of the product is the
+    GEMM training's `_forward_steps` takes, so a member's output equals its
+    `_forward_cached` output bit for bit; the layer-by-layer `forward` sums
+    in another order, so it agrees to rounding. Layer l's alive input turns
+    1 at step l: before it, every input of the layer is zero, so its gates
+    are 1/2, 1/2, 0, 1/2 and its cell and hidden state stay exactly 0. The
+    state is a few rows per window, and no per-step array is kept.
     """
     x, single = _as_batch(x, stacks[0].input_dim)
     batch, steps, d_in = x.shape
-    depth = stacks[0].n_layers
-    bounds = np.cumsum([0] + [stack.width for stack in stacks])
-    merged = bounds[-1]
-    stacked = depth * merged
-    scale, shift = _gate_affine(stacked, batch)
-    w = _wavefront_matrix(stacks)
-    w *= scale[0]
-    state = np.zeros((batch, stacked + d_in + depth))
-    hidden, x_t, alive = np.split(state, [stacked, stacked + d_in], axis=1)
-    z = np.empty((batch, 4 * stacked))
+    members, depth, width = len(stacks), stacks[0].n_layers, stacks[0].width
+    stacked = depth * width
+    scale, shift = (a.reshape(members, batch, -1)
+                    for a in _gate_affine(stacked, members * batch))
+    w = np.stack([_wavefront_matrix(stack) for stack in stacks])
+    w *= scale[0, 0]
+    state = np.zeros((members, batch, stacked + d_in + depth))
+    hidden, x_t, alive = np.split(state, [stacked, stacked + d_in], axis=2)
+    z = np.empty((members, batch, 4 * stacked))
     blocks = _gate_blocks(z)
-    cells = np.zeros((batch, stacked))
-    work = np.empty((batch, stacked))
+    cells = np.zeros((members, batch, stacked))
+    work = np.empty((members, batch, stacked))
     for s in range(steps + depth - 1):
         if s < steps:  # past T, layer 0 runs on; no output reads it
             x_t[...] = x[:, s]
         if s < depth:
-            alive[:, s] = 1.0
+            alive[..., s] = 1.0
         np.matmul(state, w, out=z)
         _lstm_step(z, blocks, cells, cells, hidden, scale, shift, work)
-    top = hidden[:, stacked - merged:]
-    outs = [stack._head(top[:, lo:hi])[-1]
-            for stack, lo, hi in zip(stacks, bounds[:-1], bounds[1:])]
+    outs = [stack._head(hidden[m, :, stacked - width:])[-1]
+            for m, stack in enumerate(stacks)]
     return [out[0] for out in outs] if single else outs
 
 
 def forward_members(stacks, x) -> list:
     """The output of each NetStack's `forward(x)`, in order, to rounding:
-    that of its `_forward_cached(x)`, as `_forward_wavefront` says.
+    that of its `_forward_cached(x)` bit for bit, as `_forward_wavefront`
+    says.
 
     The members see the same input, so every group of stacks with equal
-    depth and input width runs as one wavefront (`_forward_wavefront`):
-    T + L - 1 steps for all layers of all its members, and no gradient
-    cache is kept. Each head reads its own slice of the top hidden state.
+    depth, width and input width runs as one wavefront
+    (`_forward_wavefront`): T + L - 1 steps for all layers of all its
+    members, and no gradient cache is kept. Each head reads its own
+    member's top hidden state.
     """
     outs = [None] * len(stacks)
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int, int], list[int]] = {}
     for i, stack in enumerate(stacks):
-        groups.setdefault((stack.n_layers, stack.input_dim), []).append(i)
+        key = (stack.n_layers, stack.width, stack.input_dim)
+        groups.setdefault(key, []).append(i)
     for idx in groups.values():
         for i, out in zip(idx, _forward_wavefront([stacks[i] for i in idx], x)):
             outs[i] = out

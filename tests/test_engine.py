@@ -154,8 +154,9 @@ class TestPredictComposition:
 
 
 class TestPredictFusedMembers:
-    """engine.predict runs the three NetStacks as one wavefront; its member
-    outputs must be those of each model's own forward, to rounding."""
+    """engine.predict runs the three NetStacks as one wavefront per depth
+    and width; its member outputs must be those of each model's training
+    forward, bit for bit, and of its own forward, to rounding."""
 
     @staticmethod
     def members_and_windows(config, seed=0):
@@ -179,13 +180,16 @@ class TestPredictFusedMembers:
             bundle = engine.predict(models, window, np.zeros(window.shape[:-2]),
                                     identity_transform())
             for name, field in (("n", "n_pred"), ("e", "e_pred"), ("c", "c_prob")):
-                np.testing.assert_allclose(getattr(bundle, field),
-                                           models[name].forward(window),
+                out = getattr(bundle, field)
+                np.testing.assert_array_equal(
+                    out, models[name]._forward_cached(window)[0])
+                np.testing.assert_allclose(out, models[name].forward(window),
                                            rtol=0, atol=1e-15)
 
     def test_peak_memory_below_one_training_batch(self):
-        # the merged stack is three members wide; dropping each layer's
-        # gradient cache keeps a 24-window predict under one training batch
+        # the wavefront holds all three members at once; dropping each
+        # layer's gradient cache keeps a 24-window predict under one
+        # training batch
         config = engine.NecConfig()
         models, windows = self.members_and_windows(config)
         rng = np.random.default_rng(1)

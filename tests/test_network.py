@@ -353,19 +353,22 @@ def trained_like_members(widths=(16, 16, 16), layers=(2, 2, 2), input_dim=2,
 class TestForwardMembers:
     # the wavefront sums each gate's input, recurrent and bias terms in one
     # product, the layer-by-layer forward in three: the outputs differ by
-    # rounding only (at most 1.1e-16 measured). Training's forward takes the
-    # same steps, so against `_forward_cached` they are equal
+    # rounding only (at most 1.1e-16 measured). Each member's slice of the
+    # serving product is the GEMM training's forward takes, so against
+    # `_forward_cached` they are equal
 
     @pytest.mark.parametrize("steps", [1, 2, 45, 360], ids="T{}".format)
     @pytest.mark.parametrize("batch", [1, 24], ids="B{}".format)
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_each_output_is_the_training_forward_bit_for_bit(self, depth, batch,
-                                                             steps):
-        # N, E and C of width 16 in one wavefront: each member's rows and
-        # columns of the merged matrix lie a multiple of 16 away from where
-        # they lie in its own, so a BLAS that sums each column in blocks of
-        # up to 16 rows adds the same terms in the same order, plus zeros
-        stacks = trained_like_members(layers=(depth,) * 3)
+    @pytest.mark.parametrize("widths", [(16, 16, 16), (6, 6, 6), (5, 7, 3),
+                                        (16, 8, 16)],
+                             ids=lambda widths: "widths" + "-".join(map(str, widths)))
+    def test_each_output_is_the_training_forward_bit_for_bit(self, widths, depth,
+                                                             batch, steps):
+        # members of equal width share one wavefront, members of another
+        # width run alone; widths that are no multiple of the BLAS's
+        # blocking (6, 5, 7, 3) give the same bits as 16 does
+        stacks = trained_like_members(widths=widths, layers=(depth,) * 3)
         x = np.random.default_rng(36).normal(size=(batch, steps, 2))
         for stack, out in zip(stacks, forward_members(stacks, x)):
             np.testing.assert_array_equal(out, stack._forward_cached(x)[0])
@@ -403,30 +406,28 @@ class TestForwardMembers:
             np.testing.assert_allclose(out, stack.forward(x), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(fused[2], forward_members(stacks[2:], x)[0])
 
-    def test_wavefront_matrix_layout(self):
+    @pytest.mark.parametrize("width", [3, 4, 2])
+    def test_wavefront_matrix_layout(self, width):
         # a state row [h_0 .. h_{L-1} | x | a_0 .. a_{L-1}] times the matrix
-        # gives, in the columns [i|f|g|o] x [layer] x [member], each
-        # member's own gate pre-activations of each layer: its input from
-        # the layer below (x for layer 0), its own hidden state and its bias
-        # times its alive input a_l, and nothing of any other member
-        widths, depth = (3, 4, 2), 3
-        stacks = trained_like_members(widths=widths, layers=(depth,) * 3)
-        w = network._wavefront_matrix(stacks)
+        # gives, in the columns [i|f|g|o] x [layer], each layer's gate
+        # pre-activations: its input from the layer below (x for layer 0),
+        # its own hidden state and its bias times its alive input a_l
+        depth = 3
+        stack, = trained_like_members(widths=(width,), layers=(depth,))
+        w = network._wavefront_matrix(stack)
+        assert w.shape == (depth * width + 2 + depth, 4 * depth * width)
         assert w.flags.c_contiguous
         rng = np.random.default_rng(35)
-        hidden = [[rng.normal(size=width) for width in widths] for _ in range(depth)]
+        hidden = [rng.normal(size=width) for _ in range(depth)]
         x = rng.normal(size=2)
         alive = rng.normal(size=depth)
-        state = np.concatenate([*map(np.concatenate, hidden), x, alive])
-        z = (state @ w).reshape(4, depth, sum(widths))
-        bounds = np.cumsum([0, *widths])
-        for m, (stack, lo, hi) in enumerate(zip(stacks, bounds[:-1], bounds[1:])):
-            for layer in range(depth):
-                w_x, w_h, b = stack._lstm_params(layer)
-                below = x if layer == 0 else hidden[layer - 1][m]
-                want = w_x @ below + w_h @ hidden[layer][m] + alive[layer] * b
-                np.testing.assert_allclose(z[:, layer, lo:hi], want.reshape(4, -1),
-                                           rtol=0, atol=1e-14)
+        z = (np.concatenate([*hidden, x, alive]) @ w).reshape(4, depth, width)
+        for layer in range(depth):
+            w_x, w_h, b = stack._lstm_params(layer)
+            below = x if layer == 0 else hidden[layer - 1]
+            want = w_x @ below + w_h @ hidden[layer] + alive[layer] * b
+            np.testing.assert_allclose(z[:, layer], want.reshape(4, -1),
+                                       rtol=0, atol=1e-14)
 
     def test_peak_memory_does_not_grow_with_the_window(self):
         # the state is a few rows per window: no per-step array is kept
@@ -447,6 +448,13 @@ class TestForwardMembers:
     def test_malformed_window_rejected(self):
         with pytest.raises(DimensionError):
             forward_members(trained_like_members(), np.ones((5, 3)))
+
+    def test_unequal_input_widths_rejected(self):
+        # a group holds one input width, so the window fits at most one
+        stacks = [NetStack("normal", 2, 8, 2, 6), NetStack("extreme", 3, 8, 2, 6)]
+        for d_in in (2, 3):
+            with pytest.raises(DimensionError):
+                forward_members(stacks, np.ones((4, 12, d_in)))
 
     @pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
     def test_zero_step_window_rejected(self, shape):
