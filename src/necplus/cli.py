@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
-import functools
 import os
 import sys
 from pathlib import Path
@@ -222,36 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc malloc options (malloc.h) and the highest values its dynamic
-# thresholds reach on 64-bit hosts.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
-
-
-@functools.cache
-def _steady_malloc() -> None:
-    """Fix glibc's heap thresholds at the values they settle at on their own.
-
-    glibc starts by serving blocks over 128 KiB with mmap and trimming the
-    heap top past 256 KiB, and raises both limits only as it sees larger
-    blocks freed. Training allocates and frees its wavefront cache, every
-    step's state rows, gates and cells, each batch, so until the limits have
-    risen each batch faults its working set in afresh: a process's first
-    `train` ran about 12% slower than later ones. Elsewhere than glibc this
-    does nothing.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
-
-
 def main(argv=None) -> int:
-    _steady_malloc()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

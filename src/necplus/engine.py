@@ -174,13 +174,14 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
     """Train the N, E, and C members; returns ({name: NetStack}, {name: log}).
 
     The three trainings are independent and deterministic per member seed.
-    When this process may use more than one CPU and can fork, they train on
-    one process per usable CPU, up to three: this one trains the first and
-    largest share of MEMBERS (N and E on two CPUs), and forked children,
-    which inherit the inputs, train the others. Otherwise the members train
-    here, one after another. Both paths return the same bits, and raise the
-    first failed member's exception, in MEMBERS order, unchanged. On Linux a
-    child ends with this process, however it dies.
+    MEMBERS is split in order into one share per usable CPU, up to three,
+    or into one share where this platform cannot fork. This process trains
+    the first and largest share (N and E on two CPUs), and a forked child,
+    which inherits the inputs, trains each other share; with one share,
+    all three train here, one after another. Every split returns the same
+    bits and raises the first failed member's exception, in MEMBERS order,
+    unchanged. A pipe or fork that fails is a TrainingFailureError. On
+    Linux a child ends with this process, however it dies.
 
     Each process should run one BLAS thread, or they wait for each other's
     CPUs: the CLI sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
@@ -213,10 +214,7 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
     # no more training processes than CPUs: a process more only waits for
     # a CPU, so each one's speed would vary with the others'
     workers = min(cpus, len(MEMBERS)) if hasattr(os, "fork") else 1
-    if workers > 1:
-        results = _train_across_processes(run_member, workers)
-    else:
-        results = {name: run_member(name) for name in MEMBERS}
+    results = _train_across_processes(run_member, workers)
     models, logs = zip(*(results[name] for name in MEMBERS))
     return dict(zip(MEMBERS, models)), dict(zip(MEMBERS, logs))
 
@@ -225,10 +223,10 @@ def _train_across_processes(run_member, workers: int) -> dict:
     """{name: run_member(name)} for every member, on `workers` processes:
     MEMBERS split in order into `workers` shares, the first trained here and
     each other one in a forked child that sends back its share's results or
-    the exception that ended it. Results are read in MEMBERS order, so the
-    exception raised is the one the in-process path raises; the children
-    still training are terminated first, and every child is reaped before
-    this returns or raises."""
+    the exception that ended it. One share needs no pipe and no fork.
+    Results are read in MEMBERS order, so the exception raised is the one
+    a single share raises; the children still training are terminated
+    first, and every child is reaped before this returns or raises."""
     # the first share is the largest, so the work that ends last runs in
     # this process, whose speed the benchmark's SpeedProbe samples
     bounds = [-(-i * len(MEMBERS) // workers) for i in range(workers + 1)]
@@ -240,14 +238,19 @@ def _train_across_processes(run_member, workers: int) -> dict:
     sys.stderr.flush()
     try:
         for share in shares[1:]:
-            reader, writer = os.pipe()
-            readers.append(reader)
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(parent, readers, writer, run_member, share)
-            finally:
-                os.close(writer)
+                reader, writer = os.pipe()
+                readers.append(reader)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(parent, readers, writer, run_member, share)
+                finally:
+                    os.close(writer)
+            except OSError as exc:  # a process or file limit, say
+                raise TrainingFailureError(
+                    f"cannot start a process to train {' and '.join(share)}: "
+                    f"{exc.strerror or exc}") from None
             pids.append(pid)
         for name in shares[0]:
             results[name] = run_member(name)

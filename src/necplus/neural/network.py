@@ -375,9 +375,12 @@ class NetStack:
         The LSTM part is the reverse wavefront `_backward_steps` from the
         head's gradient on the top layer's last hidden state; each layer's
         wx, wh and b are blocks of the gradient of the wavefront matrix.
+        Two finiteness checks, one over the head's gradients before the
+        wavefront runs and one over the wavefront matrix's gradient, raise
+        NumericInstabilityError naming the part that failed.
         """
         d_out = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        head = {}
         activations = cache["fc"]
         n_fc = len(self.fc_sizes) - 1
         delta = d_out
@@ -387,21 +390,24 @@ class NetStack:
                 delta = delta * out_i * (1.0 - out_i)
             elif i < n_fc - 1:
                 delta = delta * (1.0 - out_i * out_i)
-            grads[f"fc{i}_w"] = delta.T @ activations[i]
-            grads[f"fc{i}_b"] = delta.sum(axis=0)
+            head[f"fc{i}_w"] = delta.T @ activations[i]
+            head[f"fc{i}_b"] = delta.sum(axis=0)
             delta = delta @ self.params[f"fc{i}_w"]
+        if not np.isfinite(np.concatenate([g.ravel() for g in head.values()])).all():
+            raise NumericInstabilityError("non-finite gradient in the head")
         # delta is now the gradient w.r.t. the top layer's last hidden state
         d_w = _backward_steps(cache, delta[:, None], self.n_layers)
+        if not np.isfinite(d_w).all():
+            raise NumericInstabilityError("non-finite gradient in the LSTM layers")
         d_w = d_w.reshape(-1, 4, self.n_layers, self.width)
+        grads = {}
         for layer in range(self.n_layers):
             below, own, alive = _layer_rows(layer, self.n_layers, self.width,
                                             self.input_dim)
             grads[f"lstm{layer}_wx"] = _param_block(d_w[below, :, layer])
             grads[f"lstm{layer}_wh"] = _param_block(d_w[own, :, layer])
             grads[f"lstm{layer}_b"] = d_w[alive, :, layer].reshape(-1)
-        for key, grad in grads.items():
-            if not np.all(np.isfinite(grad)):
-                raise NumericInstabilityError(f"non-finite gradient in {key}")
+        grads.update((key, head[key]) for key in self.fc_keys)
         return grads
 
     def loss(self, out, target, labels, alpha: float = 1.0, beta: float = 1.0):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import inspect
 import io
 import os
@@ -203,6 +204,25 @@ class TestExitCodes:
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: StratificationInfeasibleError: ")
         assert not (tmp_path / "run").exists()
+
+    @needs_fork
+    def test_failed_fork_exits_one(self, pipeline, tmp_path, monkeypatch, capsys):
+        # as under a process limit: train must end with one error line
+        _, _, data, _, config = pipeline
+        run = tmp_path / "run"
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        usable_cpus(monkeypatch, {0, 1})
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: TrainingFailureError: cannot start a process to "
+                       f"train c: {os.strerror(errno.EAGAIN)}\n")
+        assert not run.exists()
 
     def test_fit_gmm_negative_seed_exits_one(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,5 +1,7 @@
 import contextlib
+import errno
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -261,6 +263,74 @@ class TestTrainNec:
                 assert other[key].dtype == params[key].dtype
                 assert other[key].tobytes() == params[key].tobytes(), (name, key)
         assert forked_logs == logs
+
+    def test_without_fork_every_member_trains_here(self, monkeypatch):
+        config, features, labels, split, _ = training_inputs()
+        usable_cpus(monkeypatch, {0})
+        models, logs = engine.train_nec(config, features, labels, split)
+
+        def refused():
+            raise AssertionError("one share needs no pipe and no fork")
+
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.setattr(os, "pipe", refused)
+        usable_cpus(monkeypatch, {0, 1})
+        trained = []
+        real_train = engine.train
+
+        def recorded_train(model, samples, val, cfg):
+            trained.append((os.getpid(), model.head_kind))
+            return real_train(model, samples, val, cfg)
+
+        monkeypatch.setattr(engine, "train", recorded_train)
+        here_models, here_logs = engine.train_nec(config, features, labels, split)
+        assert trained == [(os.getpid(), kind)
+                           for kind in ("normal", "extreme", "classifier")]
+        for name in engine.MEMBERS:
+            params, other = models[name].params, here_models[name].params
+            assert list(other) == list(params)
+            for key in params:
+                assert other[key].tobytes() == params[key].tobytes(), (name, key)
+        assert here_logs == logs
+
+    @needs_fork
+    def test_a_failed_fork_is_a_training_failure(self, monkeypatch):
+        # on three CPUs the first fork starts the child for E, the second
+        # one fails: that child is ended and reaped before the error leaves
+        config, features, labels, split, _ = training_inputs()
+        real_fork, forks = os.fork, []
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        usable_cpus(monkeypatch, {0, 1, 2})
+        with pytest.raises(TrainingFailureError,
+                           match=r"^cannot start a process to train c: "
+                                 + re.escape(os.strerror(errno.EAGAIN)) + "$"):
+            engine.train_nec(config, features, labels, split)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_a_failed_pipe_is_a_training_failure(self, monkeypatch):
+        config, features, labels, split, _ = training_inputs()
+
+        def no_pipe():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"),
+                            raising=False)
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        usable_cpus(monkeypatch, {0, 1})
+        with pytest.raises(TrainingFailureError,
+                           match=r"^cannot start a process to train c: "
+                                 + re.escape(os.strerror(errno.EMFILE)) + "$"):
+            engine.train_nec(config, features, labels, split)
 
     @needs_fork
     def test_a_child_killed_mid_training_is_a_training_failure(self, monkeypatch):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from necplus.errors import CheckpointError, DimensionError
+from necplus.errors import CheckpointError, DimensionError, NumericInstabilityError
 from necplus.neural import (
     NetStack,
     classifier_loss,
@@ -531,6 +531,40 @@ class TestBackward:
         wavefront = peak(lambda: model.loss_and_grads(x, target, labels))
         reference = peak(layer_by_layer)
         assert wavefront < reference, (wavefront, reference)
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("head", ["normal", "classifier"])
+    def test_non_finite_head_weight_fails_in_the_head(self, head, n_layers):
+        model = NetStack(head, input_dim=2, width=4, n_layers=n_layers,
+                         horizon=3, seed=19)
+        model.params["fc0_w"][1, 2] = np.nan
+        rng = np.random.default_rng(20)
+        x, target = rng.normal(size=(3, 7, 2)), rng.normal(size=(3, 3))
+        labels = np.zeros((3, 3), dtype=bool)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericInstabilityError, match="^non-finite gradient in the head$"):
+            model.loss_and_grads(x, target, labels)
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_overflowing_lstm_weight_fails_in_the_lstm_layers(self, n_layers):
+        # layer 0's g gate reads only its own hidden state, which therefore
+        # stays 0, so the forward and the head's gradients stay finite while
+        # the gradient fed back through the huge lstm0_wh overflows
+        width = 4
+        model = NetStack("normal", input_dim=2, width=width,
+                         n_layers=n_layers, horizon=3, seed=21)
+        g_gate = slice(2 * width, 3 * width)
+        model.params["lstm0_wx"][g_gate] = 0.0
+        model.params["lstm0_b"][g_gate] = 0.0
+        model.params["lstm0_wh"][:] = 1e200
+        rng = np.random.default_rng(22)
+        x, target = rng.normal(size=(3, 7, 2)), rng.normal(size=(3, 3))
+        labels = np.zeros((3, 3), dtype=bool)
+        assert np.isfinite(model.forward(x)).all()
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericInstabilityError,
+                match="^non-finite gradient in the LSTM layers$"):
+            model.loss_and_grads(x, target, labels)
 
     def test_gradient_linearity(self):
         model = NetStack("normal", input_dim=2, width=4, n_layers=1,
