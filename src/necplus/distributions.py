@@ -5,7 +5,9 @@ Technometrics 27(3)), which assume shape < 1; a bounded support that ends
 inside the sample is widened to one mean spacing past it.
 
 Mixtures are univariate: the indicator is computed on the standardized
-scalar series. All fitting is deterministic for a fixed seed.
+scalar series. EM normalizes each point's densities after shifting their
+logs by the largest, the stable log-sum-exp (Blanchard, Higham & Higham
+2021, IMA J. Numer. Anal. 41(4)). Fitting is deterministic for a seed.
 """
 
 from __future__ import annotations
@@ -200,49 +202,20 @@ def _gmm_log_joint(weights, means, variances, x: np.ndarray) -> np.ndarray:
     return joint
 
 
-def _logsumexp0(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=0)) of a real 2-D array, bit for bit as
-    `scipy.special.logsumexp(a, axis=0)` computes it since scipy 1.15: each
-    column's maxima are taken out of the sum and come back through
-    log1p(s) + log(ties) + max, and where that is not finite,
-    log(sum(exp(a))) stands instead (Blanchard, Higham & Higham 2021)."""
-    a_max = a.max(axis=0)
-    is_max = a == a_max
-    ties = np.count_nonzero(is_max, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.subtract(a, a_max)
-        np.exp(e, out=e)
-        # zeroes the maxima; a column whose max is infinite gets NaN here
-        # and its value from the fallback
-        e *= ~is_max
-        s = e.sum(axis=0)
-        # with no ties, dividing by 1 and adding log(1) would change no bit
-        if (ties == 1).all():
-            out = np.log1p(s)
-        else:
-            out = np.log1p(s / ties)
-            out += np.log(ties)
-        out += a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
-    return out
-
-
-def _gmm_log_density(model: GmmModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return _logsumexp0(_gmm_log_joint(model.weights, model.means, model.variances, x))
-
-
 def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
     """EM fit of a univariate mixture.
 
     Means start at the (i-0.5)/M quantiles with uniform weights and the
     sample variance for every component; this is deterministic and survives
-    the heavy tails that defeat random initialization. A component whose
-    variance collapses below the floor is re-seeded at a random data point.
+    the heavy tails that defeat random initialization. The E step shifts a
+    point's log joint densities by their maximum, so their exponentials sum
+    to at least 1: the sum normalizes the responsibilities, and its log plus
+    the shift is the point's log-likelihood. A component whose variance
+    collapses below the floor is re-seeded at a random data point.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    if not np.all(np.isfinite(xs)):
+        raise InvalidInputError("sample must be finite")
     m = int(n_components)
     if m < 1:
         raise InvalidInputError("need at least one component")
@@ -256,9 +229,9 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
         # EM fixed point in closed form: the sample moments
         mean = float(np.mean(xs))
         var = max(float(np.mean((xs - mean) ** 2)), VARIANCE_FLOOR)
-        model = GmmModel(np.array([1.0]), np.array([mean]), np.array([var]))
-        ll = float(np.sum(_gmm_log_density(model, xs)))
-        return GmmModel(model.weights, model.means, model.variances, np.array([ll]))
+        weights, means, variances = np.array([1.0]), np.array([mean]), np.array([var])
+        ll = float(np.sum(_gmm_log_joint(weights, means, variances, xs)))
+        return GmmModel(weights, means, variances, np.array([ll]))
     rng = np.random.default_rng(seed)
     n = len(xs)
     xs_squared = xs ** 2
@@ -270,10 +243,12 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITER):
         joint = _gmm_log_joint(weights, means, variances, xs)  # E step
-        norm = _logsumexp0(joint)
-        joint -= norm
+        shift = joint.max(axis=0)
+        joint -= shift
         resp = np.exp(joint, out=joint)
-        ll = float(np.sum(norm))
+        total = resp.sum(axis=0)
+        resp /= total
+        ll = float(np.sum(np.log(total) + shift))
         trace.append(ll)
         if ll - prev_ll < EM_TOL and np.isfinite(prev_ll):
             break
@@ -297,7 +272,9 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
 def gmm_indicator(model: GmmModel, x):
     """Mixture density at x: the indicator feature fed to the forecasters."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.exp(_gmm_log_density(model, x))
+    joint = _gmm_log_joint(model.weights, model.means, model.variances,
+                           np.atleast_1d(x))
+    out = np.exp(joint, out=joint).sum(axis=0)
     return out if x.ndim else float(out[0])
 
 

@@ -644,6 +644,9 @@ def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
                 raise ValueError("short payload")
         parts = np.split(blob, np.cumsum(sizes)[:-1])
         params = {key: part.reshape(shape) for (key, shape), part in zip(shapes, parts)}
+        for key, value in params.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"non-finite parameter {key}")
         model = NetStack(meta["head_kind"], meta["input_dim"], meta["width"],
                          meta["n_layers"], meta["horizon"], meta["seed"],
                          params=params)

@@ -18,6 +18,7 @@ import necplus
 from necplus import engine, evaluation, kvtext, sampling, series
 from necplus.cli import build_parser, main
 from necplus.errors import NecError
+from necplus.neural import load_checkpoint, save_checkpoint
 from test_engine import assert_no_children, needs_fork, usable_cpus
 
 
@@ -589,6 +590,32 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidInputError:")
         assert f"{gmm}: mixture variances must be finite and positive" in err
+
+    @pytest.mark.parametrize("member,key", [("c", "fc0_w"), ("n", "lstm0_wh")])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_checkpoint_names_the_file(self, pipeline, tmp_path, capsys,
+                                                  command, member, key):
+        # a NaN in C's head once served gate 0 and exited 0, since NaN > 0.5
+        # is false
+        _, csv, data, run, _ = pipeline
+        tampered = tmp_path / "run"
+        shutil.copytree(run, tampered)
+        ckpt = tampered / f"{member}.ckpt"
+        model, meta = load_checkpoint(ckpt)
+        model.params[key][0, 0] = np.nan
+        save_checkpoint(ckpt, model, meta.get("extra"))
+        if command == "predict":
+            argv = ["predict", "--run-dir", str(tampered), "--input", str(csv),
+                    "--out", str(tmp_path / "forecast.csv")]
+        else:
+            argv = ["evaluate", "--run-dir", str(tampered), "--data", str(data)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: CheckpointError: {ckpt}: corrupt checkpoint "
+                                f"(non-finite parameter {key})\n")
+        assert captured.out == ""
+        assert not (tmp_path / "forecast.csv").exists()
 
     @pytest.mark.parametrize("value", ["0.0", "-1.0"])
     @pytest.mark.parametrize("command", ["train", "predict"])
