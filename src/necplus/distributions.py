@@ -7,7 +7,11 @@ inside the sample is widened to one mean spacing past it.
 Mixtures are univariate: the indicator is computed on the standardized
 scalar series. EM normalizes each point's densities after shifting their
 logs by the largest, the stable log-sum-exp (Blanchard, Higham & Higham
-2021, IMA J. Numer. Anal. 41(4)). Fitting is deterministic for a seed.
+2021, IMA J. Numer. Anal. 41(4)). SQUAREM (Varadhan & Roland 2008, Scand.
+J. Statist. 35(2)) extrapolates from each two EM steps, and a point it
+proposes is taken only if its log-likelihood is no lower than the first
+step's, so the fit's trace rises monotonically between re-seeds.
+EM_MAX_ITER counts E steps. Fitting is deterministic for a seed.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import FitFailureError, InvalidInputError
 XI_TOL = 1e-8
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-7  # stop once an EM step gains less log-likelihood than this
-EM_MAX_ITER = 500
+EM_MAX_ITER = 500  # E steps, those of rejected SQUAREM points included
 _EULER = 0.57721566490153286
 
 
@@ -192,18 +196,66 @@ def gaussian_pdf(x, location: float, scale: float):
 
 def _gmm_log_joint(weights, means, variances, x: np.ndarray) -> np.ndarray:
     """log(weight * normal density), one row per component, in the log
-    domain because tails sit ~100 sigma out."""
+    domain because tails sit ~100 sigma out. A component of weight 0 has
+    the row -inf, so it adds exactly 0 to the density."""
     joint = np.subtract(x[None, :], means[:, None])
     np.square(joint, out=joint)
     joint *= -0.5
     joint /= variances[:, None]
     joint -= 0.5 * np.log(2 * np.pi * variances[:, None])
-    joint += np.log(weights)[:, None]
+    with np.errstate(divide="ignore"):
+        joint += np.log(weights)[:, None]
     return joint
 
 
+def _em_map(xs, xs_squared, params, rng, start_variance):
+    """One EM step from params = (weights, means, variances): the
+    log-likelihood at params, the M step's params, and whether the M step
+    re-seeded a collapsed component."""
+    joint = _gmm_log_joint(*params, xs)  # E step
+    shift = joint.max(axis=0)
+    joint -= shift
+    resp = np.exp(joint, out=joint)
+    total = resp.sum(axis=0)
+    resp /= total
+    ll = float(np.sum(np.log(total) + shift))
+    nk = resp.sum(axis=1)  # M step
+    means = resp @ xs / nk
+    variances = (resp @ xs_squared / nk) - means ** 2
+    collapsed = np.flatnonzero(variances < VARIANCE_FLOOR)
+    for i in collapsed:
+        means[i] = xs[rng.integers(len(xs))]
+        variances[i] = start_variance
+    mapped = (nk / len(xs), means, np.maximum(variances, VARIANCE_FLOOR))
+    return ll, mapped, len(collapsed) > 0
+
+
+def _extrapolate(p0, p1, p2, lo: float, hi: float):
+    """SQUAREM's point from the EM iterates p0 -> p1 -> p2, taken over
+    (weights, means, log variances) with the step length -max(1, |r|/|v|).
+    None unless its weights are positive (they are then renormalized), it
+    is finite, its variances are at or above the floor, and its means lie
+    in the data's range [lo, hi], as every M step's do."""
+    t0, t1, t2 = (np.concatenate([w, mu, np.log(var)]) for w, mu, var in (p0, p1, p2))
+    r = t1 - t0
+    v = t2 - 2 * t1 + t0
+    v_norm = np.linalg.norm(v)
+    if not v_norm > 0:
+        return None
+    alpha = -max(1.0, np.linalg.norm(r) / v_norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights, means, log_variances = np.split(t0 - 2 * alpha * r + alpha ** 2 * v, 3)
+        variances = np.exp(log_variances)
+    if not (np.all((weights > 0) & np.isfinite(weights))
+            and np.all((means >= lo) & (means <= hi))
+            and np.all(np.isfinite(variances) & (variances >= VARIANCE_FLOOR))):
+        return None
+    return weights / weights.sum(), means, variances
+
+
 def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
-    """EM fit of a univariate mixture.
+    """EM fit of a univariate mixture, accelerated by SQUAREM (Varadhan &
+    Roland 2008, Scand. J. Statist. 35(2)).
 
     Means start at the (i-0.5)/M quantiles with uniform weights and the
     sample variance for every component; this is deterministic and survives
@@ -212,6 +264,17 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
     to at least 1: the sum normalizes the responsibilities, and its log plus
     the shift is the point's log-likelihood. A component whose variance
     collapses below the floor is re-seeded at a random data point.
+
+    Each cycle takes two EM steps, p0 -> p1 -> p2, and extrapolates from
+    them (`_extrapolate`). The fit takes the extrapolated point only if its
+    own E step gives at least p1's log-likelihood without a re-seed, and
+    then goes on from that point's M step; otherwise it goes on from p2. A
+    cycle whose EM steps re-seed does not extrapolate. The log-likelihood
+    trace records the points taken, so it rises monotonically between
+    re-seeds. The fit returns the first point that gains less than EM_TOL
+    on the one taken before it, unless a re-seed came between them.
+    EM_MAX_ITER caps the E steps, a rejected point's included; at the cap
+    the fit returns the last point taken.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if not np.all(np.isfinite(xs)):
@@ -223,6 +286,14 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
         raise InvalidInputError("seed must be non-negative")
     if len(xs) < 10 * m:
         raise FitFailureError(f"need at least {10 * m} samples for M={m}")
+    # so that every squared deviation within the data's range, over the
+    # variance floor, and their sum over the sample stay finite
+    limit = 0.5 * math.sqrt(np.finfo(np.float64).max * VARIANCE_FLOOR / len(xs))
+    lo, hi = float(np.min(xs)), float(np.max(xs))
+    largest = max(-lo, hi)
+    if largest > limit:
+        raise InvalidInputError(f"sample value of magnitude {largest:.6g} is too large: "
+                                f"squared deviations overflow above {limit:.6g}")
     if len(np.unique(xs)) < m:
         raise FitFailureError("more components than distinct values")
     if m == 1:
@@ -233,40 +304,49 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
         ll = float(np.sum(_gmm_log_joint(weights, means, variances, xs)))
         return GmmModel(weights, means, variances, np.array([ll]))
     rng = np.random.default_rng(seed)
-    n = len(xs)
     xs_squared = xs ** 2
     start_variance = max(float(np.var(xs)), VARIANCE_FLOOR)
-    weights = np.full(m, 1.0 / m)
-    means = np.quantile(xs, (np.arange(m) + 0.5) / m)
-    variances = np.full(m, start_variance)
+    point = (np.full(m, 1.0 / m), np.quantile(xs, (np.arange(m) + 0.5) / m),
+             np.full(m, start_variance))
     trace = []
-    prev_ll = -np.inf
-    for _ in range(EM_MAX_ITER):
-        joint = _gmm_log_joint(weights, means, variances, xs)  # E step
-        shift = joint.max(axis=0)
-        joint -= shift
-        resp = np.exp(joint, out=joint)
-        total = resp.sum(axis=0)
-        resp /= total
-        ll = float(np.sum(np.log(total) + shift))
+    e_steps = 0
+    last_ll = -np.inf  # -inf after a re-seed: the next point is not compared
+    fitted = point
+
+    def em(params):
+        nonlocal e_steps
+        e_steps += 1
+        return _em_map(xs, xs_squared, params, rng, start_variance)
+
+    def take(ll, params, reseeded) -> bool:
+        """Record a point taken; True once the fit stops."""
+        nonlocal last_ll, fitted
         trace.append(ll)
-        if ll - prev_ll < EM_TOL and np.isfinite(prev_ll):
+        converged = ll - last_ll < EM_TOL
+        last_ll, fitted = (-np.inf if reseeded else ll), params
+        return converged or e_steps >= EM_MAX_ITER
+
+    while True:
+        ll0, p1, reseeded1 = em(point)
+        if take(ll0, point, reseeded1):
             break
-        prev_ll = ll
-        # M step
-        nk = resp.sum(axis=1)
-        weights = nk / n
-        means = resp @ xs / nk
-        variances = (resp @ xs_squared / nk) - means ** 2
-        collapsed = variances < VARIANCE_FLOOR
-        if collapsed.any():
-            for i in np.flatnonzero(collapsed):
-                means[i] = xs[rng.integers(n)]
-                variances[i] = start_variance
-            prev_ll = -np.inf  # restart convergence tracking after re-seeding
-        variances = np.maximum(variances, VARIANCE_FLOOR)
-    weights = weights / weights.sum()
-    return GmmModel(weights, means, variances, np.asarray(trace))
+        ll1, p2, reseeded2 = em(p1)
+        if take(ll1, p1, reseeded2):
+            break
+        candidate = (None if reseeded1 or reseeded2
+                     else _extrapolate(point, p1, p2, lo, hi))
+        point = p2
+        if candidate is None:
+            continue
+        ll, mapped, reseeded = em(candidate)
+        if not reseeded and ll >= ll1:
+            if take(ll, candidate, False):
+                break
+            point = mapped
+        elif e_steps >= EM_MAX_ITER:
+            break
+    weights, means, variances = fitted
+    return GmmModel(weights / weights.sum(), means, variances, np.asarray(trace))
 
 
 def gmm_indicator(model: GmmModel, x):

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import necplus
-from necplus import engine, evaluation, kvtext, sampling, series
+from necplus import distributions, engine, evaluation, kvtext, sampling, series
 from necplus.cli import build_parser, main
 from necplus.errors import NecError
 from necplus.neural import load_checkpoint, save_checkpoint
@@ -553,6 +554,25 @@ class TestMalformedInput:
         assert "is not one hour after" in err
         assert (data / "gmm.model").read_text() == before
 
+    def test_fit_gmm_rejects_a_value_whose_square_overflows(self, pipeline, tmp_path,
+                                                            capsys):
+        # the fit once overflowed here, warned, and failed on the weights
+        data = tmp_path / "data"
+        shutil.copytree(pipeline[2], data)
+        path = data / "preprocessed.csv"
+        lines = path.read_text().splitlines(True)
+        lines[6] = re.sub(r",[^,]*,", ",1e200,", lines[6])
+        path.write_text("".join(lines))
+        before = (data / "gmm.model").read_text()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit-gmm", "--in-dir", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: InvalidInputError: sample value of magnitude "
+                              "1e+200 is too large")
+        assert (data / "gmm.model").read_text() == before
+
     def test_missing_input_directory_exits_one(self, tmp_path, capsys):
         code = main(["fit-gmm", "--in-dir", str(tmp_path / "missing")])
         assert code == 1
@@ -590,6 +610,30 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidInputError:")
         assert f"{gmm}: mixture variances must be finite and positive" in err
+
+    def test_run_gmm_with_a_zero_weight_serves(self, pipeline, tmp_path, capsys):
+        # a weight of 0 once took log(0) and warned at every predict; the
+        # component must add nothing to the indicator
+        _, csv, data, run, _ = pipeline
+        tampered = tmp_path / "run"
+        shutil.copytree(run, tampered)
+        gmm = tampered / "gmm.model"
+        pairs = kvtext.read(gmm)
+        pairs["weight_0"] = float(pairs["weight_0"]) + float(pairs["weight_1"])
+        pairs["weight_1"] = 0.0
+        kvtext.write(gmm, pairs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["predict", "--run-dir", str(tampered), "--input", str(csv),
+                         "--out", str(tmp_path / "forecast.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        model = engine.load_run(tampered).gmm
+        assert model.weights[1] == 0.0
+        alone = distributions.GmmModel(model.weights[:1], model.means[:1],
+                                       model.variances[:1])
+        xs = series.read_preprocessed(data)[0].values
+        assert np.array_equal(distributions.gmm_indicator(model, xs),
+                              distributions.gmm_indicator(alone, xs))
 
     @pytest.mark.parametrize("member,key", [("c", "fc0_w"), ("n", "lstm0_wh")])
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
