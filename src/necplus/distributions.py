@@ -274,7 +274,8 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
     re-seeds. The fit returns the first point that gains less than EM_TOL
     on the one taken before it, unless a re-seed came between them.
     EM_MAX_ITER caps the E steps, a rejected point's included; at the cap
-    the fit returns the last point taken.
+    the fit returns the point of the highest log-likelihood taken, as
+    re-seeds can leave the last one far below it.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if not np.all(np.isfinite(xs)):
@@ -311,7 +312,8 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
     trace = []
     e_steps = 0
     last_ll = -np.inf  # -inf after a re-seed: the next point is not compared
-    fitted = point
+    best = (-np.inf, point)
+    fitted = point  # what the fit returns if it stops now
 
     def em(params):
         nonlocal e_steps
@@ -320,10 +322,13 @@ def fit_gmm(xs, n_components: int, seed: int = 0) -> GmmModel:
 
     def take(ll, params, reseeded) -> bool:
         """Record a point taken; True once the fit stops."""
-        nonlocal last_ll, fitted
+        nonlocal last_ll, best, fitted
         trace.append(ll)
         converged = ll - last_ll < EM_TOL
-        last_ll, fitted = (-np.inf if reseeded else ll), params
+        last_ll = -np.inf if reseeded else ll
+        if ll > best[0]:
+            best = (ll, params)
+        fitted = params if converged else best[1]
         return converged or e_steps >= EM_MAX_ITER
 
     while True:

@@ -13,6 +13,13 @@ classifier (C) uses a single affine layer of f units under a sigmoid.
 Parameters live in a flat name -> array dict so optimizers and the gradient
 checker can treat them uniformly.
 
+The parameters' dtype is the one dtype of everything that runs on them: the
+inputs, every kernel buffer, the head's gradient and the optimizers' state.
+A random init is drawn in float64 and stored as PARAM_DTYPE (float32, whose
+elementwise arithmetic takes about half float64's time); a stack built from
+float64 parameters runs the same code in float64, as the gradient check
+does.
+
 The layers run as a wavefront: step s runs layer l at time s - l over one
 state row per window, and every step is the row product and `_lstm_step`.
 Training keeps each of the T + L - 1 steps (`_forward_steps`) and walks
@@ -39,13 +46,21 @@ import numpy as np
 from ..errors import CheckpointError, DimensionError, NumericInstabilityError
 from .losses import classifier_loss, masked_mse_loss
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 HEAD_KINDS = ("normal", "extreme", "classifier")
+# the dtype a random init is stored in; every kernel takes its parameters'
+PARAM_DTYPE = np.float32
 # Steps of the reverse wavefront whose tanh(c) and dz `_backward_steps`
 # forms at once, in buffers of this many steps however long the window. At
 # B = 32, W = 16, L = 2, chunks of 8 and 16 steps ran at the same speed and
 # faster than 32, and 8 has the smallest peak
 BACKWARD_CHUNK = 8
+# The reverse wavefront sets |dh| and |dc| below this to zero at every step.
+# In float32, dh decays into the subnormal range over a long window (h =
+# 360), where the BLAS runs the step's product up to 80x slower and the
+# backward took two to three times float64's; a gradient that small adds
+# nothing
+FLUSH_BELOW = 1e-30
 
 
 def _sigmoid(z):
@@ -60,9 +75,9 @@ def _gate_blocks(a):
     return [a[..., k * width:(k + 1) * width] for k in range(4)]
 
 
-def _gate_affine(width: int, batch: int):
-    """(scale, shift), the (batch, 4W) rows that map tanh of the i, f, g, o
-    pre-activations to gate values.
+def _gate_affine(width: int, batch: int, dtype):
+    """(scale, shift), the (batch, 4W) rows of `dtype` that map tanh of the
+    i, f, g, o pre-activations to gate values.
 
     With sigmoid(z) = 0.5 + 0.5 tanh(z/2), scaling the i/f/o pre-activations
     by 1/2 (exact: a power of two) lets one tanh serve all four gates; the
@@ -70,8 +85,8 @@ def _gate_affine(width: int, batch: int):
     g keeps scale 1 and shift 0. A wavefront scales its matrix's columns by
     row 0 of scale; full rows are faster operands than a broadcast one.
     """
-    scale = np.full((batch, 4 * width), 0.5)
-    shift = np.full((batch, 4 * width), 0.5)
+    scale = np.full((batch, 4 * width), 0.5, dtype)
+    shift = np.full((batch, 4 * width), 0.5, dtype)
     scale[:, 2 * width:3 * width] = 1.0
     shift[:, 2 * width:3 * width] = 0.0
     return scale, shift
@@ -122,25 +137,27 @@ def _forward_steps(w, x, depth):
     The state row [h_0 ... h_{L-1} | x_t | a_0 ... a_{L-1}] of step s times
     w, the unscaled `_wavefront_matrix`, with its columns scaled as
     `_gate_affine` says, gives every layer's pre-activations, layer l at
-    time s - l; x is zero past T. Each step is that one row product and
-    `_lstm_step`, as in `_forward_wavefront`. The cache holds the state rows (S + 1, B, K), the
-    activated gates (S, B, 4LW), the cells (S + 1, B, LW) from cells[0] = 0,
-    and w.
+    time s - l; past T, x_t stays x_{T-1}, and nothing reads what those
+    steps make. Each step is that one row product and `_lstm_step`, as in
+    `_forward_wavefront`. The cache holds the state rows
+    (S + 1, B, K), the activated gates (S, B, 4LW), the cells (S + 1, B, LW)
+    from cells[0] = 0, and w; all of them in w's dtype.
     """
     batch, steps, d_in = x.shape
     stacked = w.shape[1] // 4
     n_steps = steps + depth - 1
-    scale, shift = _gate_affine(stacked, batch)
+    scale, shift = _gate_affine(stacked, batch, w.dtype)
     w_scaled = w * scale[0]
-    states = np.zeros((n_steps + 1, batch, stacked + d_in + depth))
+    states = np.zeros((n_steps + 1, batch, stacked + d_in + depth), w.dtype)
     states[:steps, :, stacked:stacked + d_in] = x.transpose(1, 0, 2)
+    states[steps:n_steps, :, stacked:stacked + d_in] = x[:, -1]
     # a_l is 1 from step l on
     states[:n_steps, :, stacked + d_in:] = (
         np.arange(n_steps)[:, None, None] >= np.arange(depth))
-    gates = np.empty((n_steps, batch, 4 * stacked))
-    cells = np.zeros((n_steps + 1, batch, stacked))
+    gates = np.empty((n_steps, batch, 4 * stacked), w.dtype)
+    cells = np.zeros((n_steps + 1, batch, stacked), w.dtype)
     gi, gf, gg, go = _gate_blocks(gates)
-    work = np.empty((batch, stacked))
+    work = np.empty((batch, stacked), w.dtype)
     for s in range(n_steps):
         np.matmul(states[s], w_scaled, out=gates[s])
         _lstm_step(gates[s], (gi[s], gf[s], gg[s], go[s]), cells[s],
@@ -157,8 +174,10 @@ def _backward_steps(cache, d_top, depth, d_x=None):
     from the cache, the loop scales dz[s] by dc (i, f, g) or dh (o) and
     feeds dz[s] @ W[:LW].T back one step, and one GEMM adds the chunk's
     state rows times its dz into the gradient. A layer that has not started
-    reads only zero state rows and a_l = 0, and a step past T gets no
-    gradient, so neither adds anything to a layer's block.
+    reads only zero state rows and a_l = 0, and layer l's steps from T + l
+    on get no gradient (nothing reads what they make), so neither adds
+    anything to a layer's block. Every buffer takes w's dtype, and |dh| and
+    |dc| below FLUSH_BELOW are set to zero at each step.
     """
     states, gates, cells, w = (
         cache[k] for k in ("states", "gates", "cells", "w"))
@@ -170,11 +189,12 @@ def _backward_steps(cache, d_top, depth, d_x=None):
     w_h_t = w[:stacked].T
     _, gf, _, go = _gate_blocks(gates)
     d_w = np.zeros_like(w)
-    dh = np.zeros((batch, stacked))
-    dc_next = np.zeros((batch, stacked))
+    dh = np.zeros((batch, stacked), w.dtype)
+    dc_next = np.zeros((batch, stacked), w.dtype)
     # one chunk's dz and tanh(c), written over for every chunk
-    dz_rows = np.empty((min(BACKWARD_CHUNK, n_steps), batch, four_stacked))
-    tanh_rows = np.empty(dz_rows.shape[:2] + (stacked,))
+    dz_rows = np.empty((min(BACKWARD_CHUNK, n_steps), batch, four_stacked),
+                       w.dtype)
+    tanh_rows = np.empty(dz_rows.shape[:2] + (stacked,), w.dtype)
     for lo in reversed(range(0, n_steps, BACKWARD_CHUNK)):
         hi = min(lo + BACKWARD_CHUNK, n_steps)
         tanh_c = np.tanh(cells[lo + 1:hi + 1], out=tanh_rows[:hi - lo])
@@ -192,6 +212,8 @@ def _backward_steps(cache, d_top, depth, d_x=None):
             dz[s - lo] *= np.concatenate((dc, dc, dc, dh), axis=1)
             np.multiply(dc, gf[s], out=dc_next)
             dh = dz[s - lo] @ w_h_t
+            dh[np.abs(dh) < FLUSH_BELOW] = 0.0
+            dc_next[np.abs(dc_next) < FLUSH_BELOW] = 0.0
         d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
                 @ dz.reshape(-1, four_stacked))
         if d_x is not None:
@@ -210,11 +232,14 @@ def lstm_forward(w_x, w_h, b, x):
     tracer, which wraps it by name: the hidden states are a view of the
     cache's state rows [h | x_t | 1].
     """
-    x = np.asarray(x, dtype=np.float64)
+    # C-ordered like `_wavefront_matrix`'s: in float32 the BLAS gives the
+    # F-ordered stack of transposes other bits
+    w = np.ascontiguousarray(np.vstack([w_h.T, w_x.T, b[None]]))
+    x = np.asarray(x, dtype=w.dtype)
     if x.ndim != 3 or x.shape[2] != w_x.shape[1]:
         raise DimensionError(
             f"input shape {x.shape} incompatible with weight shape {w_x.shape}")
-    cache = _forward_steps(np.vstack([w_h.T, w_x.T, b[None]]), x, 1)
+    cache = _forward_steps(w, x, 1)
     return cache["states"][1:, :, :w_h.shape[1]].transpose(1, 0, 2), cache
 
 
@@ -229,15 +254,16 @@ def lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
     tracer, which wraps it by name; hidden is read only for the signature,
     as the cache holds the states.
     """
-    d_x = np.empty((x.shape[1], x.shape[0], x.shape[2]))
+    d_x = np.empty((x.shape[1], x.shape[0], x.shape[2]), cache["w"].dtype)
     d_w = _backward_steps(cache, d_hidden, 1, d_x)
     width = w_h.shape[1]
     return d_w[width:-1].T, d_w[:width].T, d_w[-1], d_x.transpose(1, 0, 2)
 
 
-def _as_batch(x, input_dim: int):
-    """(x as a (B, h, input_dim) float batch, whether x was one window)."""
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(x, input_dim: int, dtype):
+    """(x as a (B, h, input_dim) batch of `dtype`, whether x was one
+    window)."""
+    x = np.asarray(x, dtype=dtype)
     single = x.ndim == 2
     if single:
         x = x[None]
@@ -255,8 +281,8 @@ class NetStack:
                  n_layers: int, horizon: int, seed: int = 0,
                  params: dict[str, np.ndarray] | None = None):
         """A stack with a random init drawn from `seed`, or, given `params`
-        (keys and shapes as in `param_shapes`), with those arrays as its
-        parameters and no random draw."""
+        (keys and shapes as in `param_shapes`, all of one dtype), with those
+        arrays as its parameters and no random draw."""
         if head_kind not in HEAD_KINDS:
             raise DimensionError(f"unknown head kind {head_kind!r}")
         self.head_kind = head_kind
@@ -274,12 +300,25 @@ class NetStack:
         if params is None:
             params = self._init_params(np.random.default_rng(seed))
         elif ([(k, v.shape) for k, v in params.items()]
-              != list(self.param_shapes().items())):
+              != list(self.param_shapes().items())
+              or len({v.dtype for v in params.values()}) != 1):
             raise DimensionError(
                 f"parameters do not match a {head_kind} stack of width "
                 f"{self.width}, {self.n_layers} layers, input {self.input_dim} "
-                f"and horizon {self.horizon}")
+                f"and horizon {self.horizon}, all of one dtype")
         self.params = params
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype: every kernel buffer, input and gradient
+        of this stack takes it."""
+        return self.params["fc0_b"].dtype
+
+    def astype(self, dtype) -> NetStack:
+        """A copy of this stack with its parameters cast to `dtype`."""
+        return NetStack(self.head_kind, self.input_dim, self.width,
+                        self.n_layers, self.horizon, self.seed,
+                        params={k: v.astype(dtype) for k, v in self.params.items()})
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Every parameter's key and shape, in the order of `params`."""
@@ -298,15 +337,16 @@ class NetStack:
 
     def _init_params(self, rng) -> dict[str, np.ndarray]:
         """Biases zero; weights uniform in +-1/sqrt(fan_in), where an LSTM
-        weight's fan-in is the width and an affine weight's its input size."""
+        weight's fan-in is the width and an affine weight's its input size;
+        drawn in float64 and stored as PARAM_DTYPE."""
         params: dict[str, np.ndarray] = {}
         for key, shape in self.param_shapes().items():
             if len(shape) == 1:
-                params[key] = np.zeros(shape)
+                params[key] = np.zeros(shape, PARAM_DTYPE)
                 continue
             fan_in = self.width if key.startswith("lstm") else shape[1]
             bound = 1.0 / np.sqrt(fan_in)
-            params[key] = rng.uniform(-bound, bound, size=shape)
+            params[key] = rng.uniform(-bound, bound, size=shape).astype(PARAM_DTYPE)
         return params
 
     @property
@@ -325,7 +365,7 @@ class NetStack:
         no gradient cache: `lstm_forward` layer by layer. `gradient_check`
         and the tests run it, and the wavefronts of `_forward_cached` and
         `forward_members` are held to it."""
-        x, single = _as_batch(x, self.input_dim)
+        x, single = _as_batch(x, self.input_dim, self.dtype)
         seq = x
         for layer in range(self.n_layers):
             if layer:
@@ -339,7 +379,7 @@ class NetStack:
     def _forward_cached(self, x):
         """(`forward(x)`, the cache `backward` reads): `_forward_steps` of
         every layer, plus the head's activations as "fc"."""
-        x, single = _as_batch(x, self.input_dim)
+        x, single = _as_batch(x, self.input_dim, self.dtype)
         cache = _forward_steps(_wavefront_matrix(self), x, self.n_layers)
         top = self.n_layers * self.width
         cache["fc"] = self._head(cache["states"][-1, :, top - self.width:top])
@@ -377,9 +417,11 @@ class NetStack:
         wx, wh and b are blocks of the gradient of the wavefront matrix.
         Two finiteness checks, one over the head's gradients before the
         wavefront runs and one over the wavefront matrix's gradient, raise
-        NumericInstabilityError naming the part that failed.
+        NumericInstabilityError naming the part that failed. d_out is cast
+        to the parameters' dtype (the losses give float64), so the whole
+        backward runs in it.
         """
-        d_out = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
+        d_out = np.atleast_2d(np.asarray(d_out, dtype=self.dtype))
         head = {}
         activations = cache["fc"]
         n_fc = len(self.fc_sizes) - 1
@@ -444,11 +486,12 @@ def _wavefront_matrix(stack):
     columns are the gate blocks i, f, g, o, each split as [layer 0 ... layer
     L-1] of width W. Layer l's gates read its own hidden state through
     lstm{l}_wh, the state of layer l - 1 (the input, for layer 0) through
-    lstm{l}_wx, and a_l through lstm{l}_b; every other entry is zero.
+    lstm{l}_wx, and a_l through lstm{l}_b; every other entry is zero. It
+    takes the stack's dtype.
     """
     depth, width, d_in = stack.n_layers, stack.width, stack.input_dim
     stacked = depth * width
-    w = np.zeros((stacked + d_in + depth, 4, depth, width))
+    w = np.zeros((stacked + d_in + depth, 4, depth, width), stack.dtype)
     for layer in range(depth):
         p_wx, p_wh, p_b = stack._lstm_params(layer)
         below, own, alive = _layer_rows(layer, depth, width, d_in)
@@ -477,7 +520,8 @@ def _param_block(block):
 
 def _forward_wavefront(stacks, x):
     """[stack.forward(x) for stack in stacks] for M stacks of equal depth L,
-    width W and input width, all layers of all stacks in T + L - 1 steps.
+    width W, input width and dtype, all layers of all stacks in T + L - 1
+    steps.
 
     Step s runs layer l at time s - l (Appleyard, Kocisky & Blunsom 2016,
     arXiv:1604.01946): one batched product of each member's state rows
@@ -490,20 +534,21 @@ def _forward_wavefront(stacks, x):
     are 1/2, 1/2, 0, 1/2 and its cell and hidden state stay exactly 0. The
     state is a few rows per window, and no per-step array is kept.
     """
-    x, single = _as_batch(x, stacks[0].input_dim)
+    dtype = stacks[0].dtype
+    x, single = _as_batch(x, stacks[0].input_dim, dtype)
     batch, steps, d_in = x.shape
     members, depth, width = len(stacks), stacks[0].n_layers, stacks[0].width
     stacked = depth * width
     scale, shift = (a.reshape(members, batch, -1)
-                    for a in _gate_affine(stacked, members * batch))
+                    for a in _gate_affine(stacked, members * batch, dtype))
     w = np.stack([_wavefront_matrix(stack) for stack in stacks])
     w *= scale[0, 0]
-    state = np.zeros((members, batch, stacked + d_in + depth))
+    state = np.zeros((members, batch, stacked + d_in + depth), dtype)
     hidden, x_t, alive = np.split(state, [stacked, stacked + d_in], axis=2)
-    z = np.empty((members, batch, 4 * stacked))
+    z = np.empty((members, batch, 4 * stacked), dtype)
     blocks = _gate_blocks(z)
-    cells = np.zeros((members, batch, stacked))
-    work = np.empty((members, batch, stacked))
+    cells = np.zeros((members, batch, stacked), dtype)
+    work = np.empty((members, batch, stacked), dtype)
     for s in range(steps + depth - 1):
         if s < steps:  # past T, layer 0 runs on; no output reads it
             x_t[...] = x[:, s]
@@ -522,15 +567,15 @@ def forward_members(stacks, x) -> list:
     says.
 
     The members see the same input, so every group of stacks with equal
-    depth, width and input width runs as one wavefront
+    depth, width, input width and dtype runs as one wavefront
     (`_forward_wavefront`): T + L - 1 steps for all layers of all its
     members, and no gradient cache is kept. Each head reads its own
     member's top hidden state.
     """
     outs = [None] * len(stacks)
-    groups: dict[tuple[int, int, int], list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, stack in enumerate(stacks):
-        key = (stack.n_layers, stack.width, stack.input_dim)
+        key = (stack.n_layers, stack.width, stack.input_dim, stack.dtype)
         groups.setdefault(key, []).append(i)
     for idx in groups.values():
         for i, out in zip(idx, _forward_wavefront([stacks[i] for i in idx], x)):
@@ -545,7 +590,10 @@ def forward_members(stacks, x) -> list:
 def gradient_check(model: NetStack, x, target, labels, alpha: float = 1.0,
                    beta: float = 1.0, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
-    over every parameter. Intended for small models (W <= 8, h <= 12)."""
+    over every parameter, on a float64 copy of the model: central
+    differences at eps = 1e-5 mean nothing in float32. Intended for small
+    models (W <= 8, h <= 12)."""
+    model = model.astype(np.float64)
     _, grads = model.loss_and_grads(x, target, labels, alpha, beta)
 
     def total_loss():
@@ -573,21 +621,33 @@ def gradient_check(model: NetStack, x, target, labels, alpha: float = 1.0,
 
 
 # A checkpoint file is MAGIC, the header length as a little-endian uint64, a
-# JSON header (the architecture, the caller's extra meta and every
-# parameter's key and shape) padded with spaces so the data starts at a
-# multiple of DATA_ALIGN bytes, then every parameter as one contiguous
-# little-endian float64 blob in the model's key order.
+# JSON header (the architecture, the caller's extra meta, the parameters'
+# dtype as "<f4" or "<f8" and every parameter's key and shape) padded with
+# spaces so the data starts at a multiple of DATA_ALIGN bytes, then every
+# parameter as one contiguous little-endian blob of that dtype in the
+# model's key order.
 MAGIC = b"\x93NECCKPT"
 DATA_ALIGN = 64
 _PREFIX = len(MAGIC) + 8
 _ZIP_MAGIC = b"PK\x03\x04"  # version 1 was a zip of .npy members
+_DTYPES = ("<f4", "<f8")
+
+
+def _retrain(path, version) -> CheckpointError:
+    return CheckpointError(
+        f"{path}: checkpoint version {version} was written by an older "
+        f"version of necplus and cannot be read (expected version "
+        f"{CHECKPOINT_VERSION}); retrain the run")
 
 
 def save_checkpoint(path: str | Path, model: NetStack,
                     extra_meta: dict | None = None) -> None:
-    """Write a versioned binary container; loading round-trips bit-exactly."""
+    """Write a versioned binary container in the parameters' dtype; loading
+    round-trips bit-exactly."""
+    dtype = model.dtype.newbyteorder("<").str
     meta = {
         "version": CHECKPOINT_VERSION,
+        "dtype": dtype,
         "head_kind": model.head_kind,
         "input_dim": model.input_dim,
         "width": model.width,
@@ -603,16 +663,19 @@ def save_checkpoint(path: str | Path, model: NetStack,
     blob = np.concatenate([arr.ravel() for arr in model.params.values()])
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<Q", len(header)) + header)
-        fh.write(blob.astype("<f8", copy=False).tobytes())
+        fh.write(blob.astype(dtype, copy=False).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
     """Read a checkpoint written by `save_checkpoint`; returns the model and
     the stored meta (with the caller's `extra_meta` under "extra").
 
-    The payload is read straight into one float64 array allocated by numpy,
-    so the parameters, views of it, are aligned and writable; the stack is
-    built from them without a random init.
+    The payload is read straight into one array of the header's dtype
+    (float32 or float64) allocated by numpy, so the parameters, views of it,
+    are aligned and writable and keep the dtype they were saved in; the
+    stack is built from them without a random init. A file of an older
+    version (1 or 2, which held float64 only) raises CheckpointError asking
+    to retrain the run.
     """
     path = Path(path)
     if not path.exists():
@@ -622,24 +685,27 @@ def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
             size = os.fstat(fh.fileno()).st_size
             prefix = fh.read(_PREFIX)
             if prefix.startswith(_ZIP_MAGIC):
-                raise CheckpointError(
-                    f"{path}: checkpoint version 1 was written by an older "
-                    f"version of necplus and cannot be read (expected version "
-                    f"{CHECKPOINT_VERSION}); retrain the run")
+                raise _retrain(path, 1)
             if len(prefix) < _PREFIX or not prefix.startswith(MAGIC):
                 raise ValueError("not a necplus checkpoint")
             (header_len,) = struct.unpack("<Q", prefix[len(MAGIC):])
             meta = json.loads(fh.read(header_len))
-            if meta.get("version") != CHECKPOINT_VERSION:
+            version = meta.get("version")
+            if version in range(1, CHECKPOINT_VERSION):
+                raise _retrain(path, version)
+            if version != CHECKPOINT_VERSION:
                 raise CheckpointError(
-                    f"{path}: checkpoint version {meta.get('version')} "
+                    f"{path}: checkpoint version {version} "
                     f"unsupported (expected {CHECKPOINT_VERSION})")
+            if meta["dtype"] not in _DTYPES:
+                raise ValueError(f"unsupported dtype {meta['dtype']!r}")
+            dtype = np.dtype(meta["dtype"])
             shapes = [(key, tuple(shape)) for key, shape in meta["params"]]
             sizes = [math.prod(shape) for _, shape in shapes]
-            expected = _PREFIX + header_len + 8 * sum(sizes)
+            expected = _PREFIX + header_len + dtype.itemsize * sum(sizes)
             if size != expected:
                 raise ValueError(f"{size} bytes, header declares {expected}")
-            blob = np.empty(sum(sizes), dtype="<f8")
+            blob = np.empty(sum(sizes), dtype=dtype)
             if fh.readinto(blob) != blob.nbytes:
                 raise ValueError("short payload")
         parts = np.split(blob, np.cumsum(sizes)[:-1])

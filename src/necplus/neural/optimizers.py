@@ -1,7 +1,8 @@
 """Plain SGD and Adam over named parameter dicts.
 
 The recurrent layers train with SGD and the fully-connected head with Adam,
-so each optimizer instance owns a disjoint subset of parameter names.
+so each optimizer instance owns a disjoint subset of parameter names. Both
+update in the parameters' dtype, and Adam keeps its moments in it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class Adam:
         for key in keys:
             g = grads[key]
             if key not in self.m:
-                self.m[key] = np.zeros_like(g)
-                self.v[key] = np.zeros_like(g)
+                self.m[key] = np.zeros_like(params[key])
+                self.v[key] = np.zeros_like(params[key])
             self.m[key] = BETA1 * self.m[key] + (1 - BETA1) * g
             self.v[key] = BETA2 * self.v[key] + (1 - BETA2) * g * g
             m_hat = self.m[key] / (1 - BETA1 ** self.t)

@@ -167,6 +167,20 @@ class TestFitGmm:
         trace = model.log_likelihood_trace
         assert np.all(np.diff(trace) >= -1e-9)
 
+    def test_fit_stopped_at_the_cap_returns_its_best_point(self):
+        # the tight cluster's variance keeps falling below the floor, and
+        # each re-seed drops the trace, until the cap: the last point taken
+        # lies thousands of nats below the best
+        rng = np.random.default_rng(1)
+        xs = np.concatenate([rng.normal(0.0, 1e-3, 466), rng.normal(5.0, 10.0, 466)])
+        model = fit_gmm(xs, 2, seed=3)
+        trace = model.log_likelihood_trace
+        assert trace[-1] < trace.max() - 1000.0
+        joint = np.log(model.weights)[:, None] + norm.logpdf(
+            xs[None, :], model.means[:, None], np.sqrt(model.variances)[:, None])
+        assert logsumexp(joint, axis=0).sum() == pytest.approx(trace.max(),
+                                                               rel=1e-12)
+
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(8)
         xs = rng.standard_t(df=3, size=400)

@@ -161,32 +161,39 @@ class TestPredictFusedMembers:
     forward, bit for bit, and of its own forward, to rounding."""
 
     @staticmethod
-    def members_and_windows(config, seed=0):
-        models = {name: engine._member_model(config, name) for name in engine.MEMBERS}
+    def members_and_windows(config, seed=0, dtype=np.float32):
+        models = {name: engine._member_model(config, name).astype(dtype)
+                  for name in engine.MEMBERS}
         rng = np.random.default_rng(seed)
         for model in models.values():
             for key, value in model.params.items():
-                model.params[key] = value + rng.normal(scale=0.1, size=value.shape)
+                model.params[key] = (value + rng.normal(scale=0.1, size=value.shape)
+                                     ).astype(dtype)
         return models, rng.normal(size=(24, config.h, 2))
 
+    # the layer-by-layer forward sums in another order: float32 rounds at
+    # 6e-8 (test_network's TestForwardMembers), float64 at 1e-16
+    @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-15)],
+                             ids=["float32", "float64"])
     @pytest.mark.parametrize("overrides", [
         {},
         {"e": engine.ModelSpec(hidden=8, oversampling_os=1.0, seed=2),
          "c": engine.ModelSpec(hidden=24, oversampling_os=1.0, seed=3)},
         {"c": engine.ModelSpec(layers=3, oversampling_os=1.0, seed=3)},
     ], ids=["default", "hidden_widths_differ", "c_layers_differ"])
-    def test_members_equal_their_own_forward(self, overrides):
+    def test_members_equal_their_own_forward(self, overrides, dtype, atol):
         config = replace(engine.NecConfig(h=48, f=6), **overrides)
-        models, windows = self.members_and_windows(config)
+        models, windows = self.members_and_windows(config, dtype=dtype)
         for window in (windows[0], windows):  # predict (B=1), holdout (B=S)
             bundle = engine.predict(models, window, np.zeros(window.shape[:-2]),
                                     identity_transform())
             for name, field in (("n", "n_pred"), ("e", "e_pred"), ("c", "c_prob")):
                 out = getattr(bundle, field)
+                assert out.dtype == dtype
                 np.testing.assert_array_equal(
                     out, models[name]._forward_cached(window)[0])
                 np.testing.assert_allclose(out, models[name].forward(window),
-                                           rtol=0, atol=1e-15)
+                                           rtol=0, atol=atol)
 
     def test_peak_memory_below_one_training_batch(self):
         # the wavefront holds all three members at once; dropping each
@@ -632,24 +639,46 @@ def holdout_run(trained_run):
     return run, features, labels, raw_values, sections
 
 
+# A batch and its windows one by one take BLAS calls of other shapes, which
+# may sum in another order. The run's own float32 members agree to float32's
+# rounding (n_pred by at most 9.3e-9, 2.1e-6 relative, measured), float64
+# copies of them to float64's; the gates are equal in both
+BATCHED_TOL = {np.float32: {"rtol": 1e-6, "atol": 1e-7},
+               np.float64: {"rtol": 1e-12, "atol": 1e-15}}
+BATCHED_DTYPES = pytest.mark.parametrize("dtype", list(BATCHED_TOL),
+                                         ids=["float32", "float64"])
+
+
+def models_in(run, dtype):
+    """The run's members with their parameters in `dtype`: the run's own
+    stacks where they already are."""
+    return {name: model if model.dtype == dtype else model.astype(dtype)
+            for name, model in run.models.items()}
+
+
 class TestBatchedForecast:
-    def test_stack_equals_single_windows(self, holdout_run):
+    @BATCHED_DTYPES
+    def test_stack_equals_single_windows(self, holdout_run, dtype):
         run, features, _, raw_values, sections = holdout_run
+        assert {model.dtype for model in run.models.values()} == {np.dtype(np.float32)}
+        models = models_in(run, dtype)
         h = run.config.h
         starts = [s for s, _ in sections]
         windows = np.stack([features[s - h:s] for s in starts])
-        batched = engine.predict(run.models, windows, raw_values[starts], run.transform)
-        singles = [engine.predict(run.models, features[s - h:s], raw_values[s],
+        batched = engine.predict(models, windows, raw_values[starts], run.transform)
+        singles = [engine.predict(models, features[s - h:s], raw_values[s],
                                   run.transform) for s in starts]
         assert batched.n_pred.shape == (len(starts), run.config.f)
         np.testing.assert_array_equal(batched.gate, np.stack([b.gate for b in singles]))
         for name in ("n_pred", "e_pred", "c_prob", "composed", "raw_scale"):
             np.testing.assert_allclose(getattr(batched, name),
                                        np.stack([getattr(b, name) for b in singles]),
-                                       rtol=1e-12, atol=1e-15, err_msg=name)
+                                       err_msg=name, **BATCHED_TOL[dtype])
 
-    def test_sections_equal_the_per_section_loop(self, holdout_run):
+    @BATCHED_DTYPES
+    def test_sections_equal_the_per_section_loop(self, holdout_run, dtype):
         run, features, labels, raw_values, sections = holdout_run
+        run = replace(run, models=models_in(run, dtype))
         bundle, truth, sec_labels, baseline = engine.forecast_sections(
             run, features, labels, raw_values, sections)
         config = run.config
@@ -658,7 +687,8 @@ class TestBatchedForecast:
                                     raw_values[start], run.transform,
                                     threshold=config.gate_threshold)
             np.testing.assert_array_equal(bundle.gate[i], single.gate)
-            np.testing.assert_allclose(bundle.raw_scale[i], single.raw_scale, rtol=1e-12)
+            np.testing.assert_allclose(bundle.raw_scale[i], single.raw_scale,
+                                       rtol=BATCHED_TOL[dtype]["rtol"])
             np.testing.assert_array_equal(truth[i], raw_values[start + 1:stop + 1])
             np.testing.assert_array_equal(sec_labels[i], labels[start:stop])
             np.testing.assert_array_equal(
