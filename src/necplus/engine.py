@@ -172,6 +172,8 @@ def _section_starts(sections, h: int, f: int, n: int) -> np.ndarray:
 def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
               split: sampling.Split):
     """Train the N, E, and C members; returns ({name: NetStack}, {name: log}).
+    A val or test section that does not fit h and f in the series is a
+    ConfigError before any member trains.
 
     The three trainings are independent and deterministic per member seed.
     MEMBERS is split in order into one share per usable CPU, up to three,
@@ -193,6 +195,7 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
     val = sampling.gather_windows(
         features, labels,
         _section_starts(split.val_sections, h, f, len(features)) - h, h, f)
+    _section_starts(split.test_sections, h, f, len(features))
 
     def run_member(name: str):
         spec = getattr(config, name)

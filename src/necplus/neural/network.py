@@ -23,11 +23,13 @@ does.
 The layers run as a wavefront: step s runs layer l at time s - l over one
 state row per window, and every step is the row product and `_lstm_step`.
 Training keeps each of the T + L - 1 steps (`_forward_steps`) and walks
-them back a chunk at a time (`_backward_steps`). Serving and training's
-validation (`forward_members`) run the members of equal depth and width
-as one wavefront that keeps a few rows per window and multiplies each
-member's rows by its own matrix (`_forward_wavefront`), so they compute
-what training's forward does, bit for bit. `lstm_forward`/
+them back a chunk at a time (`_backward_steps`): a chunk's elementwise work
+runs on one contiguous slab per gate, and dh and dc share one carry that
+one pass per step flushes. Serving and training's validation
+(`forward_members`) run the members of equal depth and width as one
+wavefront that keeps a few rows per window and multiplies each member's
+rows by its own matrix (`_forward_wavefront`), so they compute what
+training's forward does, bit for bit. `lstm_forward`/
 `lstm_backward` are depth-one adapters of the stored kernel, kept for the
 benchmark's tracer; `NetStack.forward`, the reference forward, runs layer
 by layer through `lstm_forward`.
@@ -51,9 +53,10 @@ HEAD_KINDS = ("normal", "extreme", "classifier")
 # the dtype a random init is stored in; every kernel takes its parameters'
 PARAM_DTYPE = np.float32
 # Steps of the reverse wavefront whose tanh(c) and dz `_backward_steps`
-# forms at once, in buffers of this many steps however long the window. At
-# B = 32, W = 16, L = 2, chunks of 8 and 16 steps ran at the same speed and
-# faster than 32, and 8 has the smallest peak
+# forms at once, in buffers of this many steps however long the window. The
+# length is part of the gradient's bits: each chunk's d_w is one GEMM, so 16
+# sums d_w in another order. With the gate slabs, at B = 32, W = 16, L = 2,
+# 16 was 2% faster than 8 at h = 360 and 16% slower at h = 24
 BACKWARD_CHUNK = 8
 # The reverse wavefront sets |dh| and |dc| below this to zero at every step.
 # In float32, dh decays into the subnormal range over a long window (h =
@@ -112,14 +115,15 @@ def _lstm_step(z, blocks, cells_prev, cells, hidden, scale, shift, work):
 
 
 def _gate_derivatives(gates, cells_prev, tanh_c, out):
-    """dz (steps, B, 4W), written to `out`: the derivative of each activated
+    """dz, written to `out` (4, steps, B, W) in the layout of `gates`, the
+    forward's activated gates as one slab per gate: the derivative of each
     gate w.r.t. its pre-activation, times the factor it meets in dc (i, f,
-    g) or in dh (o), from the forward's gates, the cells they started from
-    and tanh of the cells they made."""
-    gi, gf, gg, go = _gate_blocks(gates)
+    g) or in dh (o), from the gates, the cells they started from and tanh
+    of the cells they made."""
+    gi, gf, gg, go = gates
     dz = np.subtract(1.0, gates, out=out)
-    dz_i, dz_f, dz_g, dz_o = _gate_blocks(dz)
-    # sigmoid' = s(1 - s) on every block, then tanh' = 1 - g^2 on g
+    dz_i, dz_f, dz_g, dz_o = dz
+    # sigmoid' = s(1 - s) on every gate, then tanh' = 1 - g^2 on g
     dz *= gates
     np.multiply(gg, gg, out=dz_g)
     np.subtract(1.0, dz_g, out=dz_g)
@@ -156,12 +160,12 @@ def _forward_steps(w, x, depth):
         np.arange(n_steps)[:, None, None] >= np.arange(depth))
     gates = np.empty((n_steps, batch, 4 * stacked), w.dtype)
     cells = np.zeros((n_steps + 1, batch, stacked), w.dtype)
-    gi, gf, gg, go = _gate_blocks(gates)
     work = np.empty((batch, stacked), w.dtype)
-    for s in range(n_steps):
-        np.matmul(states[s], w_scaled, out=gates[s])
-        _lstm_step(gates[s], (gi[s], gf[s], gg[s], go[s]), cells[s],
-                   cells[s + 1], states[s + 1, :, :stacked], scale, shift, work)
+    for row, z, blocks, c_prev, c, h in zip(
+            states, gates, zip(*_gate_blocks(gates)), cells, cells[1:],
+            states[1:, :, :stacked]):
+        np.matmul(row, w_scaled, out=z)
+        _lstm_step(z, blocks, c_prev, c, h, scale, shift, work)
     return {"states": states, "gates": gates, "cells": cells, "w": w}
 
 
@@ -170,14 +174,17 @@ def _backward_steps(cache, d_top, depth, d_x=None):
     gradient on the top layer's last n hidden states, reading the cache and
     never writing it; d_x (S, B, D), if given, receives the gradient on x_t.
 
-    A chunk of BACKWARD_CHUNK steps at a time, tanh(c) and dz are formed
-    from the cache, the loop scales dz[s] by dc (i, f, g) or dh (o) and
-    feeds dz[s] @ W[:LW].T back one step, and one GEMM adds the chunk's
-    state rows times its dz into the gradient. A layer that has not started
-    reads only zero state rows and a_l = 0, and layer l's steps from T + l
-    on get no gradient (nothing reads what they make), so neither adds
-    anything to a layer's block. Every buffer takes w's dtype, and |dh| and
-    |dc| below FLUSH_BELOW are set to zero at each step.
+    A chunk of BACKWARD_CHUNK steps at a time, the cached gates are copied
+    once into slabs (4, chunk, B, LW), one contiguous slab per gate, where
+    tanh(c), dz (`_gate_derivatives`) and dc/dh are formed; dz is copied
+    once back to the rows (chunk, B, 4LW) that the GEMMs take. The loop
+    scales dz[s] by dc (i, f, g) or dh (o), writes dz[s] @ W[:LW].T into
+    the carry (2, B, LW) of dh and the next dc, and zeroes every carry
+    entry below FLUSH_BELOW in magnitude in one pass; one GEMM adds the
+    chunk's state rows times its dz into the gradient. A layer that has not
+    started reads only zero state rows and a_l = 0, and layer l's steps from
+    T + l on get no gradient (nothing reads what they make), so neither adds
+    anything to a layer's block. Every buffer takes w's dtype.
     """
     states, gates, cells, w = (
         cache[k] for k in ("states", "gates", "cells", "w"))
@@ -187,33 +194,40 @@ def _backward_steps(cache, d_top, depth, d_x=None):
     # the step that made the first hidden state d_top holds
     first = n_steps - d_top.shape[1]
     w_h_t = w[:stacked].T
-    _, gf, _, go = _gate_blocks(gates)
     d_w = np.zeros_like(w)
-    dh = np.zeros((batch, stacked), w.dtype)
-    dc_next = np.zeros((batch, stacked), w.dtype)
-    # one chunk's dz and tanh(c), written over for every chunk
-    dz_rows = np.empty((min(BACKWARD_CHUNK, n_steps), batch, four_stacked),
-                       w.dtype)
-    tanh_rows = np.empty(dz_rows.shape[:2] + (stacked,), w.dtype)
+    carry = np.zeros((2, batch, stacked), w.dtype)
+    dh, dc_next = carry
+    dc = np.empty_like(dh)
+    # one chunk's gate and dz slabs, dz rows and tanh(c), written over for
+    # every chunk
+    chunk = min(BACKWARD_CHUNK, n_steps)
+    gate_slabs = np.empty((4, chunk, batch, stacked), w.dtype)
+    dz_slabs = np.empty_like(gate_slabs)
+    dz_rows = np.empty((chunk, batch, four_stacked), w.dtype)
+    tanh_rows = np.empty((chunk, batch, stacked), w.dtype)
     for lo in reversed(range(0, n_steps, BACKWARD_CHUNK)):
         hi = min(lo + BACKWARD_CHUNK, n_steps)
-        tanh_c = np.tanh(cells[lo + 1:hi + 1], out=tanh_rows[:hi - lo])
-        dz = _gate_derivatives(gates[lo:hi], cells[lo:hi], tanh_c,
-                               out=dz_rows[:hi - lo])
+        n = hi - lo
+        slabs = gate_slabs[:, :n]
+        slabs[...] = gates[lo:hi].reshape(n, batch, 4, stacked).transpose(2, 0, 1, 3)
+        tanh_c = np.tanh(cells[lo + 1:hi + 1], out=tanh_rows[:n])
+        dz = dz_rows[:n]
+        dz.reshape(n, batch, 4, stacked)[...] = _gate_derivatives(
+            slabs, cells[lo:hi], tanh_c, out=dz_slabs[:, :n]).transpose(1, 2, 0, 3)
         # dh reaches dc through h = o * tanh(c)
         dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
         np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= go[lo:hi]
-        for s in reversed(range(lo, hi)):
+        dc_dh *= slabs[3]
+        for s, dz_s, dc_dh_s, gf_s in zip(range(hi - 1, lo - 1, -1), dz[::-1],
+                                          dc_dh[::-1], slabs[1, ::-1]):
             if s >= first:
                 dh[:, top] += d_top[:, s - first]
-            dc = dh * dc_dh[s - lo]
+            np.multiply(dh, dc_dh_s, out=dc)
             dc += dc_next
-            dz[s - lo] *= np.concatenate((dc, dc, dc, dh), axis=1)
-            np.multiply(dc, gf[s], out=dc_next)
-            dh = dz[s - lo] @ w_h_t
-            dh[np.abs(dh) < FLUSH_BELOW] = 0.0
-            dc_next[np.abs(dc_next) < FLUSH_BELOW] = 0.0
+            dz_s *= np.concatenate((dc, dc, dc, dh), axis=1)
+            np.multiply(dc, gf_s, out=dc_next)
+            np.matmul(dz_s, w_h_t, out=dh)
+            carry[np.abs(carry) < FLUSH_BELOW] = 0.0
         d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
                 @ dz.reshape(-1, four_stacked))
         if d_x is not None:

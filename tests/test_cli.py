@@ -332,6 +332,24 @@ class TestPipeline:
             "500-1600\n")
         assert not (tmp_path / "run").exists()
 
+    def test_train_rejects_test_sections_past_the_series(self, pipeline,
+                                                         tmp_path, capsys):
+        # the series has 1999 standardized steps: test sections placed in
+        # 10000-60000 cannot be forecast, and train must say so before it
+        # trains, not leave it to evaluate
+        _, _, data, _, _ = pipeline
+        bad = tmp_path / "config"
+        config = write_config(bad, test_ranges=((10000, 60000),))
+        start = sampling.make_split(1999, config.split_spec()).test_sections[0][0]
+        assert start > 1999
+        code = main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: holdout section at {start} does not fit "
+            "h=12, f=4 in 1999 steps\n")
+        assert not (tmp_path / "run").exists()
+
     def test_train_needs_the_fitted_gmm(self, pipeline, tmp_path, capsys):
         _, _, data, _, config = pipeline
         bare = tmp_path / "data"

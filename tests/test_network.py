@@ -103,6 +103,59 @@ def reference_lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
     return d_wx, d_wh, d_b, d_x
 
 
+def row_major_backward_steps(cache, d_top, depth, d_x=None):
+    """`network._backward_steps` as it was before its gate slabs: tanh(c),
+    dz and dc/dh formed on the column blocks of (chunk, B, 4LW) rows, and
+    dh and dc flushed in two passes. Frozen here as the reference that the
+    slab layout must equal bit for bit: both make the same GEMM calls and
+    apply the same ufuncs to the same values."""
+    states, gates, cells, w = (
+        cache[k] for k in ("states", "gates", "cells", "w"))
+    n_steps, batch, four_stacked = gates.shape
+    stacked = four_stacked // 4
+    top = slice(stacked - stacked // depth, stacked)
+    first = n_steps - d_top.shape[1]
+    w_h_t = w[:stacked].T
+    gi, gf, gg, go = (gates[..., k * stacked:(k + 1) * stacked] for k in range(4))
+    d_w = np.zeros_like(w)
+    dh = np.zeros((batch, stacked), w.dtype)
+    dc_next = np.zeros((batch, stacked), w.dtype)
+    chunk = network.BACKWARD_CHUNK
+    dz_rows = np.empty((min(chunk, n_steps), batch, four_stacked), w.dtype)
+    tanh_rows = np.empty(dz_rows.shape[:2] + (stacked,), w.dtype)
+    for lo in reversed(range(0, n_steps, chunk)):
+        hi = min(lo + chunk, n_steps)
+        tanh_c = np.tanh(cells[lo + 1:hi + 1], out=tanh_rows[:hi - lo])
+        dz = np.subtract(1.0, gates[lo:hi], out=dz_rows[:hi - lo])
+        dz_i, dz_f, dz_g, dz_o = (dz[..., k * stacked:(k + 1) * stacked]
+                                  for k in range(4))
+        dz *= gates[lo:hi]
+        np.multiply(gg[lo:hi], gg[lo:hi], out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        dz_i *= gg[lo:hi]
+        dz_f *= cells[lo:hi]
+        dz_g *= gi[lo:hi]
+        dz_o *= tanh_c
+        dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= go[lo:hi]
+        for s in reversed(range(lo, hi)):
+            if s >= first:
+                dh[:, top] += d_top[:, s - first]
+            dc = dh * dc_dh[s - lo]
+            dc += dc_next
+            dz[s - lo] *= np.concatenate((dc, dc, dc, dh), axis=1)
+            np.multiply(dc, gf[s], out=dc_next)
+            dh = dz[s - lo] @ w_h_t
+            dh[np.abs(dh) < network.FLUSH_BELOW] = 0.0
+            dc_next[np.abs(dc_next) < network.FLUSH_BELOW] = 0.0
+        d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
+                @ dz.reshape(-1, four_stacked))
+        if d_x is not None:
+            np.matmul(dz, w[stacked:-depth].T, out=d_x[lo:hi])
+    return d_w
+
+
 def _layer_inputs(steps=48, batch=5, d_in=3, width=6, seed=20):
     """Weights at the NetStack init scale, a nonzero bias, random inputs."""
     rng = np.random.default_rng(seed)
@@ -517,10 +570,14 @@ class TestBackward:
             np.testing.assert_array_equal(grad, np.zeros_like(grad),
                                           err_msg=key)
 
-    def test_backward_leaves_cache_unchanged(self):
-        model = NetStack("classifier", input_dim=2, width=4, n_layers=2,
+    # T = 7 at depth 1 is one partial chunk; T = 20 spans several chunks,
+    # the first of them partial, through which the reused slab buffers run
+    @pytest.mark.parametrize("steps", [7, 20], ids="T{}".format)
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_backward_leaves_cache_unchanged(self, n_layers, steps):
+        model = NetStack("classifier", input_dim=2, width=4, n_layers=n_layers,
                          horizon=3, seed=15)
-        x = np.random.default_rng(16).normal(size=(3, 7, 2))
+        x = np.random.default_rng(16).normal(size=(3, steps, 2))
         out, cache = model._forward_cached(x)
 
         def arrays(cache):
@@ -534,6 +591,53 @@ class TestBackward:
         model.backward(cache, np.ones_like(out))
         for old, new in zip(before, arrays(cache), strict=True):
             np.testing.assert_array_equal(new, old)
+
+    # T = 1 is one step; 7, 9 and 45 end in a partial chunk, 8 is one whole
+    # chunk; 360 is the paper's window
+    @pytest.mark.parametrize("steps", [1, 7, 8, 9, 45, 360], ids="T{}".format)
+    @pytest.mark.parametrize("batch", [1, 5, 32], ids="B{}".format)
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("head", ["normal", "classifier"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    def test_loss_and_grads_are_the_row_major_backward_bit_for_bit(
+            self, monkeypatch, dtype, head, n_layers, batch, steps):
+        model = perturbed(NetStack(head, input_dim=2, width=8, n_layers=n_layers,
+                                   horizon=4, seed=31).astype(dtype),
+                          np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        x, target = rng.normal(size=(batch, steps, 2)), rng.normal(size=(batch, 4))
+        labels = rng.uniform(size=(batch, 4)) < 0.5
+        loss, grads = model.loss_and_grads(x, target, labels)
+        monkeypatch.setattr(network, "_backward_steps", row_major_backward_steps)
+        want_loss, want = model.loss_and_grads(x, target, labels)
+        assert loss == want_loss
+        assert list(grads) == list(want)
+        for key, grad in grads.items():
+            assert grad.dtype == dtype, key
+            assert np.array_equal(grad, want[key]), key
+
+    # with a gradient on the last hidden state only, as in training, dh and
+    # dc decay over T = 360 until the flush zeroes them, and d_x shows it
+    @pytest.mark.parametrize("last_only", [False, True], ids=["every", "last"])
+    @pytest.mark.parametrize("steps", [1, 7, 8, 9, 45, 360], ids="T{}".format)
+    @pytest.mark.parametrize("batch", [1, 5, 32], ids="B{}".format)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    def test_lstm_backward_is_the_row_major_backward_bit_for_bit(
+            self, monkeypatch, dtype, batch, steps, last_only):
+        w_x, w_h, b, x, d_hidden = (a.astype(dtype) for a in _layer_inputs(
+            steps=steps, batch=batch))
+        if last_only:
+            d_hidden[:, :-1] = 0.0
+        hidden, cache = lstm_forward(w_x, w_h, b, x)
+        got = lstm_backward(w_x, w_h, x, hidden, cache, d_hidden)
+        monkeypatch.setattr(network, "_backward_steps", row_major_backward_steps)
+        want = lstm_backward(w_x, w_h, x, hidden, cache, d_hidden)
+        for name, grad, reference in zip(("d_wx", "d_wh", "d_b", "d_x"), got,
+                                         want, strict=True):
+            assert grad.dtype == dtype, name
+            assert np.array_equal(grad, reference), name
 
     def test_peak_memory_below_layer_by_layer(self):
         # one training batch at the paper's shape: the wavefront keeps one
