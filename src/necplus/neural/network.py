@@ -25,11 +25,12 @@ state row per window, and every step is the row product and `_lstm_step`.
 Training keeps each of the T + L - 1 steps (`_forward_steps`) and walks
 them back a chunk at a time (`_backward_steps`): a chunk's elementwise work
 runs on one contiguous slab per gate, and dh and dc share one carry that
-one pass per step flushes. Serving and training's validation
-(`forward_members`) run the members of equal depth and width as one
-wavefront that keeps a few rows per window and multiplies each member's
-rows by its own matrix (`_forward_wavefront`), so they compute what
-training's forward does, bit for bit. `lstm_forward`/
+one pass per step flushes. Once that carry is all zero, every earlier step
+would add exactly zero, and the walk stops at that chunk's end. Serving and
+training's validation (`forward_members`) run the members of equal depth
+and width as one wavefront that keeps a few rows per window and multiplies
+each member's rows by its own matrix (`_forward_wavefront`), so they
+compute what training's forward does, bit for bit. `lstm_forward`/
 `lstm_backward` are depth-one adapters of the stored kernel, kept for the
 benchmark's tracer; `NetStack.forward`, the reference forward, runs layer
 by layer through `lstm_forward`.
@@ -53,10 +54,13 @@ HEAD_KINDS = ("normal", "extreme", "classifier")
 # the dtype a random init is stored in; every kernel takes its parameters'
 PARAM_DTYPE = np.float32
 # Steps of the reverse wavefront whose tanh(c) and dz `_backward_steps`
-# forms at once, in buffers of this many steps however long the window. The
+# forms at once, in buffers of this many steps however long the window, and
+# the granularity at which it stops once the carry has flushed to zero. The
 # length is part of the gradient's bits: each chunk's d_w is one GEMM, so 16
-# sums d_w in another order. With the gate slabs, at B = 32, W = 16, L = 2,
-# 16 was 2% faster than 8 at h = 360 and 16% slower at h = 24
+# sums d_w in another order. With the stop, one backward at B = 32, W = 16,
+# L = 2 (3 x 300 interleaved rounds) took 4.3 to 4.7 ms at h = 360 with 8,
+# 1.04 to 1.05x that with 4 and 1.05 to 1.07x with 16. At h = 24, 4 took
+# 1.02 to 1.05x and 16 0.96 to 0.97x of 8's time
 BACKWARD_CHUNK = 8
 # The reverse wavefront sets |dh| and |dc| below this to zero at every step.
 # In float32, dh decays into the subnormal range over a long window (h =
@@ -185,6 +189,26 @@ def _backward_steps(cache, d_top, depth, d_x=None):
     started reads only zero state rows and a_l = 0, and layer l's steps from
     T + l on get no gradient (nothing reads what they make), so neither adds
     anything to a layer's block. Every buffer takes w's dtype.
+
+    The walk stops after the first chunk that leaves the carry all zero
+    with every d_top injection and every step from T on behind it; given
+    d_x, it runs every step, as each writes a row of d_x. This is exact:
+    - From that chunk down, every dc, dz, dh and d_w term would be +-0, and
+      the flush would keep the carry +0. d_w starts at +0 and no sum makes
+      it -0 (rounded to nearest, a sum is -0 only from two -0s), so adding
+      those terms changes no bit. Only whole chunks are skipped: each
+      chunk's d_w stays one GEMM, summed in the same order.
+    - A non-finite value cannot hide in the skipped steps. The forward has
+      no flush: a NaN in an early gate or cell reaches the top layer's last
+      hidden state, and the head's finiteness check raises first. tanh
+      keeps an infinite pre-activation's gates finite, and |c| grows by at
+      most 1 a step. (An infinite x_t at a skipped step of a one-layer
+      stack would have made the full walk's d_w non-finite, and does not
+      here; training's windows are finite.)
+    - Layer l's steps from T + l on, whose output nothing reads, come first
+      in reverse order, so they are never skipped.
+    At h = 360 the carry flushed to zero 128 to 162 steps from the end in
+    every case measured; at h = 24 every step ran.
     """
     states, gates, cells, w = (
         cache[k] for k in ("states", "gates", "cells", "w"))
@@ -193,6 +217,9 @@ def _backward_steps(cache, d_top, depth, d_x=None):
     top = slice(stacked - stacked // depth, stacked)
     # the step that made the first hidden state d_top holds
     first = n_steps - d_top.shape[1]
+    # a chunk from here down may end the walk: no step below it gets d_top,
+    # and layer 0's steps from T on are behind it
+    settled = min(first, n_steps - depth + 1)
     w_h_t = w[:stacked].T
     d_w = np.zeros_like(w)
     carry = np.zeros((2, batch, stacked), w.dtype)
@@ -230,8 +257,13 @@ def _backward_steps(cache, d_top, depth, d_x=None):
             carry[np.abs(carry) < FLUSH_BELOW] = 0.0
         d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
                 @ dz.reshape(-1, four_stacked))
+        # without d_x, the walk ends at the first chunk from `settled` down
+        # that leaves the carry all zero; one entry is read first, as on a
+        # live walk it is nonzero, in a fifteenth of carry.any()'s time
         if d_x is not None:
             np.matmul(dz, w[stacked:-depth].T, out=d_x[lo:hi])
+        elif lo <= settled and not carry[0, 0, 0] and not carry.any():
+            break
     return d_w
 
 
