@@ -10,30 +10,31 @@ step.
 A :class:`NetStack` holds one of the three member models: the normal (N) and
 extreme (E) regressors use 3 tapering affine layers after the top LSTM; the
 classifier (C) uses a single affine layer of f units under a sigmoid.
-Parameters live in a flat name -> array dict so optimizers and the gradient
-checker can treat them uniformly.
+Parameters live in a flat name -> array dict so the optimizers can treat
+them uniformly.
 
 The parameters' dtype is the one dtype of everything that runs on them: the
 inputs, every kernel buffer, the head's gradient and the optimizers' state.
 A random init is drawn in float64 and stored as PARAM_DTYPE (float32, whose
 elementwise arithmetic takes about half float64's time); a stack built from
-float64 parameters runs the same code in float64, as the gradient check
-does.
+float64 parameters runs the same code in float64. Every entry point casts
+the window to it and rejects one that is not all finite (`_as_batch`).
 
 The layers run as a wavefront: step s runs layer l at time s - l over one
-state row per window, and every step is the row product and `_lstm_step`.
-Training keeps each of the T + L - 1 steps (`_forward_steps`) and walks
-them back a chunk at a time (`_backward_steps`): a chunk's elementwise work
-runs on one contiguous slab per gate, and dh and dc share one carry that
-one pass per step flushes. Once that carry is all zero, every earlier step
-would add exactly zero, and the walk stops at that chunk's end. Serving and
-training's validation (`forward_members`) run the members of equal depth
-and width as one wavefront that keeps a few rows per window and multiplies
-each member's rows by its own matrix (`_forward_wavefront`), so they
-compute what training's forward does, bit for bit. `lstm_forward`/
-`lstm_backward` are depth-one adapters of the stored kernel, kept for the
-benchmark's tracer; `NetStack.forward`, the reference forward, runs layer
-by layer through `lstm_forward`.
+state row per window, and every step is the row product with the one matrix
+of `_wavefront_matrix` and `_lstm_step`. Training keeps each of the T + L - 1
+steps (`_forward_steps`) and walks them back a chunk at a time
+(`_backward_steps`) into the weight gradients only: the loss reaches the LSTM
+through the top layer's last hidden state, so no input gradient is needed. A
+chunk's elementwise work runs on one contiguous slab per gate, and dh and dc
+share one carry that one pass per step flushes. Once that carry is all zero,
+every earlier step would add exactly zero, and the walk stops. Serving and
+training's validation (`forward_members`) run the members of equal depth and
+width as one wavefront that keeps a few rows per window and multiplies each
+member's rows by its own matrix (`_forward_wavefront`), so they compute what
+training's forward does, bit for bit. The benchmark's tracer wraps
+`lstm_forward`/`lstm_backward`, depth-one adapters of the stored kernel, and
+`NetStack.forward`, which runs layer by layer through `lstm_forward`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointError, DimensionError, NumericInstabilityError
+from ..errors import (CheckpointError, DimensionError, InvalidInputError,
+                      NumericInstabilityError)
 from .losses import classifier_loss, masked_mse_loss
 
 CHECKPOINT_VERSION = 3
@@ -173,10 +175,10 @@ def _forward_steps(w, x, depth):
     return {"states": states, "gates": gates, "cells": cells, "w": w}
 
 
-def _backward_steps(cache, d_top, depth, d_x=None):
+def _backward_steps(cache, d_top, depth):
     """The gradient of `_forward_steps`' matrix w from d_top (B, n, W), the
     gradient on the top layer's last n hidden states, reading the cache and
-    never writing it; d_x (S, B, D), if given, receives the gradient on x_t.
+    never writing it. No gradient on x_t is formed: nothing needs one.
 
     A chunk of BACKWARD_CHUNK steps at a time, the cached gates are copied
     once into slabs (4, chunk, B, LW), one contiguous slab per gate, where
@@ -191,8 +193,8 @@ def _backward_steps(cache, d_top, depth, d_x=None):
     anything to a layer's block. Every buffer takes w's dtype.
 
     The walk stops after the first chunk that leaves the carry all zero
-    with every d_top injection and every step from T on behind it; given
-    d_x, it runs every step, as each writes a row of d_x. This is exact:
+    with every d_top injection and every step from T on behind it (a d_top
+    on every step, as `lstm_backward` gives, runs them all). This is exact:
     - From that chunk down, every dc, dz, dh and d_w term would be +-0, and
       the flush would keep the carry +0. d_w starts at +0 and no sum makes
       it -0 (rounded to nearest, a sum is -0 only from two -0s), so adding
@@ -202,9 +204,9 @@ def _backward_steps(cache, d_top, depth, d_x=None):
       no flush: a NaN in an early gate or cell reaches the top layer's last
       hidden state, and the head's finiteness check raises first. tanh
       keeps an infinite pre-activation's gates finite, and |c| grows by at
-      most 1 a step. (An infinite x_t at a skipped step of a one-layer
-      stack would have made the full walk's d_w non-finite, and does not
-      here; training's windows are finite.)
+      most 1 a step. An infinite x_t at a skipped step would have made the
+      full walk's d_w non-finite; every entry point checks that the
+      window is finite (`_as_batch`).
     - Layer l's steps from T + l on, whose output nothing reads, come first
       in reverse order, so they are never skipped.
     At h = 360 the carry flushed to zero 128 to 162 steps from the end in
@@ -257,59 +259,48 @@ def _backward_steps(cache, d_top, depth, d_x=None):
             carry[np.abs(carry) < FLUSH_BELOW] = 0.0
         d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
                 @ dz.reshape(-1, four_stacked))
-        # without d_x, the walk ends at the first chunk from `settled` down
-        # that leaves the carry all zero; one entry is read first, as on a
-        # live walk it is nonzero, in a fifteenth of carry.any()'s time
-        if d_x is not None:
-            np.matmul(dz, w[stacked:-depth].T, out=d_x[lo:hi])
-        elif lo <= settled and not carry[0, 0, 0] and not carry.any():
+        # the walk ends at the first chunk from `settled` down that leaves
+        # the carry all zero; one entry is read first, as on a live walk it
+        # is nonzero, in a fifteenth of carry.any()'s time
+        if lo <= settled and not carry[0, 0, 0] and not carry.any():
             break
     return d_w
 
 
 def lstm_forward(w_x, w_h, b, x):
-    """Run one LSTM layer over a batch of sequences.
+    """(all hidden states (B, T, W), the cache `lstm_backward` reads) of one
+    LSTM layer run over x (B, T, D) from zero hidden and cell states. Gate
+    order along the 4W axis is input, forget, candidate, output.
 
-    x has shape (B, T, D); returns all hidden states (B, T, W) plus the
-    cache needed for backpropagation. Initial hidden and cell states are
-    zero. Gate order along the 4W axis is input, forget, candidate, output.
-
-    A depth-one adapter of `_forward_steps`, kept for the benchmark's
-    tracer, which wraps it by name: the hidden states are a view of the
-    cache's state rows [h | x_t | 1].
+    A depth-one adapter of `_forward_steps`, whose hidden states are a view
+    of the cache's state rows [h | x_t | 1]. The benchmark's tracer wraps it
+    by name (`Target` "lstm_forward", whose hook reads all four arguments),
+    and `bench/test_bench.py` expects its span inside `NetStack.forward`'s.
     """
-    # C-ordered like `_wavefront_matrix`'s: in float32 the BLAS gives the
-    # F-ordered stack of transposes other bits
-    w = np.ascontiguousarray(np.vstack([w_h.T, w_x.T, b[None]]))
-    x = np.asarray(x, dtype=w.dtype)
-    if x.ndim != 3 or x.shape[2] != w_x.shape[1]:
-        raise DimensionError(
-            f"input shape {x.shape} incompatible with weight shape {w_x.shape}")
-    cache = _forward_steps(w, x, 1)
+    w = _wavefront_matrix([(w_x, w_h, b)])
+    cache = _forward_steps(w, _as_batch(x, w_x.shape[1], w.dtype)[0], 1)
     return cache["states"][1:, :, :w_h.shape[1]].transpose(1, 0, 2), cache
 
 
-def lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
-    """Backpropagate through one LSTM layer.
+def lstm_backward(w_x, w_h, x, cache, d_hidden):
+    """(d_wx, d_wh, d_b) of one LSTM layer from d_hidden (B, T, W), the
+    gradient on every hidden state, reading the cache of `lstm_forward`.
 
-    d_hidden (B, T, W) is the gradient w.r.t. every hidden state; returns
-    (d_wx, d_wh, d_b, d_x). The cache of `lstm_forward` is read, never
-    written.
-
-    A depth-one adapter of `_backward_steps`, kept for the benchmark's
-    tracer, which wraps it by name; hidden is read only for the signature,
-    as the cache holds the states.
+    A depth-one adapter of `_backward_steps`. The benchmark's tracer wraps
+    it by name (`Target` "lstm_backward", whose hook reads the first three
+    arguments); only that hook reads x.
     """
-    d_x = np.empty((x.shape[1], x.shape[0], x.shape[2]), cache["w"].dtype)
-    d_w = _backward_steps(cache, d_hidden, 1, d_x)
+    d_w = _backward_steps(cache, d_hidden, 1)
     width = w_h.shape[1]
-    return d_w[width:-1].T, d_w[:width].T, d_w[-1], d_x.transpose(1, 0, 2)
+    return d_w[width:-1].T, d_w[:width].T, d_w[-1]
 
 
 def _as_batch(x, input_dim: int, dtype):
     """(x as a (B, h, input_dim) batch of `dtype`, whether x was one
-    window)."""
-    x = np.asarray(x, dtype=dtype)
+    window), or InvalidInputError unless it is all finite in `dtype`: a
+    float64 beyond float32's range casts to inf."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(x, dtype=dtype)
     single = x.ndim == 2
     if single:
         x = x[None]
@@ -317,6 +308,8 @@ def _as_batch(x, input_dim: int, dtype):
         raise DimensionError(f"expected (*, h, {input_dim}) input, got {x.shape}")
     if x.shape[1] == 0:
         raise DimensionError("a window needs at least one step")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("the input window holds a non-finite value")
     return x, single
 
 
@@ -408,9 +401,10 @@ class NetStack:
     def forward(self, x):
         """Predict f values (probabilities for the classifier head) from a
         batch (B, h, input_dim) or a single window (h, input_dim), keeping
-        no gradient cache: `lstm_forward` layer by layer. `gradient_check`
-        and the tests run it, and the wavefronts of `_forward_cached` and
-        `forward_members` are held to it."""
+        no gradient cache: `lstm_forward` layer by layer. The tests hold the
+        wavefronts to it. The benchmark's tracer wraps it by name (`Target`
+        "NetStack.forward"), and `bench/test_bench.py` expects its span,
+        then `lstm_forward`'s."""
         x, single = _as_batch(x, self.input_dim, self.dtype)
         seq = x
         for layer in range(self.n_layers):
@@ -426,7 +420,7 @@ class NetStack:
         """(`forward(x)`, the cache `backward` reads): `_forward_steps` of
         every layer, plus the head's activations as "fc"."""
         x, single = _as_batch(x, self.input_dim, self.dtype)
-        cache = _forward_steps(_wavefront_matrix(self), x, self.n_layers)
+        cache = _forward_steps(_wavefront_matrix(self._lstm_layers()), x, self.n_layers)
         top = self.n_layers * self.width
         cache["fc"] = self._head(cache["states"][-1, :, top - self.width:top])
         out = cache["fc"][-1]
@@ -435,6 +429,9 @@ class NetStack:
     def _lstm_params(self, layer: int):
         return (self.params[f"lstm{layer}_wx"], self.params[f"lstm{layer}_wh"],
                 self.params[f"lstm{layer}_b"])
+
+    def _lstm_layers(self):
+        return [self._lstm_params(layer) for layer in range(self.n_layers)]
 
     def _head(self, last) -> list[np.ndarray]:
         """The FC head on the top layer's last hidden state (B, W): the
@@ -522,24 +519,26 @@ class NetStack:
 # Inference over several members
 
 
-def _wavefront_matrix(stack):
-    """The one matrix (K, 4LW) of a wavefront step of a stack of depth L,
-    width W and input width D, for K = LW + D + L.
+def _wavefront_matrix(layers):
+    """The one matrix (K, 4LW), C-ordered, of a wavefront step of the L
+    layers' (w_x, w_h, b) of width W and input width D, for K = LW + D + L;
+    every wavefront, the stored and the streaming, multiplies by it.
 
     A row of the state it multiplies is [h_0 ... h_{L-1} | x_t | a_0 ...
     a_{L-1}]: every layer's hidden state, the input, and each layer's alive
     input a_l, which is 1 once layer l has started and 0 before. Its 4LW
     columns are the gate blocks i, f, g, o, each split as [layer 0 ... layer
-    L-1] of width W. Layer l's gates read its own hidden state through
-    lstm{l}_wh, the state of layer l - 1 (the input, for layer 0) through
-    lstm{l}_wx, and a_l through lstm{l}_b; every other entry is zero. It
-    takes the stack's dtype.
+    L-1] of width W. Layer l's gates read its own hidden state through its
+    w_h, the state of layer l - 1 (the input, for layer 0) through its w_x,
+    and a_l through its b; every other entry is zero. It takes the result
+    dtype of the arrays given.
     """
-    depth, width, d_in = stack.n_layers, stack.width, stack.input_dim
+    depth = len(layers)
+    d_in, width = layers[0][0].shape[1], layers[0][1].shape[1]
     stacked = depth * width
-    w = np.zeros((stacked + d_in + depth, 4, depth, width), stack.dtype)
-    for layer in range(depth):
-        p_wx, p_wh, p_b = stack._lstm_params(layer)
+    w = np.zeros((stacked + d_in + depth, 4, depth, width),
+                 np.result_type(*[p for params in layers for p in params]))
+    for layer, (p_wx, p_wh, p_b) in enumerate(layers):
         below, own, alive = _layer_rows(layer, depth, width, d_in)
         w[below, :, layer] = p_wx.reshape(4, width, -1).transpose(2, 0, 1)
         w[own, :, layer] = p_wh.reshape(4, width, -1).transpose(2, 0, 1)
@@ -587,7 +586,7 @@ def _forward_wavefront(stacks, x):
     stacked = depth * width
     scale, shift = (a.reshape(members, batch, -1)
                     for a in _gate_affine(stacked, members * batch, dtype))
-    w = np.stack([_wavefront_matrix(stack) for stack in stacks])
+    w = np.stack([_wavefront_matrix(stack._lstm_layers()) for stack in stacks])
     w *= scale[0, 0]
     state = np.zeros((members, batch, stacked + d_in + depth), dtype)
     hidden, x_t, alive = np.split(state, [stacked, stacked + d_in], axis=2)
@@ -627,39 +626,6 @@ def forward_members(stacks, x) -> list:
         for i, out in zip(idx, _forward_wavefront([stacks[i] for i in idx], x)):
             outs[i] = out
     return outs
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-def gradient_check(model: NetStack, x, target, labels, alpha: float = 1.0,
-                   beta: float = 1.0, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients
-    over every parameter, on a float64 copy of the model: central
-    differences at eps = 1e-5 mean nothing in float32. Intended for small
-    models (W <= 8, h <= 12)."""
-    model = model.astype(np.float64)
-    _, grads = model.loss_and_grads(x, target, labels, alpha, beta)
-
-    def total_loss():
-        return model.loss(model.forward(x), target, labels, alpha, beta)[0]
-
-    worst = 0.0
-    for key, arr in model.params.items():
-        flat = arr.reshape(-1)
-        analytic = grads[key].reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            hi = total_loss()
-            flat[j] = orig - eps
-            lo = total_loss()
-            flat[j] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            denom = max(1e-8, abs(analytic[j]) + abs(numeric))
-            worst = max(worst, abs(analytic[j] - numeric) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import pytest
 from necplus import distributions, engine, evaluation, kvtext, sampling, series
 from necplus.cli import main
 from necplus.errors import DegenerateSeriesError
-from necplus.neural import NetStack, gradient_check, masked_mse_loss
+from necplus.neural import NetStack, masked_mse_loss
+
+from gradcheck import gradient_check
 
 
 def report(num, name, ok, detail=""):

@@ -45,7 +45,7 @@ def test_every_describe_hook_runs(tmp_path, monkeypatch):
         w_x, w_h, b = models["n"]._lstm_params(0)
         window = features[None, :config.h]
         hidden, cache = network.lstm_forward(w_x, w_h, b, window)
-        network.lstm_backward(w_x, w_h, window, hidden, cache, np.ones_like(hidden))
+        network.lstm_backward(w_x, w_h, window, cache, np.ones_like(hidden))
     finally:
         tracer.uninstall()
     described = {t.span for t in tracing.TARGETS if t.describe is not None}
