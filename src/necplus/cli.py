@@ -132,16 +132,18 @@ def cmd_evaluate(args) -> int:
     bundle, truth, sec_labels, baseline = engine.forecast_sections(
         run, features, labels, raw_values, sections)
     pred, sensor = bundle.raw_scale, run.transform.source_id
-    print(evaluation.CSV_HEADER)
-    print(evaluation.per_class_report(pred, truth, sec_labels)
-          .csv_row(Path(args.run_dir).name, sensor))
+    # every row is computed before the first is printed: a stage that fails
+    # writes no stdout
+    rows = [evaluation.CSV_HEADER, evaluation.per_class_report(
+        pred, truth, sec_labels).csv_row(Path(args.run_dir).name, sensor)]
     if args.baseline:
-        print(evaluation.per_class_report(baseline, truth, sec_labels)
-              .csv_row("persistence", sensor))
+        rows.append(evaluation.per_class_report(baseline, truth, sec_labels)
+                    .csv_row("persistence", sensor))
     if args.wilcoxon:
         result = evaluation.wilcoxon_signed_rank(np.column_stack(
             [evaluation.row_rmse(pred, truth), evaluation.row_rmse(baseline, truth)]))
-        print(f"wilcoxon,T={result.statistic},p={result.p_value!r},n={result.n}")
+        rows.append(f"wilcoxon,T={result.statistic},p={result.p_value!r},n={result.n}")
+    print(*rows, sep="\n")
     return 0
 
 

@@ -14,7 +14,9 @@ import pickle
 import signal
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +38,9 @@ _PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
 
 @dataclass(frozen=True)
 class ModelSpec:
-    layers: int = 2
-    hidden: int = 16
     batch_size: int = 32
+    hidden: int = 16
+    layers: int = 2
     volume: int = 1000
     oversampling_os: float = 0.0
     seed: int = 0
@@ -386,41 +388,30 @@ def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-# run-config key -> NecConfig field; each value parses as its field's
-# default is typed, and the holdout ranges as `_ranges_text` writes them
-CONFIG_KEYS = {
-    "input_length_h": "h",
-    "forecast_length_f": "f",
-    "extreme_threshold_epsilon": "epsilon",
-    "gmm_components_m": "gmm_components",
-    "loss_alpha": "alpha",
-    "loss_beta": "beta",
-    "gate_threshold": "gate_threshold",
-    "holdout_sections": "holdout_sections",
-    "val_ranges": "val_ranges",
-    "test_ranges": "test_ranges",
-    "split_seed": "split_seed",
-    "max_epochs": "max_epochs",
-    "lr_recurrent": "lr_recurrent",
-    "lr_fc": "lr_fc",
-}
+# the run-config keys that are not their NecConfig field's name
+_RENAMED = {"h": "input_length_h", "f": "forecast_length_f",
+            "epsilon": "extreme_threshold_epsilon",
+            "gmm_components": "gmm_components_m", "alpha": "loss_alpha",
+            "beta": "loss_beta"}
 
-# ModelSpec fields, stored per member as `<member>_<field>`
-MODEL_KEYS = ("batch_size", "hidden", "layers", "volume", "oversampling_os",
-              "seed", "patience")
+# run-config key -> its field's path from a NecConfig, in the order a run
+# config is written: every other NecConfig field as its own key, then each
+# member's ModelSpec fields as `<member>_<field>`. Each value parses as its
+# field's default is typed, and a tuple as `_ranges_text` writes it
+CONFIG_KEYS = {
+    **{_RENAMED.get(f.name, f.name): (f.name,)
+       for f in fields(NecConfig) if f.name not in MEMBERS},
+    **{f"{name}_{f.name}": (name, f.name)
+       for name in MEMBERS for f in fields(ModelSpec)},
+}
+# a NecConfig's value of every key, in one call
+_config_values = attrgetter(*(".".join(path) for path in CONFIG_KEYS.values()))
 
 
 def config_to_pairs(config: NecConfig) -> dict:
-    pairs = {key: getattr(config, attr) for key, attr in CONFIG_KEYS.items()}
-    for key in ("val_ranges", "test_ranges"):
-        pairs[key] = _ranges_text(pairs[key])
-    for name in MEMBERS:
-        spec = getattr(config, name)
-        for key in MODEL_KEYS:
-            if name == "n" and key == "oversampling_os":
-                continue  # the normal model never oversamples
-            pairs[f"{name}_{key}"] = getattr(spec, key)
-    return pairs
+    return {key: _ranges_text(value) if isinstance(value, tuple) else value
+            for key, value in zip(CONFIG_KEYS, _config_values(config))
+            if key != "n_oversampling_os"}  # the normal model never oversamples
 
 
 def config_from_pairs(pairs: dict) -> NecConfig:
@@ -428,17 +419,14 @@ def config_from_pairs(pairs: dict) -> NecConfig:
     kwargs: dict = {}
     specs = {name: {} for name in MEMBERS}
     for key, raw in pairs.items():
-        prefix, _, rest = key.partition("_")
-        if key in CONFIG_KEYS:
-            attr, target, owner = CONFIG_KEYS[key], kwargs, defaults
-        elif prefix in MEMBERS and rest in MODEL_KEYS:
-            attr, target, owner = rest, specs[prefix], ModelSpec
-        else:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        default = getattr(owner, attr)
+        path = CONFIG_KEYS[key]
+        default = reduce(getattr, path, defaults)
+        target = kwargs if len(path) == 1 else specs[path[0]]
         try:
-            target[attr] = (_parse_ranges(raw) if isinstance(default, tuple)
-                            else type(default)(raw))
+            target[path[-1]] = (_parse_ranges(raw) if isinstance(default, tuple)
+                                else type(default)(raw))
         except ValueError:
             raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
     for name in MEMBERS:

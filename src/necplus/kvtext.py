@@ -43,8 +43,10 @@ def write(path: str | Path, pairs: dict) -> None:
 
 
 def read(path: str | Path) -> dict[str, str]:
+    """The pairs of the file `path`, which may start with a UTF-8 byte-order
+    mark."""
     with reading(path):
-        return loads(Path(path).read_text(encoding="utf-8"), path)
+        return loads(Path(path).read_text(encoding="utf-8-sig"), path)
 
 
 def get(pairs: dict[str, str], key: str, path, conv):

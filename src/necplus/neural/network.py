@@ -355,8 +355,7 @@ class NetStack:
 
     def astype(self, dtype) -> NetStack:
         """A copy of this stack with its parameters cast to `dtype`."""
-        return NetStack(self.head_kind, self.input_dim, self.width,
-                        self.n_layers, self.horizon, self.seed,
+        return NetStack(*(getattr(self, name) for name in ARCH),
                         params={k: v.astype(dtype) for k, v in self.params.items()})
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -633,12 +632,15 @@ def forward_members(stacks, x) -> list:
 
 
 # A checkpoint file is MAGIC, the header length as a little-endian uint64, a
-# JSON header (the architecture, the caller's extra meta, the parameters'
-# dtype as "<f4" or "<f8" and every parameter's key and shape) padded with
-# spaces so the data starts at a multiple of DATA_ALIGN bytes, then every
-# parameter as one contiguous little-endian blob of that dtype in the
-# model's key order.
+# JSON header (the version, the parameters' dtype as "<f4" or "<f8", the
+# architecture, the caller's extra meta and every parameter's key and shape)
+# padded with spaces so the data starts at a multiple of DATA_ALIGN bytes,
+# then every parameter as one contiguous little-endian blob of that dtype in
+# the model's key order.
 MAGIC = b"\x93NECCKPT"
+# the architecture: a NetStack's constructor arguments but `params`, in
+# their order, which is also the header's
+ARCH = ("head_kind", "input_dim", "width", "n_layers", "horizon", "seed")
 DATA_ALIGN = 64
 _PREFIX = len(MAGIC) + 8
 _ZIP_MAGIC = b"PK\x03\x04"  # version 1 was a zip of .npy members
@@ -660,12 +662,7 @@ def save_checkpoint(path: str | Path, model: NetStack,
     meta = {
         "version": CHECKPOINT_VERSION,
         "dtype": dtype,
-        "head_kind": model.head_kind,
-        "input_dim": model.input_dim,
-        "width": model.width,
-        "n_layers": model.n_layers,
-        "horizon": model.horizon,
-        "seed": model.seed,
+        **{name: getattr(model, name) for name in ARCH},
     }
     if extra_meta:
         meta["extra"] = extra_meta
@@ -725,9 +722,7 @@ def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
         for key, value in params.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"non-finite parameter {key}")
-        model = NetStack(meta["head_kind"], meta["input_dim"], meta["width"],
-                         meta["n_layers"], meta["horizon"], meta["seed"],
-                         params=params)
+        model = NetStack(*(meta[name] for name in ARCH), params=params)
     except (AttributeError, KeyError, TypeError, ValueError, OSError,
             DimensionError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc

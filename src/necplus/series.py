@@ -338,9 +338,11 @@ def _mapped(path: Path):
 
 def _rows_start(path: Path, data, header: str, prefix: bool) -> int:
     """Offset in the file `data` of the line after its first, which must
-    read `header` or, if `prefix`, begin with its cells."""
+    read `header` or, if `prefix`, begin with its cells, after a UTF-8
+    byte-order mark if the file starts with one."""
     match = _NEWLINE.search(data)
-    cells = data[:match.start() if match else len(data)].decode().strip().split(",")
+    cells = (data[:match.start() if match else len(data)].decode("utf-8-sig")
+             .strip().split(","))
     want = header.split(",")
     if cells[:len(want) if prefix else None] != want:
         raise InvalidInputError(f"{path}: expected header {header!r}")

@@ -493,6 +493,22 @@ class TestEvaluateBatched:
         p_value = line.split("p=")[1].split(",")[0]
         assert float(p_value) > 0 and "np." not in line
 
+    def test_wilcoxon_past_its_limit_writes_nothing(self, pipeline, tmp_path, capsys):
+        # 30 test sections are more pairs than the exact test enumerates:
+        # evaluate must fail before it prints a row
+        _, _, data, _, _ = pipeline
+        config, run = tmp_path / "config", tmp_path / "run"
+        write_config(config, holdout_sections=30)
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--run-dir", str(run), "--data", str(data),
+                     "--baseline", "--wilcoxon"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: InvalidInputError: exact enumeration "
+                                "supports at most 25 pairs\n")
+        assert captured.out == ""
+
     def test_wilcoxon_needs_no_baseline_row(self, pipeline, capsys):
         _, _, data, run, _ = pipeline
         capsys.readouterr()
@@ -774,6 +790,56 @@ class TestPredictWindow:
         assert err.startswith(f"error: ConfigError: --origin-timestamp {origin!r}:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+BOM = b"\xef\xbb\xbf"  # UTF-8's byte-order mark, as Excel and Notepad write it
+
+
+def with_bom(path, copy):
+    """`copy`, written as the file `path` with a UTF-8 byte-order mark."""
+    copy.parent.mkdir(parents=True, exist_ok=True)
+    copy.write_bytes(BOM + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    """A text file that starts with a UTF-8 byte-order mark reads as the
+    same file without it."""
+
+    def test_preprocess_writes_the_same_bytes(self, pipeline, tmp_path):
+        _, csv, data = pipeline[:3]
+        bom_csv = with_bom(csv, tmp_path / "bom" / csv.name)
+        out = tmp_path / "data"
+        assert main(["preprocess", "--input", str(bom_csv), "--out-dir", str(out),
+                     "--epsilon", "1.5"]) == 0
+        for name in ("preprocessed.csv", "transform.meta"):
+            assert (out / name).read_bytes() == (data / name).read_bytes(), name
+
+    def test_predict_writes_the_same_forecast(self, pipeline, tmp_path):
+        _, csv, _, run, _ = pipeline
+        bom_csv = with_bom(csv, tmp_path / "bom" / csv.name)
+        out = tmp_path / "forecast.csv"
+        stamps = [line.split(",")[0] for line in csv.read_text().splitlines()[1:]]
+        # the first origin with h steps before it, an interior one and the tail
+        for origin in (stamps[12], stamps[500], None):
+            argv = ["predict", "--run-dir", str(run), "--out", str(out)]
+            if origin is not None:
+                argv += ["--origin-timestamp", origin]
+            forecasts = []
+            for source in (csv, bom_csv):
+                assert main(argv + ["--input", str(source)]) == 0
+                forecasts.append(out.read_bytes())
+            assert forecasts[0] == forecasts[1], origin
+
+    def test_config_loads_to_an_equal_config(self, pipeline, tmp_path):
+        config = pipeline[4]
+        bom_config = with_bom(config, tmp_path / "config")
+        assert engine.load_config(bom_config) == engine.load_config(config)
+
+    @pytest.mark.parametrize("name", ["transform.meta", "gmm.model"])
+    def test_data_meta_reads_to_the_same_pairs(self, pipeline, tmp_path, name):
+        path = pipeline[2] / name
+        assert kvtext.read(with_bom(path, tmp_path / name)) == kvtext.read(path)
 
 
 class TestTrainServeAgree:

@@ -7,7 +7,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -455,7 +456,49 @@ engine.train_nec(config, features, labels, split)
                     os.kill(int(pid), signal.SIGKILL)
 
 
+def field_paths():
+    """The path from a NecConfig to each of its fields: its own, then each
+    member's ModelSpec fields."""
+    for f in fields(engine.NecConfig):
+        if f.name in engine.MEMBERS:
+            yield from ((f.name, g.name) for g in fields(engine.ModelSpec))
+        else:
+            yield (f.name,)
+
+
+def with_field_changed(config, path):
+    """`config` with the field at `path` alone set to a valid value other
+    than its own."""
+    value = reduce(getattr, path, config)
+    candidates = ([((2000, 8000),)] if isinstance(value, tuple)
+                  else [type(value)(value + 1), type(value)(value / 2)])
+    for candidate in candidates:
+        if len(path) == 1:
+            kwargs = {path[0]: candidate}
+        else:
+            kwargs = {path[0]: replace(getattr(config, path[0]), **{path[1]: candidate})}
+        try:
+            return replace(config, **kwargs)
+        except ConfigError:
+            continue
+    raise AssertionError(f"no valid other value for {'.'.join(path)}")
+
+
 class TestConfigPairs:
+    def test_keys_are_the_fields(self):
+        assert sorted(engine.CONFIG_KEYS.values()) == sorted(field_paths())
+
+    # n_oversampling_os has one valid value: TestConfigParsing covers it
+    @pytest.mark.parametrize("path", [path for path in field_paths()
+                                      if path != ("n", "oversampling_os")], ids=".".join)
+    def test_each_field_round_trips_and_moves_the_hash(self, path):
+        default = engine.NecConfig()
+        config = with_field_changed(default, path)
+        assert config != default
+        text = kvtext.dumps(engine.config_to_pairs(config))
+        assert engine.config_from_pairs(kvtext.loads(text, "config")) == config
+        assert engine.config_hash(config) != engine.config_hash(default)
+
     def test_round_trip(self):
         config = small_config(alpha=2.0, beta=0.5)
         assert engine.config_from_pairs(engine.config_to_pairs(config)) == config
@@ -594,8 +637,7 @@ class TestConfigParsing:
             engine.config_from_pairs({key: text})
 
 
-CONFIG_KEY_NAMES = sorted([*engine.CONFIG_KEYS,
-                           *(f"{m}_{k}" for m in engine.MEMBERS for k in engine.MODEL_KEYS)])
+CONFIG_KEY_NAMES = sorted(engine.CONFIG_KEYS)
 VALUE_TEXT = st.one_of(
     st.text(st.characters(exclude_categories=("Cs", "Zl", "Zp", "Cc")), max_size=12),
     st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{0,3})?(e-?[0-9])?", fullmatch=True),

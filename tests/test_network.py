@@ -948,7 +948,8 @@ class TestCheckpoints:
         save_checkpoint(path, model, extra_meta={"config_hash": "abc"})
         back, meta = load_checkpoint(path)
         assert meta["extra"] == {"config_hash": "abc"}
-        assert back.head_kind == model.head_kind
+        for name in network.ARCH:
+            assert getattr(back, name) == meta[name] == getattr(model, name), name
         assert back.fc_sizes == model.fc_sizes
         for key in model.params:
             np.testing.assert_array_equal(back.params[key], model.params[key])
