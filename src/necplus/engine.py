@@ -26,10 +26,12 @@ from .errors import CheckpointError, ConfigError, TrainingFailureError, writing
 from .neural import (
     NetStack,
     TrainConfig,
+    TrainState,
     forward_members,
     load_checkpoint,
     save_checkpoint,
     train,
+    train_epochs,
 )
 
 MEMBERS = ("n", "e", "c")
@@ -177,15 +179,19 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
     A val or test section that does not fit h and f in the series is a
     ConfigError before any member trains.
 
-    The three trainings are independent and deterministic per member seed.
-    MEMBERS is split in order into one share per usable CPU, up to three,
-    or into one share where this platform cannot fork. This process trains
-    the first and largest share (N and E on two CPUs), and a forked child,
-    which inherits the inputs, trains each other share; with one share,
-    all three train here, one after another. Every split returns the same
-    bits and raises the first failed member's exception, in MEMBERS order,
-    unchanged. A pipe or fork that fails is a TrainingFailureError. On
-    Linux a child ends with this process, however it dies.
+    The three trainings are independent and deterministic per member seed,
+    and each can stop at an epoch boundary and go on in another process from
+    its `TrainState`; that process redraws the member's samples from its
+    seed. They run on one process per usable CPU, up to three, or on one
+    where this platform cannot fork (`_plan`). On two CPUs, a forked child
+    trains C's first half of epochs, hands C's state to this process and
+    trains E, while this process trains N and then C's second half: each
+    process trains one and a half members' epochs. On three CPUs each member
+    trains in its own process, and on one all three train here, one after
+    another. Every plan returns the same bits and raises the first failed
+    member's exception, in MEMBERS order, unchanged. A pipe or fork that
+    fails is a TrainingFailureError. On Linux a child ends with this
+    process, however it dies.
 
     Each process should run one BLAS thread, or they wait for each other's
     CPUs: the CLI sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
@@ -199,18 +205,25 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
         _section_starts(split.val_sections, h, f, len(features)) - h, h, f)
     _section_starts(split.test_sections, h, f, len(features))
 
-    def run_member(name: str):
+    def run_piece(name: str, stop: int, state: TrainState | None = None):
+        """Member `name` trained up to epoch `stop`, on from `state` or
+        afresh: (model, log) once its run is done, else its TrainState."""
         spec = getattr(config, name)
         samples = sampling.draw_samples(
             features, labels, h, f, spec.volume, spec.oversampling_os,
             seed=spec.seed, train_mask=split.train_mask)
-        model = _member_model(config, name)
-        cfg = TrainConfig(batch_size=spec.batch_size,
-                          lr_recurrent=config.lr_recurrent, lr_fc=config.lr_fc,
-                          max_epochs=config.max_epochs,
-                          early_stop_patience=spec.patience, seed=spec.seed,
-                          alpha=config.alpha, beta=config.beta)
-        return train(model, samples, val, cfg)
+        if state is None:
+            model = _member_model(config, name)
+            cfg = TrainConfig(batch_size=spec.batch_size,
+                              lr_recurrent=config.lr_recurrent,
+                              lr_fc=config.lr_fc, max_epochs=config.max_epochs,
+                              early_stop_patience=spec.patience, seed=spec.seed,
+                              alpha=config.alpha, beta=config.beta)
+            if stop == config.max_epochs:  # whole: the call the bench's tracer wraps
+                return train(model, samples, val, cfg)
+            state = TrainState.start(model, cfg)
+        state = train_epochs(state, samples, val, stop)
+        return (state.model, state.log) if state.done else state
 
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -219,75 +232,132 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
     # no more training processes than CPUs: a process more only waits for
     # a CPU, so each one's speed would vary with the others'
     workers = min(cpus, len(MEMBERS)) if hasattr(os, "fork") else 1
-    results = _train_across_processes(run_member, workers)
+    results = _train_across_processes(run_piece, _plan(workers, config.max_epochs))
     models, logs = zip(*(results[name] for name in MEMBERS))
     return dict(zip(MEMBERS, models)), dict(zip(MEMBERS, logs))
 
 
-def _train_across_processes(run_member, workers: int) -> dict:
-    """{name: run_member(name)} for every member, on `workers` processes:
-    MEMBERS split in order into `workers` shares, the first trained here and
-    each other one in a forked child that sends back its share's results or
-    the exception that ended it. One share needs no pipe and no fork.
-    Results are read in MEMBERS order, so the exception raised is the one
-    a single share raises; the children still training are terminated
-    first, and every child is reaped before this returns or raises."""
-    # the first share is the largest, so the work that ends last runs in
-    # this process, whose speed the benchmark's SpeedProbe samples
+def _plan(workers: int, epochs: int) -> list[list[tuple[str, int]]]:
+    """One share of training per process, the first this process's: each a
+    list of pieces (member, epoch to train it up to), in order.
+
+    The first share is the largest, so the work that ends last runs in this
+    process, whose speed the benchmark's SpeedProbe samples. On two
+    processes, three members' `epochs` split one and a half each by a
+    wrap-around at an epoch boundary (McNaughton 1959): the child trains C's
+    first epochs // 2 epochs, then E, and this process N, then C's rest,
+    from the state the child hands on. Otherwise, and at one epoch, MEMBERS
+    split in order into whole members."""
+    if workers == 2 and epochs > 1:
+        return [[("n", epochs), ("c", epochs)], [("c", epochs // 2), ("e", epochs)]]
     bounds = [-(-i * len(MEMBERS) // workers) for i in range(workers + 1)]
-    shares = [MEMBERS[a:b] for a, b in zip(bounds, bounds[1:])]
-    readers, pids, reaped, results = [], [], set(), {}
+    return [[(name, epochs) for name in MEMBERS[a:b]]
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _train_across_processes(run_piece, shares) -> dict:
+    """{name: (model, log)} for every member, from the pieces of `shares`
+    (`_plan`): the first share trained here, each other one in a forked
+    child. A child starts each of its pieces' members afresh and sends down
+    its pipe, as each piece ends, what `run_piece` returned for it (the
+    member's result, or its TrainState for a piece of this process to go on
+    from) or the exception that ended it. One share needs no pipe and no
+    fork. Outcomes are read in MEMBERS order, so the exception raised is
+    the one a single share raises; the children still training are
+    terminated first, and every child is reaped before this returns or
+    raises."""
+    # each child's pid, pipe, share and the pieces whose outcome is unread
+    readers, children, reaped, outcomes = [], [], set(), {}
     parent = os.getpid()
     # text still buffered here would be written once more by each child
     sys.stdout.flush()
     sys.stderr.flush()
+
+    def settle(name: str) -> None:
+        """Read each child's outcomes up to its last piece of `name`."""
+        for pid, pipe, share, unread in children:
+            while any(member == name for member, _ in unread):
+                try:
+                    outcomes[unread[0][0]] = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    reaped.add(pid)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise TrainingFailureError(
+                        f"the process training {_names(share)} ended "
+                        f"without a result (exit code {code})") from None
+                del unread[0]
+
     try:
         for share in shares[1:]:
             try:
                 reader, writer = os.pipe()
                 readers.append(reader)
                 try:
+                    _widen_pipe(writer)
                     pid = os.fork()
                     if pid == 0:
-                        _child(parent, readers, writer, run_member, share)
+                        _child(parent, readers, writer, run_piece, share)
                 finally:
                     os.close(writer)
             except OSError as exc:  # a process or file limit, say
                 raise TrainingFailureError(
-                    f"cannot start a process to train {' and '.join(share)}: "
+                    f"cannot start a process to train {_names(share)}: "
                     f"{exc.strerror or exc}") from None
-            pids.append(pid)
-        for name in shares[0]:
-            results[name] = run_member(name)
-        for reader, pid, share in zip(readers, pids, shares[1:]):
-            with open(reader, "rb", closefd=False) as pipe:
-                sent = pipe.read()
-            if not sent:
-                reaped.add(pid)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise TrainingFailureError(
-                    f"the process training {' and '.join(share)} ended "
-                    f"without a result (exit code {code})")
-            result = pickle.loads(sent)
-            if isinstance(result, BaseException):
-                raise result
-            results.update(zip(share, result))
+            children.append((pid, open(reader, "rb", closefd=False), share,
+                             list(share)))
+        for name, stop in shares[0]:
+            settle(name)  # a child's outcome for `name`, which may go on here
+            outcome = outcomes.get(name)
+            if outcome is None or isinstance(outcome, TrainState):
+                try:
+                    outcomes[name] = run_piece(name, stop, outcome)
+                except Exception as exc:  # raised below, in MEMBERS order
+                    outcomes[name] = exc
+                    break
+        for name in MEMBERS:
+            settle(name)
+            if isinstance(outcomes[name], BaseException):
+                raise outcomes[name]
     finally:
-        for pid, share in zip(pids, shares[1:]):
-            if share[-1] not in results and pid not in reaped:
+        for pid, _, _, unread in children:
+            if unread and pid not in reaped:
                 os.kill(pid, signal.SIGTERM)
         for reader in readers:
             os.close(reader)
-        for pid in pids:
+        for pid, *_ in children:
             if pid not in reaped:
                 os.waitpid(pid, 0)
-    return results
+    return outcomes
 
 
-def _child(parent, readers, writer, run_member, share):
-    """A forked child's whole life: train `share`, send its results, or the
-    exception that ended it, down `writer`, and exit without returning.
-    It ends with the process `parent` that forked it, however that dies."""
+def _names(share) -> str:
+    return " and ".join(name for name, _ in share)
+
+
+# a child's pipe buffer: a handoff up to this size is sent without waiting
+# for the parent to read it. C's TrainState pickles to 48 KB at paper shapes
+# (h=360, f=72, two layers of 16), 478 KB at width 64 and 1.01 MB at 96.
+# Linux's default buffer is 64 KiB, and 1 MiB its default cap
+PIPE_BYTES = 1 << 20
+
+
+def _widen_pipe(fd: int) -> None:
+    """Grow pipe `fd`'s buffer to PIPE_BYTES where the platform allows. A
+    larger send, or one on a pipe left at its default size, blocks until
+    the parent reads it: it waits, but never deadlocks, since the parent
+    reads each piece's outcome before it needs the next."""
+    try:
+        import fcntl
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass  # not Linux, or over this user's pipe quota
+
+
+def _child(parent, readers, writer, run_piece, share):
+    """A forked child's whole life: train the pieces of `share` in order,
+    send what each returned, or the exception that ended it, down `writer`
+    as it ends, and exit without returning. It ends with the process
+    `parent` that forked it, however that dies."""
     code = 1
     try:
         _end_with_parent(parent)
@@ -295,14 +365,14 @@ def _child(parent, readers, writer, run_member, share):
         # would block for ever on a full pipe once the parent is gone
         for reader in readers:
             os.close(reader)
-        try:
-            result = [run_member(name) for name in share]
-        except Exception as exc:  # sent to the parent, which raises it
-            result = exc
-        # sent at once at the end: a send larger than the pipe's buffer
-        # blocks until the parent, busy with its own share, reads it
         with open(writer, "wb") as pipe:
-            pickle.dump(result, pipe)
+            for name, stop in share:
+                try:
+                    outcome = run_piece(name, stop)
+                except Exception as exc:  # sent to the parent, which raises it
+                    outcome = exc
+                pickle.dump(outcome, pipe)
+                pipe.flush()
         code = 0
     except BaseException:
         traceback.print_exc()

@@ -37,8 +37,12 @@ class Adam:
             if key not in self.m:
                 self.m[key] = np.zeros_like(params[key])
                 self.v[key] = np.zeros_like(params[key])
-            self.m[key] = BETA1 * self.m[key] + (1 - BETA1) * g
-            self.v[key] = BETA2 * self.v[key] + (1 - BETA2) * g * g
-            m_hat = self.m[key] / (1 - BETA1 ** self.t)
-            v_hat = self.v[key] / (1 - BETA2 ** self.t)
+            # in place: the same products and sums, in the same order
+            m, v = self.m[key], self.v[key]
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
+            m_hat = m / (1 - BETA1 ** self.t)
+            v_hat = v / (1 - BETA2 ** self.t)
             params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

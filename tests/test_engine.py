@@ -24,6 +24,7 @@ from necplus.errors import (
     NecError,
     TrainingFailureError,
 )
+from necplus.neural import training
 
 
 class StubModel:
@@ -67,6 +68,26 @@ def usable_cpus(monkeypatch, cpus):
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+
+
+def _rates(lr, c_seed, c_patience):
+    return lambda config: dict(
+        max_epochs=8, lr_recurrent=lr, lr_fc=lr,
+        c=replace(config.c, seed=c_seed, patience=c_patience))
+
+
+# training plans: (small-config overrides, epochs in C's log). At eight
+# epochs a two-CPU child trains C's first four, and N stops early. At rate 0.3
+# C's best epoch is its first; at rate 0.1 its fourth, the child's last,
+# so the best parameters cross the handoff
+SPLIT_CASES = {
+    **{f"epochs{n}": (lambda config, n=n: dict(max_epochs=n), n)
+       for n in (1, 2, 3, 8)},
+    "c-stops-in-head": (_rates(0.3, 3, 2), 3),
+    "c-stops-at-handoff": (_rates(0.3, 3, 3), 4),
+    "c-stops-in-tail": (_rates(0.1, 3, 1), 5),
+    "c-best-in-head-stops-in-tail": (_rates(0.3, 3, 5), 6),
+}
 
 
 def assert_no_children():
@@ -336,27 +357,183 @@ class TestTrainNec:
         monkeypatch.setattr(os, "pipe", no_pipe)
         usable_cpus(monkeypatch, {0, 1})
         with pytest.raises(TrainingFailureError,
-                           match=r"^cannot start a process to train c: "
+                           match=r"^cannot start a process to train c and e: "
                                  + re.escape(os.strerror(errno.EMFILE)) + "$"):
             engine.train_nec(config, features, labels, split)
 
     @needs_fork
     def test_a_child_killed_mid_training_is_a_training_failure(self, monkeypatch):
+        # on two CPUs the child trains C's first epochs, through train_epochs
         config, features, labels, split, _ = training_inputs()
-        parent, real_train = os.getpid(), engine.train
+        parent, real_train_epochs = os.getpid(), engine.train_epochs
 
-        def train_or_die(model, samples, val, cfg):
-            if os.getpid() != parent and model.head_kind == "classifier":
+        def train_or_die(state, samples, val, stop=None):
+            if os.getpid() != parent and state.model.head_kind == "classifier":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_train(model, samples, val, cfg)
+            return real_train_epochs(state, samples, val, stop)
 
-        monkeypatch.setattr(engine, "train", train_or_die)
+        monkeypatch.setattr(engine, "train_epochs", train_or_die)
         usable_cpus(monkeypatch, {0, 1})
         with pytest.raises(TrainingFailureError,
-                           match=r"the process training c ended without a "
+                           match=r"the process training c and e ended without a "
                                  r"result \(exit code -9\)"):
             engine.train_nec(config, features, labels, split)
         assert_no_children()
+
+    @needs_fork
+    def test_a_child_killed_while_training_e_is_a_training_failure(self, monkeypatch):
+        # the child has handed C on: this process trains C's last epochs,
+        # then finds the child gone before it sent E
+        config, features, labels, split, _ = training_inputs()
+        parent, real_train = os.getpid(), engine.train
+        resumed = []
+        real_train_epochs = engine.train_epochs
+
+        def train_or_die(model, samples, val, cfg):
+            if os.getpid() != parent and model.head_kind == "extreme":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_train(model, samples, val, cfg)
+
+        def recorded(state, samples, val, stop=None):
+            resumed.append((os.getpid(), state.model.head_kind, state.epoch))
+            return real_train_epochs(state, samples, val, stop)
+
+        monkeypatch.setattr(engine, "train", train_or_die)
+        monkeypatch.setattr(engine, "train_epochs", recorded)
+        usable_cpus(monkeypatch, {0, 1})
+        with pytest.raises(TrainingFailureError,
+                           match=r"^the process training c and e ended without a "
+                                 r"result \(exit code -9\)$"):
+            engine.train_nec(config, features, labels, split)
+        assert resumed == [(parent, "classifier", 1)]
+        assert_no_children()
+
+    @needs_fork
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    def test_every_plan_gives_the_same_bits(self, monkeypatch, case):
+        overrides, c_epochs = SPLIT_CASES[case]
+        config, features, labels, split, _ = training_inputs()
+        config = replace(config, **overrides(config))
+        usable_cpus(monkeypatch, {0})
+        models, logs = engine.train_nec(config, features, labels, split)
+        assert len(logs["c"].val_losses) == c_epochs
+        if config.max_epochs == 8:  # N stops early, before C's last epochs
+            assert logs["n"].stopped_early
+            assert len(logs["n"].val_losses) < 8
+        parent, real_train_epochs = os.getpid(), engine.train_epochs
+        resumed = []
+
+        def recorded(state, samples, val, stop=None):
+            resumed.append((os.getpid(), state.model.head_kind, state.epoch, stop))
+            return real_train_epochs(state, samples, val, stop)
+
+        monkeypatch.setattr(engine, "train_epochs", recorded)
+        for cpus in ({0, 1}, {0, 1, 2}):
+            resumed.clear()
+            usable_cpus(monkeypatch, cpus)
+            got_models, got_logs = engine.train_nec(config, features, labels, split)
+            assert_no_children()
+            head = config.max_epochs // 2
+            # on two CPUs this process finishes C from the child's state,
+            # unless C stopped early in the child's epochs
+            split_here = len(cpus) == 2 and head and c_epochs > head
+            assert resumed == ([(parent, "classifier", head, config.max_epochs)]
+                               if split_here else [])
+            assert got_logs == logs
+            for name in engine.MEMBERS:
+                params, other = models[name].params, got_models[name].params
+                assert list(other) == list(params)
+                for key in params:
+                    assert other[key].dtype == params[key].dtype
+                    assert other[key].tobytes() == params[key].tobytes(), (name, key)
+
+    @needs_fork
+    @pytest.mark.parametrize("fails, raised", [
+        ({"classifier": 1}, "classifier"),
+        ({"classifier": 6}, "classifier"),
+        ({"classifier": 1, "extreme": 2}, "extreme"),
+        ({"classifier": 6, "extreme": 2}, "extreme"),
+        ({"classifier": 6, "normal": 1}, "normal"),
+    ], ids=["c-head", "c-tail", "c-head-e", "c-tail-e", "c-tail-n"])
+    def test_every_plan_raises_the_first_failed_member(self, monkeypatch,
+                                                       fails, raised):
+        # eight epochs: C fails at epoch 1 in the child's first four, or at
+        # 6 in this process's last four; E and N fail before they stop early
+        config, features, labels, split, _ = training_inputs()
+        config = replace(config, max_epochs=8)
+        real_train_epochs = training.train_epochs
+
+        def failing(state, samples, val, stop=None):
+            kind = state.model.head_kind
+            stop = state.cfg.max_epochs if stop is None else stop
+            if kind in fails and state.epoch <= fails[kind] < stop:
+                real_train_epochs(state, samples, val, fails[kind])
+                if not state.done:
+                    raise TrainingFailureError(f"{kind} failed at epoch {state.epoch}")
+            return real_train_epochs(state, samples, val, stop)
+
+        # `train` calls the training module's binding, a split piece engine's
+        monkeypatch.setattr(training, "train_epochs", failing)
+        monkeypatch.setattr(engine, "train_epochs", failing)
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            usable_cpus(monkeypatch, cpus)
+            with pytest.raises(TrainingFailureError) as excinfo:
+                engine.train_nec(config, features, labels, split)
+            assert type(excinfo.value) is TrainingFailureError
+            assert str(excinfo.value) == f"{raised} failed at epoch {fails[raised]}", cpus
+            assert_no_children()
+
+    @needs_fork
+    @pytest.mark.parametrize("widened", [True, False], ids=["widened", "default"])
+    def test_a_large_classifier_state_hands_off_without_a_hang(self, widened):
+        # C at width 64 pickles to more than a default 64 KiB pipe buffer:
+        # in a widened pipe the child sends it at once, in a default one it
+        # waits for this process to read it; neither may hang
+        script = f"""
+import os, pickle, sys
+from dataclasses import replace
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from necplus import engine
+from necplus.neural import TrainConfig, TrainState
+from test_engine import training_inputs
+config, features, labels, split, _ = training_inputs()
+config = replace(config, max_epochs=4, c=replace(config.c, hidden=64))
+# the handed-on state holds this much and Adam's moments besides
+fresh = TrainState.start(engine._member_model(config, "c"), TrainConfig())
+assert len(pickle.dumps(fresh)) > 65536, len(pickle.dumps(fresh))
+if not {widened}:
+    engine._widen_pipe = lambda fd: None
+runs = []
+for cpus in ({{0}}, {{0, 1}}):
+    os.sched_getaffinity = lambda pid, cpus=cpus: cpus
+    runs.append(engine.train_nec(config, features, labels, split))
+(models, logs), (split_models, split_logs) = runs
+assert split_logs == logs
+for name in engine.MEMBERS:
+    for key, value in models[name].params.items():
+        assert split_models[name].params[key].tobytes() == value.tobytes(), (name, key)
+"""
+        src = str(Path(engine.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="pipe sizes are Linux's")
+    def test_a_childs_pipe_holds_a_large_handoff(self):
+        cap = Path("/proc/sys/fs/pipe-max-size")
+        if int(cap.read_text()) < engine.PIPE_BYTES and os.geteuid() != 0:
+            pytest.skip("this host caps pipes below PIPE_BYTES")
+        import fcntl
+        reader, writer = os.pipe()
+        try:
+            engine._widen_pipe(writer)
+            assert fcntl.fcntl(writer, fcntl.F_GETPIPE_SZ) == engine.PIPE_BYTES
+        finally:
+            os.close(reader)
+            os.close(writer)
 
     @needs_fork
     def test_children_end_when_the_parent_is_killed(self, tmp_path):

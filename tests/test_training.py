@@ -1,10 +1,13 @@
+import io
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from necplus.errors import TrainingFailureError
-from necplus.neural import NetStack, TrainConfig, train
+from necplus.neural import NetStack, TrainConfig, TrainState, train, train_epochs
+from necplus.neural.optimizers import BETA1, BETA2, EPS, Adam
 from necplus.neural.training import evaluate_loss
 from necplus.sampling import Windows
 
@@ -163,3 +166,102 @@ def test_non_finite_validation_raises():
                       seed=0)
     with np.errstate(over="ignore"), pytest.raises(TrainingFailureError):
         train(model, samples, bad_val, cfg)
+
+
+def copy_windows(windows):
+    """An equal batch in new arrays, as a process that redraws it holds."""
+    return Windows(input=windows.input.copy(), target=windows.target.copy(),
+                   target_mask=windows.target_mask.copy(),
+                   origins=windows.origins.copy())
+
+
+class TestResume:
+    # lr 0 never improves on epoch 0, so such a run stops after exactly
+    # `patience` more epochs: before, at or after each split below
+    @pytest.mark.parametrize("lr, patience", [(1e-2, 10), (0.0, 2)])
+    @pytest.mark.parametrize("max_epochs", [1, 2, 3, 8])
+    def test_pieces_equal_one_run(self, lr, patience, max_epochs):
+        samples = make_windows(24, 6, 3, 2, seed=30)
+        val = make_windows(6, 6, 3, 2, seed=31)
+        cfg = TrainConfig(batch_size=8, lr_recurrent=lr, lr_fc=lr,
+                          max_epochs=max_epochs, early_stop_patience=patience,
+                          seed=32)
+
+        def model():
+            return NetStack("classifier", input_dim=2, width=4, n_layers=2,
+                            horizon=3, seed=33)
+
+        want, want_log = train(model(), samples, val, cfg)
+        for split in range(max_epochs + 1):
+            head = train_epochs(TrainState.start(model(), cfg), samples, val, split)
+            assert head.epoch == min(split, len(want_log.val_losses))
+            # handed on through a pipe, to go on from redrawn samples
+            state = pickle.loads(pickle.dumps(head))
+            got = train_epochs(state, copy_windows(samples), copy_windows(val))
+            assert got.done
+            assert got.log == want_log, split
+            assert list(got.model.params) == list(want.params)
+            for key, value in want.params.items():
+                assert got.model.params[key].tobytes() == value.tobytes(), (split, key)
+
+    def test_state_pickles_without_the_windows(self):
+        samples = make_windows(24, 6, 3, 2, seed=34)
+        val = make_windows(6, 6, 3, 2, seed=35)
+        cfg = TrainConfig(batch_size=8, max_epochs=4, seed=36)
+        model = NetStack("normal", input_dim=2, width=4, n_layers=1,
+                         horizon=3, seed=37)
+        state = train_epochs(TrainState.start(model, cfg), samples, val, 2)
+        windows = {id(w) for w in (samples, val)}
+        arrays = {id(a) for w in (samples, val) for a in (
+            w.input, w.target, w.target_mask, w.origins)}
+
+        class Checked(pickle.Pickler):
+            def reducer_override(self, obj):
+                assert id(obj) not in windows | arrays, type(obj)
+                return NotImplemented
+
+        Checked(io.BytesIO()).dump(state)
+        assert state.adam.t == 2 * 3  # three batches an epoch
+        assert set(state.adam.m) == set(model.fc_keys)
+
+    def test_a_done_run_trains_no_further(self):
+        samples = make_windows(16, 6, 3, 2, seed=38)
+        val = make_windows(4, 6, 3, 2, seed=39)
+        cfg = TrainConfig(batch_size=8, max_epochs=2, seed=40)
+        model = NetStack("normal", input_dim=2, width=4, n_layers=1,
+                         horizon=3, seed=41)
+        state = train_epochs(TrainState.start(model, cfg), samples, val)
+        params = {k: v.copy() for k, v in state.model.params.items()}
+        t = state.adam.t
+        assert train_epochs(state, samples, val, 5) is state
+        assert state.epoch == 2 and state.adam.t == t
+        for key, value in params.items():
+            assert state.model.params[key].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_equals_the_textbook_step(dtype):
+    # the moments update in place: the same products and sums, in the same
+    # order, as forming new moment arrays, so the same bits
+    rng = np.random.default_rng(42)
+    shapes = {"fc0_w": (6, 4), "fc0_b": (6,)}
+    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    want = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in want.items()}
+    v = {k: np.zeros_like(x) for k, x in want.items()}
+    adam = Adam(5e-4)
+    for t in range(1, 301):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=s).astype(dtype)
+                 for k, s in shapes.items()}
+        adam.step(params, grads, list(shapes))
+        for key, g in grads.items():
+            m[key] = BETA1 * m[key] + (1 - BETA1) * g
+            v[key] = BETA2 * v[key] + (1 - BETA2) * g * g
+            m_hat = m[key] / (1 - BETA1 ** t)
+            v_hat = v[key] / (1 - BETA2 ** t)
+            want[key] -= 5e-4 * m_hat / (np.sqrt(v_hat) + EPS)
+        for key in shapes:
+            assert params[key].dtype == dtype
+            assert params[key].tobytes() == want[key].tobytes(), (t, key)
+            assert adam.m[key].tobytes() == m[key].tobytes(), (t, key)
+            assert adam.v[key].tobytes() == v[key].tobytes(), (t, key)
