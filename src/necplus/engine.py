@@ -184,8 +184,8 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
     its `TrainState`; that process redraws the member's samples from its
     seed. They run on one process per usable CPU, up to three, or on one
     where this platform cannot fork (`_plan`). On two CPUs, a forked child
-    trains C's first half of epochs, hands C's state to this process and
-    trains E, while this process trains N and then C's second half: each
+    trains E's first half of epochs, hands E's state to this process and
+    trains C, while this process trains N and then E's second half: each
     process trains one and a half members' epochs. On three CPUs each member
     trains in its own process, and on one all three train here, one after
     another. Every plan returns the same bits and raises the first failed
@@ -207,23 +207,23 @@ def train_nec(config: NecConfig, features: np.ndarray, labels: np.ndarray,
 
     def run_piece(name: str, stop: int, state: TrainState | None = None):
         """Member `name` trained up to epoch `stop`, on from `state` or
-        afresh: (model, log) once its run is done, else its TrainState."""
+        afresh: (model, log) from a piece that trains to the end, else the
+        piece's TrainState, for another process to go on from."""
         spec = getattr(config, name)
         samples = sampling.draw_samples(
             features, labels, h, f, spec.volume, spec.oversampling_os,
             seed=spec.seed, train_mask=split.train_mask)
-        if state is None:
-            model = _member_model(config, name)
-            cfg = TrainConfig(batch_size=spec.batch_size,
-                              lr_recurrent=config.lr_recurrent,
-                              lr_fc=config.lr_fc, max_epochs=config.max_epochs,
-                              early_stop_patience=spec.patience, seed=spec.seed,
-                              alpha=config.alpha, beta=config.beta)
-            if stop == config.max_epochs:  # whole: the call the bench's tracer wraps
-                return train(model, samples, val, cfg)
-            state = TrainState.start(model, cfg)
-        state = train_epochs(state, samples, val, stop)
-        return (state.model, state.log) if state.done else state
+        if state is not None:
+            return train(state.model, samples, val, state.cfg, state)
+        model = _member_model(config, name)
+        cfg = TrainConfig(batch_size=spec.batch_size,
+                          lr_recurrent=config.lr_recurrent, lr_fc=config.lr_fc,
+                          max_epochs=config.max_epochs,
+                          early_stop_patience=spec.patience, seed=spec.seed,
+                          alpha=config.alpha, beta=config.beta)
+        if stop < config.max_epochs:
+            return train_epochs(TrainState.start(model, cfg), samples, val, stop)
+        return train(model, samples, val, cfg)
 
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -244,12 +244,13 @@ def _plan(workers: int, epochs: int) -> list[list[tuple[str, int]]]:
     The first share is the largest, so the work that ends last runs in this
     process, whose speed the benchmark's SpeedProbe samples. On two
     processes, three members' `epochs` split one and a half each by a
-    wrap-around at an epoch boundary (McNaughton 1959): the child trains C's
-    first epochs // 2 epochs, then E, and this process N, then C's rest,
-    from the state the child hands on. Otherwise, and at one epoch, MEMBERS
-    split in order into whole members."""
+    wrap-around at an epoch boundary (McNaughton 1959): the child trains E's
+    first epochs // 2 epochs, then C, and this process N, then E's rest,
+    from the state the child hands on. So this process draws N's samples
+    and then E's, in MEMBERS order, and learns of E's failure before C's.
+    Otherwise, and at one epoch, MEMBERS split in order into whole members."""
     if workers == 2 and epochs > 1:
-        return [[("n", epochs), ("c", epochs)], [("c", epochs // 2), ("e", epochs)]]
+        return [[("n", epochs), ("e", epochs)], [("e", epochs // 2), ("c", epochs)]]
     bounds = [-(-i * len(MEMBERS) // workers) for i in range(workers + 1)]
     return [[(name, epochs) for name in MEMBERS[a:b]]
             for a, b in zip(bounds, bounds[1:])]
@@ -335,17 +336,19 @@ def _names(share) -> str:
 
 
 # a child's pipe buffer: a handoff up to this size is sent without waiting
-# for the parent to read it. C's TrainState pickles to 48 KB at paper shapes
-# (h=360, f=72, two layers of 16), 478 KB at width 64 and 1.01 MB at 96.
-# Linux's default buffer is 64 KiB, and 1 MiB its default cap
+# for the parent to read it. E's TrainState pickles to 217 KB at paper
+# shapes (h=360, f=72, two layers of 16 and three fully-connected layers),
+# 33 KB at desk shapes and 647 KB at paper shapes with width 64. Linux's
+# default buffer is 64 KiB, and 1 MiB its default cap
 PIPE_BYTES = 1 << 20
 
 
 def _widen_pipe(fd: int) -> None:
     """Grow pipe `fd`'s buffer to PIPE_BYTES where the platform allows. A
     larger send, or one on a pipe left at its default size, blocks until
-    the parent reads it: it waits, but never deadlocks, since the parent
-    reads each piece's outcome before it needs the next."""
+    the parent reads it after its own first piece: the child then waits,
+    but never deadlocks, since the parent reads each piece's outcome
+    before it needs the next."""
     try:
         import fcntl
         fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)

@@ -131,8 +131,12 @@ def train_epochs(state: TrainState, samples, val,
     return state
 
 
-def train(model: NetStack, samples, val, cfg: TrainConfig):
-    """Train in place on a `sampling.Windows` batch from a fresh state to the
-    end (`train_epochs`) and return (best model, TrainLog)."""
-    state = train_epochs(TrainState.start(model, cfg), samples, val)
+def train(model: NetStack, samples, val, cfg: TrainConfig,
+          state: TrainState | None = None):
+    """Train in place on a `sampling.Windows` batch to the end
+    (`train_epochs`) and return (best model, TrainLog): from `state`, a run
+    of `model` under `cfg` stopped at an epoch boundary, or afresh."""
+    if state is None:
+        state = TrainState.start(model, cfg)
+    state = train_epochs(state, samples, val)
     return state.model, state.log

@@ -223,7 +223,7 @@ class TestExitCodes:
                      "--out", str(run)]) == 1
         err = capsys.readouterr().err
         assert err == ("error: TrainingFailureError: cannot start a process to "
-                       f"train c and e: {os.strerror(errno.EAGAIN)}\n")
+                       f"train e and c: {os.strerror(errno.EAGAIN)}\n")
         assert not run.exists()
 
     def test_fit_gmm_negative_seed_exits_one(self, pipeline, tmp_path, capsys):

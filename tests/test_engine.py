@@ -70,23 +70,25 @@ def usable_cpus(monkeypatch, cpus):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
 
 
-def _rates(lr, c_seed, c_patience):
+def _rates(lr, e_seed, e_patience):
     return lambda config: dict(
         max_epochs=8, lr_recurrent=lr, lr_fc=lr,
-        c=replace(config.c, seed=c_seed, patience=c_patience))
+        e=replace(config.e, seed=e_seed, patience=e_patience))
 
 
-# training plans: (small-config overrides, epochs in C's log). At eight
-# epochs a two-CPU child trains C's first four, and N stops early. At rate 0.3
-# C's best epoch is its first; at rate 0.1 its fourth, the child's last,
-# so the best parameters cross the handoff
+# training plans: (small-config overrides, epochs in E's log). At eight
+# epochs a two-CPU child trains E's first four, and N stops early. With
+# patience equal to its epochs E trains them all. At rate 0.3 and seed 1 E's
+# best epoch is its first; at rate 0.1 and seed 2 its fourth, the child's
+# last, so the best parameters cross the handoff
 SPLIT_CASES = {
-    **{f"epochs{n}": (lambda config, n=n: dict(max_epochs=n), n)
+    **{f"epochs{n}": (lambda config, n=n: dict(
+        max_epochs=n, e=replace(config.e, patience=n)), n)
        for n in (1, 2, 3, 8)},
-    "c-stops-in-head": (_rates(0.3, 3, 2), 3),
-    "c-stops-at-handoff": (_rates(0.3, 3, 3), 4),
-    "c-stops-in-tail": (_rates(0.1, 3, 1), 5),
-    "c-best-in-head-stops-in-tail": (_rates(0.3, 3, 5), 6),
+    "e-stops-in-head": (_rates(0.3, 1, 2), 3),
+    "e-stops-at-handoff": (_rates(0.3, 1, 3), 4),
+    "e-stops-in-tail": (_rates(0.1, 2, 1), 5),
+    "e-best-in-head-stops-in-tail": (_rates(0.3, 1, 5), 6),
 }
 
 
@@ -357,88 +359,85 @@ class TestTrainNec:
         monkeypatch.setattr(os, "pipe", no_pipe)
         usable_cpus(monkeypatch, {0, 1})
         with pytest.raises(TrainingFailureError,
-                           match=r"^cannot start a process to train c and e: "
+                           match=r"^cannot start a process to train e and c: "
                                  + re.escape(os.strerror(errno.EMFILE)) + "$"):
             engine.train_nec(config, features, labels, split)
 
     @needs_fork
     def test_a_child_killed_mid_training_is_a_training_failure(self, monkeypatch):
-        # on two CPUs the child trains C's first epochs, through train_epochs
+        # on two CPUs the child trains E's first epochs, through train_epochs
         config, features, labels, split, _ = training_inputs()
         parent, real_train_epochs = os.getpid(), engine.train_epochs
 
         def train_or_die(state, samples, val, stop=None):
-            if os.getpid() != parent and state.model.head_kind == "classifier":
+            if os.getpid() != parent and state.model.head_kind == "extreme":
                 os.kill(os.getpid(), signal.SIGKILL)
             return real_train_epochs(state, samples, val, stop)
 
         monkeypatch.setattr(engine, "train_epochs", train_or_die)
         usable_cpus(monkeypatch, {0, 1})
         with pytest.raises(TrainingFailureError,
-                           match=r"the process training c and e ended without a "
+                           match=r"the process training e and c ended without a "
                                  r"result \(exit code -9\)"):
             engine.train_nec(config, features, labels, split)
         assert_no_children()
 
     @needs_fork
-    def test_a_child_killed_while_training_e_is_a_training_failure(self, monkeypatch):
-        # the child has handed C on: this process trains C's last epochs,
-        # then finds the child gone before it sent E
+    def test_a_child_killed_while_training_c_is_a_training_failure(self, monkeypatch):
+        # the child has handed E on: this process trains E's last epochs,
+        # then finds the child gone before it sent C
         config, features, labels, split, _ = training_inputs()
         parent, real_train = os.getpid(), engine.train
         resumed = []
-        real_train_epochs = engine.train_epochs
 
-        def train_or_die(model, samples, val, cfg):
-            if os.getpid() != parent and model.head_kind == "extreme":
+        def train_or_die(model, samples, val, cfg, state=None):
+            if os.getpid() != parent and model.head_kind == "classifier":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_train(model, samples, val, cfg)
-
-        def recorded(state, samples, val, stop=None):
-            resumed.append((os.getpid(), state.model.head_kind, state.epoch))
-            return real_train_epochs(state, samples, val, stop)
+            if state is not None:
+                resumed.append((os.getpid(), model.head_kind, state.epoch))
+            return real_train(model, samples, val, cfg, state)
 
         monkeypatch.setattr(engine, "train", train_or_die)
-        monkeypatch.setattr(engine, "train_epochs", recorded)
         usable_cpus(monkeypatch, {0, 1})
         with pytest.raises(TrainingFailureError,
-                           match=r"^the process training c and e ended without a "
+                           match=r"^the process training e and c ended without a "
                                  r"result \(exit code -9\)$"):
             engine.train_nec(config, features, labels, split)
-        assert resumed == [(parent, "classifier", 1)]
+        assert resumed == [(parent, "extreme", 1)]
         assert_no_children()
 
     @needs_fork
     @pytest.mark.parametrize("case", SPLIT_CASES)
     def test_every_plan_gives_the_same_bits(self, monkeypatch, case):
-        overrides, c_epochs = SPLIT_CASES[case]
+        overrides, e_epochs = SPLIT_CASES[case]
         config, features, labels, split, _ = training_inputs()
         config = replace(config, **overrides(config))
         usable_cpus(monkeypatch, {0})
         models, logs = engine.train_nec(config, features, labels, split)
-        assert len(logs["c"].val_losses) == c_epochs
-        if config.max_epochs == 8:  # N stops early, before C's last epochs
+        assert len(logs["e"].val_losses) == e_epochs
+        if config.max_epochs == 8:  # N stops early, before E's last epochs
             assert logs["n"].stopped_early
             assert len(logs["n"].val_losses) < 8
-        parent, real_train_epochs = os.getpid(), engine.train_epochs
+        parent, real_train = os.getpid(), engine.train
         resumed = []
 
-        def recorded(state, samples, val, stop=None):
-            resumed.append((os.getpid(), state.model.head_kind, state.epoch, stop))
-            return real_train_epochs(state, samples, val, stop)
+        def recorded(model, samples, val, cfg, state=None):
+            if state is not None:
+                resumed.append((os.getpid(), model.head_kind, state.epoch, state.done))
+            return real_train(model, samples, val, cfg, state)
 
-        monkeypatch.setattr(engine, "train_epochs", recorded)
+        monkeypatch.setattr(engine, "train", recorded)
         for cpus in ({0, 1}, {0, 1, 2}):
             resumed.clear()
             usable_cpus(monkeypatch, cpus)
             got_models, got_logs = engine.train_nec(config, features, labels, split)
             assert_no_children()
             head = config.max_epochs // 2
-            # on two CPUs this process finishes C from the child's state,
-            # unless C stopped early in the child's epochs
-            split_here = len(cpus) == 2 and head and c_epochs > head
-            assert resumed == ([(parent, "classifier", head, config.max_epochs)]
-                               if split_here else [])
+            # on two CPUs this process finishes E from the child's state,
+            # which is done already where E stopped in the child's epochs
+            split_here = len(cpus) == 2 and head > 0
+            assert resumed == ([(parent, "extreme", min(head, e_epochs),
+                                 e_epochs <= head)] if split_here else [])
             assert got_logs == logs
             for name in engine.MEMBERS:
                 params, other = models[name].params, got_models[name].params
@@ -449,18 +448,21 @@ class TestTrainNec:
 
     @needs_fork
     @pytest.mark.parametrize("fails, raised", [
-        ({"classifier": 1}, "classifier"),
+        ({"extreme": 1}, "extreme"),
+        ({"extreme": 6}, "extreme"),
+        ({"extreme": 1, "classifier": 2}, "extreme"),
+        ({"extreme": 6, "classifier": 2}, "extreme"),
+        ({"classifier": 2}, "classifier"),
         ({"classifier": 6}, "classifier"),
-        ({"classifier": 1, "extreme": 2}, "extreme"),
-        ({"classifier": 6, "extreme": 2}, "extreme"),
-        ({"classifier": 6, "normal": 1}, "normal"),
-    ], ids=["c-head", "c-tail", "c-head-e", "c-tail-e", "c-tail-n"])
+        ({"extreme": 6, "normal": 1}, "normal"),
+    ], ids=["e-head", "e-tail", "e-head-c", "e-tail-c", "c-early", "c-late",
+            "e-tail-n"])
     def test_every_plan_raises_the_first_failed_member(self, monkeypatch,
                                                        fails, raised):
-        # eight epochs: C fails at epoch 1 in the child's first four, or at
-        # 6 in this process's last four; E and N fail before they stop early
+        # eight epochs: E fails at epoch 1 in the child's first four, or at
+        # 6 in this process's last four; C and N fail before they stop early
         config, features, labels, split, _ = training_inputs()
-        config = replace(config, max_epochs=8)
+        config = replace(config, max_epochs=8, e=replace(config.e, patience=8))
         real_train_epochs = training.train_epochs
 
         def failing(state, samples, val, stop=None):
@@ -485,8 +487,8 @@ class TestTrainNec:
 
     @needs_fork
     @pytest.mark.parametrize("widened", [True, False], ids=["widened", "default"])
-    def test_a_large_classifier_state_hands_off_without_a_hang(self, widened):
-        # C at width 64 pickles to more than a default 64 KiB pipe buffer:
+    def test_a_large_extreme_state_hands_off_without_a_hang(self, widened):
+        # E at width 64 pickles to more than a default 64 KiB pipe buffer:
         # in a widened pipe the child sends it at once, in a default one it
         # waits for this process to read it; neither may hang
         script = f"""
@@ -497,9 +499,9 @@ from necplus import engine
 from necplus.neural import TrainConfig, TrainState
 from test_engine import training_inputs
 config, features, labels, split, _ = training_inputs()
-config = replace(config, max_epochs=4, c=replace(config.c, hidden=64))
+config = replace(config, max_epochs=4, e=replace(config.e, hidden=64))
 # the handed-on state holds this much and Adam's moments besides
-fresh = TrainState.start(engine._member_model(config, "c"), TrainConfig())
+fresh = TrainState.start(engine._member_model(config, "e"), TrainConfig())
 assert len(pickle.dumps(fresh)) > 65536, len(pickle.dumps(fresh))
 if not {widened}:
     engine._widen_pipe = lambda fd: None
@@ -534,6 +536,37 @@ for name in engine.MEMBERS:
         finally:
             os.close(reader)
             os.close(writer)
+
+    @needs_fork
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="pipe sizes are Linux's")
+    def test_the_child_trains_c_while_this_process_trains_n(self, monkeypatch,
+                                                            tmp_path):
+        # E at width 64 pickles to more than a default pipe buffer holds: the
+        # child's pipe takes it at once, so the child starts C before this
+        # process, still training N, has read E's state
+        cap = Path("/proc/sys/fs/pipe-max-size")
+        if int(cap.read_text()) < engine.PIPE_BYTES and os.geteuid() != 0:
+            pytest.skip("this host caps pipes below PIPE_BYTES")
+        config, features, labels, split, _ = training_inputs()
+        config = replace(config, max_epochs=4, e=replace(config.e, hidden=64))
+        started = tmp_path / "c-started"
+        parent, real_train = os.getpid(), engine.train
+
+        def marked(model, samples, val, cfg, state=None):
+            if os.getpid() != parent and model.head_kind == "classifier":
+                started.touch()
+            if os.getpid() == parent and model.head_kind == "normal":
+                deadline = time.monotonic() + 60
+                while not started.exists():
+                    assert time.monotonic() < deadline, "C waited for E's handoff"
+                    time.sleep(0.01)
+            return real_train(model, samples, val, cfg, state)
+
+        monkeypatch.setattr(engine, "train", marked)
+        usable_cpus(monkeypatch, {0, 1})
+        engine.train_nec(config, features, labels, split)
+        assert_no_children()
 
     @needs_fork
     def test_children_end_when_the_parent_is_killed(self, tmp_path):

@@ -180,7 +180,8 @@ class TestResume:
     # `patience` more epochs: before, at or after each split below
     @pytest.mark.parametrize("lr, patience", [(1e-2, 10), (0.0, 2)])
     @pytest.mark.parametrize("max_epochs", [1, 2, 3, 8])
-    def test_pieces_equal_one_run(self, lr, patience, max_epochs):
+    @pytest.mark.parametrize("by_train", [False, True], ids=["epochs", "train"])
+    def test_pieces_equal_one_run(self, lr, patience, max_epochs, by_train):
         samples = make_windows(24, 6, 3, 2, seed=30)
         val = make_windows(6, 6, 3, 2, seed=31)
         cfg = TrainConfig(batch_size=8, lr_recurrent=lr, lr_fc=lr,
@@ -197,12 +198,17 @@ class TestResume:
             assert head.epoch == min(split, len(want_log.val_losses))
             # handed on through a pipe, to go on from redrawn samples
             state = pickle.loads(pickle.dumps(head))
-            got = train_epochs(state, copy_windows(samples), copy_windows(val))
-            assert got.done
-            assert got.log == want_log, split
-            assert list(got.model.params) == list(want.params)
+            args = copy_windows(samples), copy_windows(val)
+            if by_train:  # the call a whole run makes, on from the state
+                got_model, got_log = train(state.model, *args, state.cfg, state)
+            else:
+                got_model, got_log = train_epochs(state, *args).model, state.log
+            assert state.done
+            assert got_model is state.model
+            assert got_log == want_log, split
+            assert list(got_model.params) == list(want.params)
             for key, value in want.params.items():
-                assert got.model.params[key].tobytes() == value.tobytes(), (split, key)
+                assert got_model.params[key].tobytes() == value.tobytes(), (split, key)
 
     def test_state_pickles_without_the_windows(self):
         samples = make_windows(24, 6, 3, 2, seed=34)
