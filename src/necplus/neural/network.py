@@ -35,10 +35,21 @@ member's rows by its own matrix (`_forward_wavefront`), so they compute what
 training's forward does, bit for bit. The benchmark's tracer wraps
 `lstm_forward`/`lstm_backward`, depth-one adapters of the stored kernel, and
 `NetStack.forward`, which runs layer by layer through `lstm_forward`.
+
+The stored kernels write into a `StepBuffers` of one batch shape: the state
+rows, gates and cells the cache is made of, the reverse wavefront's chunk
+buffers, and the views of them that each step and chunk reads, built once. A
+training run (`train_epochs`) owns one for each shape it meets, the full
+batch and the epoch's last, partial one, and hands it to every batch of that
+shape through `NetStack.loss_and_grads`; no model or training state refers to
+it, so it ends with the run. A call given none builds fresh ones, so every
+caller runs the same code. A cache is valid until the next batch on the same
+buffers; the gradients are new arrays, the caller's.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -140,9 +151,93 @@ def _gate_derivatives(gates, cells_prev, tanh_c, out):
     return dz
 
 
-def _forward_steps(w, x, depth):
+class StepBuffers:
+    """The arrays that the stored wavefront writes for batches of one shape,
+    B windows of T steps of D inputs through `depth` layers of `stacked`
+    units in all, and the views of them that its step loops read, built
+    once: the forward's part here, the reverse wavefront's (`reverse`) by the
+    first backward on them. Who keeps them, and for how long a cache in them
+    is valid, is in the module docstring."""
+
+    def __init__(self, batch: int, steps: int, d_in: int, depth: int,
+                 stacked: int, dtype):
+        n_steps = steps + depth - 1
+        self.shape = (batch, steps, d_in)
+        self.scale, self.shift = _gate_affine(stacked, batch, dtype)
+        self.w_scaled = np.empty((stacked + d_in + depth, 4 * stacked), dtype)
+        self.states = np.zeros((n_steps + 1, batch, stacked + d_in + depth), dtype)
+        # a_l is 1 from step l on
+        self.states[:n_steps, :, stacked + d_in:] = (
+            np.arange(n_steps)[:, None, None] >= np.arange(depth))
+        inputs = self.states[:, :, stacked:stacked + d_in]
+        # x_t, and past T the last x_t again
+        self.inputs, self.padding = inputs[:steps], inputs[steps:n_steps]
+        self.gates = np.empty((n_steps, batch, 4 * stacked), dtype)
+        self.cells = np.zeros((n_steps + 1, batch, stacked), dtype)
+        self.work = np.empty((batch, stacked), dtype)
+        # each step's state row, gates, i, f, g and o blocks, cells before
+        # and after, and hidden state: a list each, which a zip walks without
+        # making an object a step
+        cells = list(self.cells)
+        self.steps = (list(self.states), list(self.gates),
+                      *map(list, _gate_blocks(self.gates)), cells, cells[1:],
+                      list(self.states[1:, :, :stacked]))
+
+    @functools.cached_property
+    def reverse(self) -> _ReverseBuffers:
+        return _ReverseBuffers(self.states, self.gates, self.cells)
+
+
+class _ReverseBuffers:
+    """What `_backward_steps` writes besides the gradient, for a cache's
+    states, gates and cells, and the views of them and of the cache that
+    each chunk and step reads."""
+
+    def __init__(self, states, gates, cells):
+        n_steps, batch, four_stacked = gates.shape
+        stacked, dtype = four_stacked // 4, gates.dtype
+        self.cache = states, gates, cells
+        self.carry = np.empty((2, batch, stacked), dtype)
+        self.dc = np.empty((batch, stacked), dtype)
+        # one chunk's gate and dz slabs, dz rows, tanh(c) and d_w term,
+        # written over for every chunk
+        chunk = min(BACKWARD_CHUNK, n_steps)
+        self.gate_slabs = np.empty((4, chunk, batch, stacked), dtype)
+        self.dz_slabs = np.empty_like(self.gate_slabs)
+        self.dz_rows = np.empty((chunk, batch, four_stacked), dtype)
+        self.tanh_rows = np.empty((chunk, batch, stacked), dtype)
+        self.d_w_term = np.empty((states.shape[2], four_stacked), dtype)
+        self.starts = list(reversed(range(0, n_steps, BACKWARD_CHUNK)))
+        self.chunks = []
+
+    def walk(self):
+        """Each chunk's views, latest first, built when a walk first reaches
+        it: at h = 360 the walk stops after about 20 of 46 chunks."""
+        for i, lo in enumerate(self.starts):
+            if i == len(self.chunks):
+                self.chunks.append(self._chunk(lo))
+            yield self.chunks[i]
+
+    def _chunk(self, lo):
+        states, gates, cells = self.cache
+        hi = min(lo + BACKWARD_CHUNK, len(gates))
+        n, batch, four_stacked = gates[lo:hi].shape
+        slabs, dz_out = self.gate_slabs[:, :n], self.dz_slabs[:, :n]
+        dz, tanh_c = self.dz_rows[:n], self.tanh_rows[:n]
+        return (lo, gates[lo:hi].reshape(n, batch, 4, -1).transpose(2, 0, 1, 3),
+                slabs, cells[lo:hi], cells[lo + 1:hi + 1], tanh_c, dz_out,
+                dz_out.transpose(1, 2, 0, 3), dz.reshape(n, batch, 4, -1),
+                slabs[3], states[lo:hi].reshape(-1, states.shape[2]).T,
+                dz.reshape(-1, four_stacked),
+                # each step's index, dz row, dc/dh and forget gate
+                (range(hi - 1, lo - 1, -1), list(dz[::-1]), list(tanh_c[::-1]),
+                 list(slabs[1, ::-1])))
+
+
+def _forward_steps(w, x, depth, buffers: StepBuffers | None = None):
     """The cache of `depth` layers run over x (B, T, D) as a wavefront of
-    S = T + depth - 1 steps that keeps each step.
+    S = T + depth - 1 steps that keeps each step, in `buffers` (fresh ones
+    when None).
 
     The state row [h_0 ... h_{L-1} | x_t | a_0 ... a_{L-1}] of step s times
     w, the unscaled `_wavefront_matrix`, with its columns scaled as
@@ -151,34 +246,39 @@ def _forward_steps(w, x, depth):
     steps make. Each step is that one row product and `_lstm_step`, as in
     `_forward_wavefront`. The cache holds the state rows
     (S + 1, B, K), the activated gates (S, B, 4LW), the cells (S + 1, B, LW)
-    from cells[0] = 0, and w; all of them in w's dtype.
+    from cells[0] = 0, and w; all of them in w's dtype. Its arrays are the
+    buffers', so it is valid until the next batch on them.
     """
-    batch, steps, d_in = x.shape
-    stacked = w.shape[1] // 4
-    n_steps = steps + depth - 1
-    scale, shift = _gate_affine(stacked, batch, w.dtype)
-    w_scaled = w * scale[0]
-    states = np.zeros((n_steps + 1, batch, stacked + d_in + depth), w.dtype)
-    states[:steps, :, stacked:stacked + d_in] = x.transpose(1, 0, 2)
-    states[steps:n_steps, :, stacked:stacked + d_in] = x[:, -1]
-    # a_l is 1 from step l on
-    states[:n_steps, :, stacked + d_in:] = (
-        np.arange(n_steps)[:, None, None] >= np.arange(depth))
-    gates = np.empty((n_steps, batch, 4 * stacked), w.dtype)
-    cells = np.zeros((n_steps + 1, batch, stacked), w.dtype)
-    work = np.empty((batch, stacked), w.dtype)
-    for row, z, blocks, c_prev, c, h in zip(
-            states, gates, zip(*_gate_blocks(gates)), cells, cells[1:],
-            states[1:, :, :stacked]):
-        np.matmul(row, w_scaled, out=z)
-        _lstm_step(z, blocks, c_prev, c, h, scale, shift, work)
-    return {"states": states, "gates": gates, "cells": cells, "w": w}
+    if buffers is None:
+        buffers = StepBuffers(*x.shape, depth, w.shape[1] // 4, w.dtype)
+    elif (buffers.shape, buffers.w_scaled.shape, buffers.w_scaled.dtype) != (
+            x.shape, w.shape, w.dtype):
+        raise DimensionError(
+            f"buffers for {buffers.shape} windows and a {buffers.w_scaled.shape} "
+            f"{buffers.w_scaled.dtype} matrix, given {x.shape} windows and a "
+            f"{w.shape} {w.dtype} matrix")
+    w_scaled, scale, shift, work = (
+        buffers.w_scaled, buffers.scale, buffers.shift, buffers.work)
+    np.multiply(w, scale[0], out=w_scaled)
+    buffers.inputs[...] = x.transpose(1, 0, 2)
+    buffers.padding[...] = x[:, -1]
+    for row, z, gi, gf, gg, go, c_prev, c, h in zip(*buffers.steps):
+        # np.matmul's product with less dispatch: the tests hold serving's
+        # np.matmul to it bit for bit
+        np.dot(row, w_scaled, out=z)
+        _lstm_step(z, (gi, gf, gg, go), c_prev, c, h, scale, shift, work)
+    return {"states": buffers.states, "gates": buffers.gates,
+            "cells": buffers.cells, "w": w}
 
 
-def _backward_steps(cache, d_top, depth):
+def _backward_steps(cache, d_top, depth, buffers: StepBuffers | None = None):
     """The gradient of `_forward_steps`' matrix w from d_top (B, n, W), the
     gradient on the top layer's last n hidden states, reading the cache and
     never writing it. No gradient on x_t is formed: nothing needs one.
+
+    `buffers` are the ones the cache was made in, whose reverse part this
+    writes; when None, a fresh reverse part is built for the cache. The
+    returned gradient is a new array, the caller's.
 
     A chunk of BACKWARD_CHUNK steps at a time, the cached gates are copied
     once into slabs (4, chunk, B, LW), one contiguous slab per gate, where
@@ -214,6 +314,12 @@ def _backward_steps(cache, d_top, depth):
     """
     states, gates, cells, w = (
         cache[k] for k in ("states", "gates", "cells", "w"))
+    if buffers is None:
+        reverse = _ReverseBuffers(states, gates, cells)
+    elif buffers.gates is gates:
+        reverse = buffers.reverse
+    else:
+        raise DimensionError("the cache was not made in these buffers")
     n_steps, batch, four_stacked = gates.shape
     stacked = four_stacked // 4
     top = slice(stacked - stacked // depth, stacked)
@@ -224,31 +330,20 @@ def _backward_steps(cache, d_top, depth):
     settled = min(first, n_steps - depth + 1)
     w_h_t = w[:stacked].T
     d_w = np.zeros_like(w)
-    carry = np.zeros((2, batch, stacked), w.dtype)
+    carry, dc, d_w_term = reverse.carry, reverse.dc, reverse.d_w_term
+    carry[...] = 0.0
     dh, dc_next = carry
-    dc = np.empty_like(dh)
-    # one chunk's gate and dz slabs, dz rows and tanh(c), written over for
-    # every chunk
-    chunk = min(BACKWARD_CHUNK, n_steps)
-    gate_slabs = np.empty((4, chunk, batch, stacked), w.dtype)
-    dz_slabs = np.empty_like(gate_slabs)
-    dz_rows = np.empty((chunk, batch, four_stacked), w.dtype)
-    tanh_rows = np.empty((chunk, batch, stacked), w.dtype)
-    for lo in reversed(range(0, n_steps, BACKWARD_CHUNK)):
-        hi = min(lo + BACKWARD_CHUNK, n_steps)
-        n = hi - lo
-        slabs = gate_slabs[:, :n]
-        slabs[...] = gates[lo:hi].reshape(n, batch, 4, stacked).transpose(2, 0, 1, 3)
-        tanh_c = np.tanh(cells[lo + 1:hi + 1], out=tanh_rows[:n])
-        dz = dz_rows[:n]
-        dz.reshape(n, batch, 4, stacked)[...] = _gate_derivatives(
-            slabs, cells[lo:hi], tanh_c, out=dz_slabs[:, :n]).transpose(1, 2, 0, 3)
+    for (lo, gate_rows, slabs, cells_prev, cells_next, tanh_c, dz_slabs,
+         dz_slab_rows, dz_blocks, go, state_cols, dz_cols, steps) in reverse.walk():
+        slabs[...] = gate_rows
+        np.tanh(cells_next, out=tanh_c)
+        _gate_derivatives(slabs, cells_prev, tanh_c, out=dz_slabs)
+        dz_blocks[...] = dz_slab_rows
         # dh reaches dc through h = o * tanh(c)
         dc_dh = np.multiply(tanh_c, tanh_c, out=tanh_c)
         np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= slabs[3]
-        for s, dz_s, dc_dh_s, gf_s in zip(range(hi - 1, lo - 1, -1), dz[::-1],
-                                          dc_dh[::-1], slabs[1, ::-1]):
+        dc_dh *= go
+        for s, dz_s, dc_dh_s, gf_s in zip(*steps):
             if s >= first:
                 dh[:, top] += d_top[:, s - first]
             np.multiply(dh, dc_dh_s, out=dc)
@@ -257,8 +352,7 @@ def _backward_steps(cache, d_top, depth):
             np.multiply(dc, gf_s, out=dc_next)
             np.matmul(dz_s, w_h_t, out=dh)
             carry[np.abs(carry) < FLUSH_BELOW] = 0.0
-        d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
-                @ dz.reshape(-1, four_stacked))
+        d_w += np.matmul(state_cols, dz_cols, out=d_w_term)
         # the walk ends at the first chunk from `settled` down that leaves
         # the carry all zero; one entry is read first, as on a live walk it
         # is nonzero, in a fifteenth of carry.any()'s time
@@ -415,15 +509,22 @@ class NetStack:
         out = self._head(seq[:, -1])[-1]
         return out[0] if single else out
 
-    def _forward_cached(self, x):
+    def _forward_cached(self, x, buffers: StepBuffers | None = None):
         """(`forward(x)`, the cache `backward` reads): `_forward_steps` of
-        every layer, plus the head's activations as "fc"."""
+        every layer in `buffers`, plus the head's activations as "fc"."""
         x, single = _as_batch(x, self.input_dim, self.dtype)
-        cache = _forward_steps(_wavefront_matrix(self._lstm_layers()), x, self.n_layers)
+        cache = _forward_steps(_wavefront_matrix(self._lstm_layers()), x,
+                               self.n_layers, buffers)
         top = self.n_layers * self.width
         cache["fc"] = self._head(cache["states"][-1, :, top - self.width:top])
         out = cache["fc"][-1]
         return (out[0] if single else out), cache
+
+    def step_buffers(self, batch: int, steps: int) -> StepBuffers:
+        """Buffers for this stack's training kernels on batches of `batch`
+        windows of `steps` steps."""
+        return StepBuffers(batch, steps, self.input_dim, self.n_layers,
+                           self.n_layers * self.width, self.dtype)
 
     def _lstm_params(self, layer: int):
         return (self.params[f"lstm{layer}_wx"], self.params[f"lstm{layer}_wh"],
@@ -449,10 +550,13 @@ class NetStack:
 
     # -- backward ---------------------------------------------------------
 
-    def backward(self, cache, d_out) -> dict[str, np.ndarray]:
+    def backward(self, cache, d_out,
+                 buffers: StepBuffers | None = None) -> dict[str, np.ndarray]:
         """Backpropagate d_out (gradient w.r.t. the head output; for the
         classifier, w.r.t. the probabilities) into parameter gradients,
         reading the cache of `_forward_cached` and never writing it.
+        `buffers` are the ones the cache was made in, or None for fresh
+        ones. The gradients are new arrays, the caller's.
 
         The LSTM part is the reverse wavefront `_backward_steps` from the
         head's gradient on the top layer's last hidden state; each layer's
@@ -480,7 +584,8 @@ class NetStack:
         if not np.isfinite(np.concatenate([g.ravel() for g in head.values()])).all():
             raise NumericInstabilityError("non-finite gradient in the head")
         # delta is now the gradient w.r.t. the top layer's last hidden state
-        d_w = _backward_steps(cache, delta[:, None], self.n_layers)
+        d_w = _backward_steps(cache, delta[:, None], self.n_layers,
+                              buffers=buffers)
         if not np.isfinite(d_w).all():
             raise NumericInstabilityError("non-finite gradient in the LSTM layers")
         d_w = d_w.reshape(-1, 4, self.n_layers, self.width)
@@ -507,11 +612,14 @@ class NetStack:
                                labels if self.head_kind == "extreme" else ~labels)
 
     def loss_and_grads(self, x, target, labels, alpha: float = 1.0,
-                       beta: float = 1.0):
-        """Forward + `loss` + full backward for one batch."""
-        out, cache = self._forward_cached(x)
+                       beta: float = 1.0, buffers: StepBuffers | None = None):
+        """Forward + `loss` + full backward for one batch, in `buffers` of
+        its shape (`step_buffers`), which a training run keeps for all its
+        batches of that shape, or in fresh ones when None. The gradients are
+        new arrays, the caller's; the cache lives in the buffers."""
+        out, cache = self._forward_cached(x, buffers)
         loss, d_out = self.loss(out, target, labels, alpha, beta)
-        return loss, self.backward(cache, d_out)
+        return loss, self.backward(cache, d_out, buffers)
 
 
 # ---------------------------------------------------------------------------

@@ -92,11 +92,19 @@ def train_epochs(state: TrainState, samples, val,
     non-improving epochs. Once the run is done, the best-validation
     parameters are restored; a run stopped at `stop` before that keeps its
     current ones, to go on from there.
+
+    The call owns the training kernels' buffers (`NetStack.step_buffers`):
+    one for each batch shape it meets, at most the full batch and the
+    epoch's last, partial one, built by the first batch of that shape and
+    written over by every later one. They end with the call: the state does
+    not hold them, so it pickles without them, and a run that goes on
+    elsewhere builds its own.
     """
     cfg, model, log = state.cfg, state.model, state.log
     sgd = Sgd(cfg.lr_recurrent)
     stop = cfg.max_epochs if stop is None else stop
     n = len(samples)
+    buffers = {}  # by batch shape
     while not state.done and state.epoch < stop:
         epoch = state.epoch
         order = state.rng.permutation(n)
@@ -104,9 +112,12 @@ def train_epochs(state: TrainState, samples, val,
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
             batch = samples[order[start:start + cfg.batch_size]]
+            shape = batch.input.shape[:2]
+            if shape not in buffers:
+                buffers[shape] = model.step_buffers(*shape)
             loss, grads = model.loss_and_grads(
                 batch.input, batch.target, batch.target_mask,
-                alpha=cfg.alpha, beta=cfg.beta)
+                alpha=cfg.alpha, beta=cfg.beta, buffers=buffers[shape])
             sgd.step(model.params, grads, model.recurrent_keys)
             state.adam.step(model.params, grads, model.fc_keys)
             epoch_loss += loss

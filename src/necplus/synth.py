@@ -8,6 +8,7 @@ up over a few hours and decays exponentially, mimicking storm inflow.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -48,24 +49,25 @@ def generate(seed: int, length: int, spike_rate: float = 0.0,
             + YEARLY_AMPLITUDE * np.sin(2 * np.pi * t / HOURS_PER_YEAR)
             + DAILY_AMPLITUDE * np.sin(2 * np.pi * t / 24.0)
             - DEPLETION_PER_HOUR * t)
-    noise = np.empty(length)
-    noise[0] = 0.0
     innovations = rng.normal(0.0, NOISE_STD, size=length)
-    for i in range(1, length):
-        noise[i] = NOISE_PHI * noise[i - 1] + innovations[i]
-    values = base + noise
+    # AR(1) from 0: the same double products and sums as a numpy-scalar loop
+    noise = itertools.accumulate(innovations[1:].tolist(),
+                                 lambda prev, e: NOISE_PHI * prev + e, initial=0.0)
+    values = base + np.fromiter(noise, np.float64, length)
     if spike_rate > 0:
         onsets = np.flatnonzero(rng.uniform(size=length) < spike_rate)
     else:
         onsets = np.array([], dtype=np.int64)
     gev = GevParams(SPIKE_LOCATION, SPIKE_SCALE, spike_shape)
+    # a spike's shape by hours since its onset; one at index i adds the
+    # first length - i hours of it
+    span = np.arange(length)
+    response = np.where(
+        span < SPIKE_RISE_HOURS,
+        (span + 1) / SPIKE_RISE_HOURS,
+        np.exp(-(span - SPIKE_RISE_HOURS + 1) / SPIKE_DECAY_HOURS))
     for onset in onsets:
         magnitude = float(sample_gev(gev, 1, rng)[0])
-        span = np.arange(onset, length) - onset
-        response = np.where(
-            span < SPIKE_RISE_HOURS,
-            (span + 1) / SPIKE_RISE_HOURS,
-            np.exp(-(span - SPIKE_RISE_HOURS + 1) / SPIKE_DECAY_HOURS))
-        values[onset:] += magnitude * response
+        values[onset:] += magnitude * response[:length - onset]
     timestamps = EPOCH_START + HOUR * np.arange(length, dtype=np.int64)
     return RawSeries("synth", timestamps, values), onsets

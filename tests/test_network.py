@@ -105,12 +105,13 @@ def reference_lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
     return d_wx, d_wh, d_b, d_x
 
 
-def row_major_backward_steps(cache, d_top, depth, d_x=None):
+def row_major_backward_steps(cache, d_top, depth, d_x=None, buffers=None):
     """`network._backward_steps` as it was before its gate slabs: tanh(c),
     dz and dc/dh formed on the column blocks of (chunk, B, 4LW) rows, and
     dh and dc flushed in two passes. Frozen here as the reference that the
     slab layout must equal bit for bit: both make the same GEMM calls and
-    apply the same ufuncs to the same values."""
+    apply the same ufuncs to the same values. It takes the kernel's
+    `buffers` argument and allocates its own."""
     states, gates, cells, w = (
         cache[k] for k in ("states", "gates", "cells", "w"))
     n_steps, batch, four_stacked = gates.shape

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from necplus import synth
+from necplus.distributions import GevParams, sample_gev
 from necplus.errors import InvalidInputError
 from necplus.series import HOUR, difference_standardize, label_extremes
 from necplus.synth import EPOCH_START, generate
@@ -64,3 +66,56 @@ class TestGenerate:
                 generate(1, 3000, spike_rate=0.01, spike_shape=shape)
         with pytest.raises(InvalidInputError, match="seed"):
             generate(-1, 100)
+
+
+def generate_by_onset(seed, length, spike_rate=0.0, spike_shape=0.2):
+    """`generate` as it was before it built the spike response once: the
+    AR(1) noise a numpy scalar at a time, and each onset's response formed
+    over the rest of the series. Frozen here as the reference that
+    `generate` must equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(length, dtype=np.float64)
+    base = (synth.BASE_LEVEL
+            + synth.YEARLY_AMPLITUDE * np.sin(2 * np.pi * t / synth.HOURS_PER_YEAR)
+            + synth.DAILY_AMPLITUDE * np.sin(2 * np.pi * t / 24.0)
+            - synth.DEPLETION_PER_HOUR * t)
+    noise = np.empty(length)
+    noise[0] = 0.0
+    innovations = rng.normal(0.0, synth.NOISE_STD, size=length)
+    for i in range(1, length):
+        noise[i] = synth.NOISE_PHI * noise[i - 1] + innovations[i]
+    values = base + noise
+    if spike_rate > 0:
+        onsets = np.flatnonzero(rng.uniform(size=length) < spike_rate)
+    else:
+        onsets = np.array([], dtype=np.int64)
+    gev = GevParams(synth.SPIKE_LOCATION, synth.SPIKE_SCALE, spike_shape)
+    for onset in onsets:
+        magnitude = float(sample_gev(gev, 1, rng)[0])
+        span = np.arange(onset, length) - onset
+        response = np.where(
+            span < synth.SPIKE_RISE_HOURS,
+            (span + 1) / synth.SPIKE_RISE_HOURS,
+            np.exp(-(span - synth.SPIKE_RISE_HOURS + 1) / synth.SPIKE_DECAY_HOURS))
+        values[onset:] += magnitude * response
+    return values, onsets
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5, 29])
+@pytest.mark.parametrize("spike_rate, spike_shape", [
+    (0.0, 0.2), (0.01, 0.2), (0.01, -0.3), (0.05, 0.0)])
+def test_generate_is_the_per_onset_loop_bit_for_bit(seed, spike_rate, spike_shape):
+    raw, onsets = generate(seed, 20000, spike_rate, spike_shape)
+    values, want_onsets = generate_by_onset(seed, 20000, spike_rate, spike_shape)
+    assert raw.values.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(onsets, want_onsets)
+
+
+def test_an_onset_in_the_last_hours_is_the_per_onset_loop_bit_for_bit():
+    # at rate 0.5 onsets fall in each of the last 3 hours, where a spike is
+    # still rising when the series ends
+    length = 500
+    raw, onsets = generate(6, length, spike_rate=0.5)
+    assert {length - 3, length - 2, length - 1} <= set(onsets.tolist())
+    values, _ = generate_by_onset(6, length, spike_rate=0.5)
+    assert raw.values.tobytes() == values.tobytes()

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from necplus.errors import TrainingFailureError
-from necplus.neural import NetStack, TrainConfig, TrainState, train, train_epochs
+from necplus.errors import DimensionError, TrainingFailureError
+from necplus.neural import (NetStack, TrainConfig, TrainState, network, train,
+                            train_epochs)
 from necplus.neural.optimizers import BETA1, BETA2, EPS, Adam
 from necplus.neural.training import evaluate_loss
 from necplus.sampling import Windows
@@ -168,6 +169,104 @@ def test_non_finite_validation_raises():
         train(model, samples, bad_val, cfg)
 
 
+@pytest.fixture
+def built_buffers(monkeypatch):
+    """A list that receives every StepBuffers and reverse part the kernels
+    build, in order."""
+    built = []
+
+    class Recorded:
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    for name in ("StepBuffers", "_ReverseBuffers"):
+        cls = getattr(network, name)
+        monkeypatch.setattr(network, name, type(name, (Recorded, cls), {}))
+    return built
+
+
+def buffer_arrays(buffers):
+    """Every array a StepBuffers or reverse part holds, views included."""
+    found, stack = [], list(vars(buffers).values())
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return found
+
+
+class TestBuffers:
+    # 20 windows in batches of 8: two full batches and a partial one of 4
+    # an epoch, each shape on its own buffers, reused over 3 epochs
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("head", ["normal", "classifier"])
+    def test_reused_buffers_train_as_fresh_ones_bit_for_bit(
+            self, monkeypatch, built_buffers, head, n_layers, dtype):
+        samples = make_windows(20, 12, 3, 2, seed=50)
+        val = make_windows(6, 12, 3, 2, seed=51)
+        cfg = TrainConfig(batch_size=8, lr_recurrent=1e-2, lr_fc=1e-2,
+                          max_epochs=3, early_stop_patience=3, seed=52)
+
+        def run():
+            model = NetStack(head, input_dim=2, width=5, n_layers=n_layers,
+                             horizon=3, seed=53).astype(dtype)
+            return train(model, samples, val, cfg)
+
+        got, got_log = run()
+        assert len(built_buffers) == 4  # two shapes, each with its reverse part
+        fresh = NetStack.loss_and_grads
+        monkeypatch.setattr(NetStack, "loss_and_grads",
+                            lambda self, *args, buffers, **kwargs:
+                            fresh(self, *args, **kwargs))
+        want, want_log = run()
+        # the run's two unused StepBuffers, then a pair for every batch
+        assert len(built_buffers) == 4 + 2 + 2 * 3 * 3
+        assert got_log == want_log
+        for key, value in want.params.items():
+            assert got.params[key].dtype == dtype
+            assert got.params[key].tobytes() == value.tobytes(), key
+
+    @pytest.mark.parametrize("n, shapes", [(24, 1), (20, 2)])
+    def test_a_run_builds_buffers_once_per_batch_shape(self, built_buffers, n,
+                                                        shapes):
+        samples = make_windows(n, 6, 3, 2, seed=54)
+        val = make_windows(4, 6, 3, 2, seed=55)
+        cfg = TrainConfig(batch_size=8, max_epochs=4, early_stop_patience=4,
+                          seed=56)
+        model = NetStack("extreme", input_dim=2, width=4, n_layers=2,
+                         horizon=3, seed=57)
+        state = train_epochs(TrainState.start(model, cfg), samples, val)
+        assert state.adam.t == 4 * -(-n // 8)
+        step_buffers = [b for b in built_buffers
+                        if isinstance(b, network.StepBuffers)]
+        assert sorted(b.shape for b in step_buffers) == sorted(
+            {(min(8, n - start), 6, 2) for start in range(0, n, 8)})
+        assert len(built_buffers) == 2 * shapes
+        # and each chunk's views once, however many batches walk it
+        for reverse in built_buffers:
+            if isinstance(reverse, network._ReverseBuffers):
+                assert len(reverse.chunks) == len(reverse.starts)
+
+    def test_buffers_of_another_shape_are_refused(self):
+        model = NetStack("normal", input_dim=2, width=4, n_layers=2,
+                         horizon=3, seed=58)
+        x = np.random.default_rng(59).normal(size=(4, 6, 2))
+        for buffers in (model.step_buffers(1, 6), model.step_buffers(4, 5),
+                        model.astype(np.float64).step_buffers(4, 6)):
+            with pytest.raises(DimensionError):
+                model.loss_and_grads(x, np.zeros((4, 3)), np.zeros((4, 3), bool),
+                                     buffers=buffers)
+        # a cache made elsewhere is not walked back in these buffers
+        _, cache = model._forward_cached(x)
+        with pytest.raises(DimensionError):
+            model.backward(cache, np.ones((4, 3)), model.step_buffers(4, 6))
+
+
 def copy_windows(windows):
     """An equal batch in new arrays, as a process that redraws it holds."""
     return Windows(input=windows.input.copy(), target=windows.target.copy(),
@@ -210,16 +309,19 @@ class TestResume:
             for key, value in want.params.items():
                 assert got_model.params[key].tobytes() == value.tobytes(), (split, key)
 
-    def test_state_pickles_without_the_windows(self):
+    def test_state_pickles_without_the_windows(self, built_buffers):
         samples = make_windows(24, 6, 3, 2, seed=34)
         val = make_windows(6, 6, 3, 2, seed=35)
         cfg = TrainConfig(batch_size=8, max_epochs=4, seed=36)
         model = NetStack("normal", input_dim=2, width=4, n_layers=1,
                          horizon=3, seed=37)
         state = train_epochs(TrainState.start(model, cfg), samples, val, 2)
-        windows = {id(w) for w in (samples, val)}
+        # nor the kernels' buffers, which live as long as the training call
+        assert len(built_buffers) == 2
+        windows = {id(w) for w in (samples, val, *built_buffers)}
         arrays = {id(a) for w in (samples, val) for a in (
             w.input, w.target, w.target_mask, w.origins)}
+        arrays |= {id(a) for b in built_buffers for a in buffer_arrays(b)}
 
         class Checked(pickle.Pickler):
             def reducer_override(self, obj):
