@@ -336,9 +336,9 @@ def _names(share) -> str:
 
 
 # a child's pipe buffer: a handoff up to this size is sent without waiting
-# for the parent to read it. E's TrainState pickles to 217 KB at paper
+# for the parent to read it. E's TrainState pickles to 216 KB at paper
 # shapes (h=360, f=72, two layers of 16 and three fully-connected layers),
-# 33 KB at desk shapes and 647 KB at paper shapes with width 64. Linux's
+# 32 KB at desk shapes and 646 KB at paper shapes with width 64. Linux's
 # default buffer is 64 KiB, and 1 MiB its default cap
 PIPE_BYTES = 1 << 20
 

@@ -10,14 +10,15 @@ step.
 A :class:`NetStack` holds one of the three member models: the normal (N) and
 extreme (E) regressors use 3 tapering affine layers after the top LSTM; the
 classifier (C) uses a single affine layer of f units under a sigmoid.
-Parameters live in a flat name -> array dict so the optimizers can treat
-them uniformly.
+A member's parameters are one vector, `flat`, its checkpoint's blob, which
+`params` names by key through `views`, the LSTM layers' first; a gradient is
+one vector of the same layout.
 
 The parameters' dtype is the one dtype of everything that runs on them: the
 inputs, every kernel buffer, the head's gradient and the optimizers' state.
 A random init is drawn in float64 and stored as PARAM_DTYPE (float32, whose
-elementwise arithmetic takes about half float64's time); a stack built from
-float64 parameters runs the same code in float64. Every entry point casts
+elementwise arithmetic takes about half float64's time); a stack built on a
+float64 vector runs the same code in float64. Every entry point casts
 the window to it and rejects one that is not all finite (`_as_batch`).
 
 The layers run as a wavefront: step s runs layer l at time s - l over one
@@ -44,7 +45,7 @@ batch and the epoch's last, partial one, and hands it to every batch of that
 shape through `NetStack.loss_and_grads`; no model or training state refers to
 it, so it ends with the run. A call given none builds fresh ones, so every
 caller runs the same code. A cache is valid until the next batch on the same
-buffers; the gradients are new arrays, the caller's.
+buffers; the gradient is a new array, the caller's.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import math
 import os
 import struct
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -412,10 +414,10 @@ class NetStack:
 
     def __init__(self, head_kind: str, input_dim: int, width: int,
                  n_layers: int, horizon: int, seed: int = 0,
-                 params: dict[str, np.ndarray] | None = None):
-        """A stack with a random init drawn from `seed`, or, given `params`
-        (keys and shapes as in `param_shapes`, all of one dtype), with those
-        arrays as its parameters and no random draw."""
+                 flat: np.ndarray | None = None):
+        """A stack with a random init drawn from `seed`, or, given `flat`
+        (a vector of `param_shapes`' total size), on that array as its
+        parameters, with no random draw."""
         if head_kind not in HEAD_KINDS:
             raise DimensionError(f"unknown head kind {head_kind!r}")
         self.head_kind = head_kind
@@ -430,30 +432,38 @@ class NetStack:
             mid1 = max(self.horizon, self.width // 2)
             mid2 = max(self.horizon, self.width // 4)
             self.fc_sizes = [self.width, mid1, mid2, self.horizon]
-        if params is None:
-            params = self._init_params(np.random.default_rng(seed))
-        elif ([(k, v.shape) for k, v in params.items()]
-              != list(self.param_shapes().items())
-              or len({v.dtype for v in params.values()}) != 1):
+        sizes = {key: math.prod(shape) for key, shape in self.param_shapes().items()}
+        # the optimizer groups: SGD's LSTM layers, which come first, then Adam's head
+        n_recurrent = sum(n for key, n in sizes.items() if key.startswith("lstm"))
+        self.recurrent = slice(0, n_recurrent)
+        self.head = slice(n_recurrent, sum(sizes.values()))
+        if flat is not None and np.shape(flat) != (self.head.stop,):
             raise DimensionError(
                 f"parameters do not match a {head_kind} stack of width "
                 f"{self.width}, {self.n_layers} layers, input {self.input_dim} "
-                f"and horizon {self.horizon}, all of one dtype")
-        self.params = params
+                f"and horizon {self.horizon}")
+        self.flat = np.zeros(self.head.stop, PARAM_DTYPE) if flat is None else flat
+        self.params = self.views(self.flat)
+        if flat is None:
+            self._init_params(np.random.default_rng(seed))
+
+    def __reduce__(self):
+        # the views are rebuilt on the unpickled vector
+        return NetStack, (*(getattr(self, name) for name in ARCH), self.flat)
 
     @property
     def dtype(self) -> np.dtype:
         """The parameters' dtype: every kernel buffer, input and gradient
         of this stack takes it."""
-        return self.params["fc0_b"].dtype
+        return self.flat.dtype
 
     def astype(self, dtype) -> NetStack:
         """A copy of this stack with its parameters cast to `dtype`."""
         return NetStack(*(getattr(self, name) for name in ARCH),
-                        params={k: v.astype(dtype) for k, v in self.params.items()})
+                        flat=self.flat.astype(dtype))
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Every parameter's key and shape, in the order of `params`."""
+        """Every parameter's key and shape, in the order of `flat`."""
         shapes: dict[str, tuple[int, ...]] = {}
         d_in = self.input_dim
         for layer in range(self.n_layers):
@@ -467,27 +477,26 @@ class NetStack:
             shapes[f"fc{i}_b"] = (n_out,)
         return shapes
 
-    def _init_params(self, rng) -> dict[str, np.ndarray]:
+    def views(self, vector: np.ndarray) -> MappingProxyType:
+        """A read-only mapping of every parameter's key to its view of
+        `vector`, laid out as `flat`: of the parameters themselves as
+        `params`, or of a gradient."""
+        views, start = {}, 0
+        for key, shape in self.param_shapes().items():
+            stop = start + math.prod(shape)
+            views[key] = vector[start:stop].reshape(shape)
+            start = stop
+        return MappingProxyType(views)
+
+    def _init_params(self, rng) -> None:
         """Biases zero; weights uniform in +-1/sqrt(fan_in), where an LSTM
         weight's fan-in is the width and an affine weight's its input size;
         drawn in float64 and stored as PARAM_DTYPE."""
-        params: dict[str, np.ndarray] = {}
-        for key, shape in self.param_shapes().items():
-            if len(shape) == 1:
-                params[key] = np.zeros(shape, PARAM_DTYPE)
-                continue
-            fan_in = self.width if key.startswith("lstm") else shape[1]
-            bound = 1.0 / np.sqrt(fan_in)
-            params[key] = rng.uniform(-bound, bound, size=shape).astype(PARAM_DTYPE)
-        return params
-
-    @property
-    def recurrent_keys(self) -> list[str]:
-        return [k for k in self.params if k.startswith("lstm")]
-
-    @property
-    def fc_keys(self) -> list[str]:
-        return [k for k in self.params if k.startswith("fc")]
+        for key, value in self.params.items():
+            if value.ndim == 2:
+                fan_in = self.width if key.startswith("lstm") else value.shape[1]
+                bound = 1.0 / np.sqrt(fan_in)
+                value[...] = rng.uniform(-bound, bound, size=value.shape)
 
     # -- forward ----------------------------------------------------------
 
@@ -551,24 +560,25 @@ class NetStack:
     # -- backward ---------------------------------------------------------
 
     def backward(self, cache, d_out,
-                 buffers: StepBuffers | None = None) -> dict[str, np.ndarray]:
+                 buffers: StepBuffers | None = None) -> np.ndarray:
         """Backpropagate d_out (gradient w.r.t. the head output; for the
-        classifier, w.r.t. the probabilities) into parameter gradients,
-        reading the cache of `_forward_cached` and never writing it.
-        `buffers` are the ones the cache was made in, or None for fresh
-        ones. The gradients are new arrays, the caller's.
+        classifier, w.r.t. the probabilities) into the parameters' gradient,
+        one new vector laid out as `flat` (the caller's), reading the cache
+        of `_forward_cached` and never writing it. `buffers` are the ones
+        the cache was made in, or None for fresh ones.
 
         The LSTM part is the reverse wavefront `_backward_steps` from the
         head's gradient on the top layer's last hidden state; each layer's
         wx, wh and b are blocks of the gradient of the wavefront matrix.
-        Two finiteness checks, one over the head's gradients before the
+        Two finiteness checks, one over the head's gradient before the
         wavefront runs and one over the wavefront matrix's gradient, raise
         NumericInstabilityError naming the part that failed. d_out is cast
         to the parameters' dtype (the losses give float64), so the whole
         backward runs in it.
         """
         d_out = np.atleast_2d(np.asarray(d_out, dtype=self.dtype))
-        head = {}
+        grad = np.empty_like(self.flat)
+        grads = self.views(grad)
         activations = cache["fc"]
         n_fc = len(self.fc_sizes) - 1
         delta = d_out
@@ -578,10 +588,10 @@ class NetStack:
                 delta = delta * out_i * (1.0 - out_i)
             elif i < n_fc - 1:
                 delta = delta * (1.0 - out_i * out_i)
-            head[f"fc{i}_w"] = delta.T @ activations[i]
-            head[f"fc{i}_b"] = delta.sum(axis=0)
+            grads[f"fc{i}_w"][...] = delta.T @ activations[i]
+            grads[f"fc{i}_b"][...] = delta.sum(axis=0)
             delta = delta @ self.params[f"fc{i}_w"]
-        if not np.isfinite(np.concatenate([g.ravel() for g in head.values()])).all():
+        if not np.isfinite(grad[self.head]).all():
             raise NumericInstabilityError("non-finite gradient in the head")
         # delta is now the gradient w.r.t. the top layer's last hidden state
         d_w = _backward_steps(cache, delta[:, None], self.n_layers,
@@ -589,15 +599,13 @@ class NetStack:
         if not np.isfinite(d_w).all():
             raise NumericInstabilityError("non-finite gradient in the LSTM layers")
         d_w = d_w.reshape(-1, 4, self.n_layers, self.width)
-        grads = {}
         for layer in range(self.n_layers):
-            below, own, alive = _layer_rows(layer, self.n_layers, self.width,
-                                            self.input_dim)
-            grads[f"lstm{layer}_wx"] = _param_block(d_w[below, :, layer])
-            grads[f"lstm{layer}_wh"] = _param_block(d_w[own, :, layer])
-            grads[f"lstm{layer}_b"] = d_w[alive, :, layer].reshape(-1)
-        grads.update((key, head[key]) for key in self.fc_keys)
-        return grads
+            # the inverse of `_wavefront_matrix`'s writes
+            for key, rows in zip(("wx", "wh", "b"), _layer_rows(
+                    layer, self.n_layers, self.width, self.input_dim)):
+                block = grads[f"lstm{layer}_{key}"].reshape(4, self.width, -1)
+                block.transpose(2, 0, 1)[...] = d_w[rows, :, layer]
+        return grad
 
     def loss(self, out, target, labels, alpha: float = 1.0, beta: float = 1.0):
         """(loss, its gradient w.r.t. out) under this head's selective
@@ -613,10 +621,10 @@ class NetStack:
 
     def loss_and_grads(self, x, target, labels, alpha: float = 1.0,
                        beta: float = 1.0, buffers: StepBuffers | None = None):
-        """Forward + `loss` + full backward for one batch, in `buffers` of
-        its shape (`step_buffers`), which a training run keeps for all its
-        batches of that shape, or in fresh ones when None. The gradients are
-        new arrays, the caller's; the cache lives in the buffers."""
+        """(loss, gradient) of one batch: forward + `loss` + `backward`, in
+        `buffers` of its shape (`step_buffers`), which a training run keeps
+        for all its batches of that shape, or in fresh ones when None. The
+        gradient is a new array, the caller's; the cache is the buffers'."""
         out, cache = self._forward_cached(x, buffers)
         loss, d_out = self.loss(out, target, labels, alpha, beta)
         return loss, self.backward(cache, d_out, buffers)
@@ -662,12 +670,6 @@ def _layer_rows(layer, depth, width, d_in):
              else slice((layer - 1) * width, layer * width))
     own = slice(layer * width, (layer + 1) * width)
     return below, own, stacked + d_in + layer
-
-
-def _param_block(block):
-    """A weight's gradient (4W, n) from its block (n, 4, W) of the
-    gradient of `_wavefront_matrix`."""
-    return block.transpose(1, 2, 0).reshape(4 * block.shape[2], -1)
 
 
 def _forward_wavefront(stacks, x):
@@ -743,10 +745,9 @@ def forward_members(stacks, x) -> list:
 # JSON header (the version, the parameters' dtype as "<f4" or "<f8", the
 # architecture, the caller's extra meta and every parameter's key and shape)
 # padded with spaces so the data starts at a multiple of DATA_ALIGN bytes,
-# then every parameter as one contiguous little-endian blob of that dtype in
-# the model's key order.
+# then the model's `flat` vector as one little-endian blob of that dtype.
 MAGIC = b"\x93NECCKPT"
-# the architecture: a NetStack's constructor arguments but `params`, in
+# the architecture: a NetStack's constructor arguments but `flat`, in
 # their order, which is also the header's
 ARCH = ("head_kind", "input_dim", "width", "n_layers", "horizon", "seed")
 DATA_ALIGN = 64
@@ -774,13 +775,12 @@ def save_checkpoint(path: str | Path, model: NetStack,
     }
     if extra_meta:
         meta["extra"] = extra_meta
-    meta["params"] = [[key, list(arr.shape)] for key, arr in model.params.items()]
+    meta["params"] = [[key, list(shape)] for key, shape in model.param_shapes().items()]
     header = json.dumps(meta).encode()
     header += b" " * (-(_PREFIX + len(header)) % DATA_ALIGN)
-    blob = np.concatenate([arr.ravel() for arr in model.params.values()])
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<Q", len(header)) + header)
-        fh.write(blob.astype(dtype, copy=False).tobytes())
+        fh.write(model.flat.astype(dtype, copy=False).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
@@ -788,9 +788,9 @@ def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
     the stored meta (with the caller's `extra_meta` under "extra").
 
     The payload is read straight into one array of the header's dtype
-    (float32 or float64) allocated by numpy, so the parameters, views of it,
-    are aligned and writable and keep the dtype they were saved in; the
-    stack is built from them without a random init. A file of an older
+    (float32 or float64) allocated by numpy, the stack's `flat`: its
+    parameters, views of it, are aligned and writable and keep the dtype
+    they were saved in, and no random init is drawn. A file of an older
     version (1 or 2, which held float64 only) raises CheckpointError asking
     to retrain the run.
     """
@@ -818,19 +818,19 @@ def load_checkpoint(path: str | Path) -> tuple[NetStack, dict]:
                 raise ValueError(f"unsupported dtype {meta['dtype']!r}")
             dtype = np.dtype(meta["dtype"])
             shapes = [(key, tuple(shape)) for key, shape in meta["params"]]
-            sizes = [math.prod(shape) for _, shape in shapes]
-            expected = _PREFIX + header_len + dtype.itemsize * sum(sizes)
+            n = sum(math.prod(shape) for _, shape in shapes)
+            expected = _PREFIX + header_len + dtype.itemsize * n
             if size != expected:
                 raise ValueError(f"{size} bytes, header declares {expected}")
-            blob = np.empty(sum(sizes), dtype=dtype)
+            blob = np.empty(n, dtype)
             if fh.readinto(blob) != blob.nbytes:
                 raise ValueError("short payload")
-        parts = np.split(blob, np.cumsum(sizes)[:-1])
-        params = {key: part.reshape(shape) for (key, shape), part in zip(shapes, parts)}
-        for key, value in params.items():
+        model = NetStack(*(meta[name] for name in ARCH), flat=blob)
+        if shapes != list(model.param_shapes().items()):
+            raise ValueError("parameter shapes do not match the architecture")
+        for key, value in model.params.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"non-finite parameter {key}")
-        model = NetStack(*(meta[name] for name in ARCH), params=params)
     except (AttributeError, KeyError, TypeError, ValueError, OSError,
             DimensionError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc

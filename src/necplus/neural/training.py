@@ -48,16 +48,16 @@ def evaluate_loss(model: NetStack, windows, alpha: float = 1.0,
 
 @dataclass
 class TrainState:
-    """A training run between two epochs: the model, its best-validation
-    parameters and loss so far, the count of epochs since that best, Adam's
-    step count and moments, the reshuffling Generator and the log. It holds
-    neither the samples nor the validation windows, so it pickles small and
-    a run can go on in another process from the same draws: the same bits as
-    a run that never stopped."""
+    """A training run between two epochs: the model, its `flat` vector and
+    loss at the best validation so far, the count of epochs since that
+    best, Adam's step count and moments, the reshuffling Generator and the
+    log. It holds neither the samples nor the validation windows, so it
+    pickles small and a run can go on in another process from the same
+    draws: the same bits as a run that never stopped."""
 
     model: NetStack
     cfg: TrainConfig
-    best_params: dict
+    best_params: np.ndarray
     adam: Adam
     rng: np.random.Generator
     log: TrainLog = field(default_factory=TrainLog)
@@ -67,8 +67,8 @@ class TrainState:
     @classmethod
     def start(cls, model: NetStack, cfg: TrainConfig) -> TrainState:
         """A run of `model` under `cfg` before its first epoch."""
-        return cls(model, cfg, {k: v.copy() for k, v in model.params.items()},
-                   Adam(cfg.lr_fc), np.random.default_rng(cfg.seed))
+        return cls(model, cfg, model.flat.copy(), Adam(cfg.lr_fc),
+                   np.random.default_rng(cfg.seed))
 
     @property
     def epoch(self) -> int:
@@ -115,11 +115,11 @@ def train_epochs(state: TrainState, samples, val,
             shape = batch.input.shape[:2]
             if shape not in buffers:
                 buffers[shape] = model.step_buffers(*shape)
-            loss, grads = model.loss_and_grads(
+            loss, grad = model.loss_and_grads(
                 batch.input, batch.target, batch.target_mask,
                 alpha=cfg.alpha, beta=cfg.beta, buffers=buffers[shape])
-            sgd.step(model.params, grads, model.recurrent_keys)
-            state.adam.step(model.params, grads, model.fc_keys)
+            sgd.step(model.flat[model.recurrent], grad[model.recurrent])
+            state.adam.step(model.flat[model.head], grad[model.head])
             epoch_loss += loss
             n_batches += 1
         log.train_losses.append(epoch_loss / max(n_batches, 1))
@@ -131,14 +131,14 @@ def train_epochs(state: TrainState, samples, val,
                 f"(log: {log.val_losses})")
         if val_loss < state.best_val:
             state.best_val = val_loss
-            state.best_params = {k: v.copy() for k, v in model.params.items()}
+            state.best_params[...] = model.flat
             log.best_epoch = epoch
             state.stale = 0
         else:
             state.stale += 1
             log.stopped_early = state.stale >= cfg.early_stop_patience
     if state.done:
-        model.params = state.best_params
+        model.flat[...] = state.best_params
     return state
 
 

@@ -190,9 +190,8 @@ class TestPredictFusedMembers:
                   for name in engine.MEMBERS}
         rng = np.random.default_rng(seed)
         for model in models.values():
-            for key, value in model.params.items():
-                model.params[key] = (value + rng.normal(scale=0.1, size=value.shape)
-                                     ).astype(dtype)
+            for value in model.params.values():
+                value[...] = value + rng.normal(scale=0.1, size=value.shape)
         return models, rng.normal(size=(24, config.h, 2))
 
     # the layer-by-layer forward sums in another order: float32 rounds at

@@ -1,4 +1,5 @@
 import io
+import math
 import pickle
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from necplus.errors import DimensionError, TrainingFailureError
 from necplus.neural import (NetStack, TrainConfig, TrainState, network, train,
                             train_epochs)
-from necplus.neural.optimizers import BETA1, BETA2, EPS, Adam
+from necplus.neural.optimizers import BETA1, BETA2, EPS, Adam, Sgd
 from necplus.neural.training import evaluate_loss
 from necplus.sampling import Windows
 
@@ -120,10 +121,10 @@ class TestEvaluateLoss:
         ("normal", 1.0, 1.0), ("extreme", 1.0, 1.0), ("classifier", 2.0, 0.7)])
     def test_equals_the_loss_of_forward(self, head, alpha, beta, n_layers):
         model = NetStack(head, input_dim=2, width=16, n_layers=n_layers,
-                         horizon=6, seed=20)
+                         horizon=6, seed=20).astype(np.float64)
         rng = np.random.default_rng(21)
-        for key, value in model.params.items():  # biases away from zero too
-            model.params[key] = value + rng.normal(scale=0.3, size=value.shape)
+        for value in model.params.values():  # biases away from zero too
+            value += rng.normal(scale=0.3, size=value.shape)
         val = make_windows(24, 48, 6, 2, seed=22)
         want = model.loss(model.forward(val.input), val.target,
                           val.target_mask, alpha, beta)[0]
@@ -330,7 +331,7 @@ class TestResume:
 
         Checked(io.BytesIO()).dump(state)
         assert state.adam.t == 2 * 3  # three batches an epoch
-        assert set(state.adam.m) == set(model.fc_keys)
+        assert state.adam.m.shape == state.adam.v.shape == model.flat[model.head].shape
 
     def test_a_done_run_trains_no_further(self):
         samples = make_windows(16, 6, 3, 2, seed=38)
@@ -352,24 +353,140 @@ def test_adam_in_place_equals_the_textbook_step(dtype):
     # the moments update in place: the same products and sums, in the same
     # order, as forming new moment arrays, so the same bits
     rng = np.random.default_rng(42)
-    shapes = {"fc0_w": (6, 4), "fc0_b": (6,)}
-    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
-    want = {k: v.copy() for k, v in params.items()}
-    m = {k: np.zeros_like(v) for k, v in want.items()}
-    v = {k: np.zeros_like(x) for k, x in want.items()}
+    params = rng.normal(size=30).astype(dtype)
+    want = params.copy()
+    m, v = np.zeros_like(want), np.zeros_like(want)
     adam = Adam(5e-4)
     for t in range(1, 301):
-        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=s).astype(dtype)
-                 for k, s in shapes.items()}
-        adam.step(params, grads, list(shapes))
-        for key, g in grads.items():
-            m[key] = BETA1 * m[key] + (1 - BETA1) * g
-            v[key] = BETA2 * v[key] + (1 - BETA2) * g * g
-            m_hat = m[key] / (1 - BETA1 ** t)
-            v_hat = v[key] / (1 - BETA2 ** t)
-            want[key] -= 5e-4 * m_hat / (np.sqrt(v_hat) + EPS)
-        for key in shapes:
-            assert params[key].dtype == dtype
-            assert params[key].tobytes() == want[key].tobytes(), (t, key)
-            assert adam.m[key].tobytes() == m[key].tobytes(), (t, key)
-            assert adam.v[key].tobytes() == v[key].tobytes(), (t, key)
+        # blocks of a (6, 4) weight's and a (6,) bias's gradient, each of
+        # its own scale
+        grads = np.concatenate([
+            rng.normal(scale=10.0 ** rng.integers(-6, 2), size=n).astype(dtype)
+            for n in (24, 6)])
+        adam.step(params, grads)
+        m = BETA1 * m + (1 - BETA1) * grads
+        v = BETA2 * v + (1 - BETA2) * grads * grads
+        m_hat = m / (1 - BETA1 ** t)
+        v_hat = v / (1 - BETA2 ** t)
+        want -= 5e-4 * m_hat / (np.sqrt(v_hat) + EPS)
+        assert params.dtype == dtype
+        assert params.tobytes() == want.tobytes(), t
+        assert adam.m.tobytes() == m.tobytes(), t
+        assert adam.v.tobytes() == v.tobytes(), t
+
+
+def per_key_sgd(lr, params, grads, keys):
+    """`Sgd.step` over a dict of parameter arrays, one key at a time, as it
+    was before the parameters became one vector: frozen here."""
+    for key in keys:
+        params[key] -= lr * grads[key]
+
+
+class PerKeyAdam:
+    """`Adam` over a dict of parameter arrays, one key at a time with a
+    moment array each, as it was before the parameters became one vector:
+    frozen here."""
+
+    def __init__(self, lr):
+        self.lr, self.t, self.m, self.v = float(lr), 0, {}, {}
+
+    def step(self, params, grads, keys):
+        self.t += 1
+        for key in keys:
+            g = grads[key]
+            if key not in self.m:
+                self.m[key] = np.zeros_like(params[key])
+                self.v[key] = np.zeros_like(params[key])
+            m, v = self.m[key], self.v[key]
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
+            m_hat = m / (1 - BETA1 ** self.t)
+            v_hat = v / (1 - BETA2 ** self.t)
+            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("horizon", [6, 72], ids=["desk", "paper"])
+def test_vector_optimizers_equal_the_per_key_loops(dtype, horizon):
+    # N at desk and paper shapes (W = 16, two layers): 232 and 11 736 head
+    # parameters in 6 arrays, 3 328 recurrent ones in 6 more. Each step
+    # draws every array's gradient at its own scale
+    model = NetStack("normal", input_dim=2, width=16, n_layers=2,
+                     horizon=horizon, seed=60).astype(dtype)
+    recurrent = [key for key in model.params if key.startswith("lstm")]
+    head = [key for key in model.params if key.startswith("fc")]
+    assert list(model.params) == recurrent + head
+    per_key = {key: value.copy() for key, value in model.params.items()}
+    sgd, adam, frozen_adam = Sgd(1e-3), Adam(5e-4), PerKeyAdam(5e-4)
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        grad = np.concatenate([
+            rng.normal(scale=10.0 ** rng.integers(-6, 2), size=value.size)
+            for value in model.params.values()]).astype(dtype)
+        grads = model.views(grad)
+        sgd.step(model.flat[model.recurrent], grad[model.recurrent])
+        adam.step(model.flat[model.head], grad[model.head])
+        per_key_sgd(1e-3, per_key, grads, recurrent)
+        frozen_adam.step(per_key, grads, head)
+    for key, value in per_key.items():
+        assert model.params[key].dtype == dtype
+        assert model.params[key].tobytes() == value.tobytes(), key
+    for moment, frozen in ((adam.m, frozen_adam.m), (adam.v, frozen_adam.v)):
+        assert moment.dtype == dtype
+        assert moment.tobytes() == b"".join(frozen[key].tobytes() for key in head)
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("head", ["normal", "classifier"])
+    def test_params_are_read_only_views_of_flat(self, head):
+        model = NetStack(head, input_dim=2, width=4, n_layers=2, horizon=3,
+                         seed=62)
+        assert model.flat.shape == (sum(
+            math.prod(shape) for shape in model.param_shapes().values()),)
+        assert [(key, value.shape) for key, value in model.params.items()] == list(
+            model.param_shapes().items())
+        assert b"".join(value.tobytes() for value in model.params.values()) == (
+            model.flat.tobytes())
+        for value in model.params.values():
+            assert np.shares_memory(value, model.flat)
+        with pytest.raises(TypeError):
+            model.params["fc0_b"] = np.zeros(3, np.float32)
+        # the recurrent slice is the LSTM layers', the head's the rest
+        index = model.views(np.arange(model.flat.size))
+        assert model.recurrent.start == 0 and model.head.stop == model.flat.size
+        assert model.recurrent.stop == model.head.start == index["fc0_w"].flat[0]
+
+    @pytest.mark.parametrize("via", ["NetStack", "TrainState"])
+    def test_a_pickled_stack_keeps_its_views(self, via):
+        model = NetStack("normal", input_dim=2, width=4, n_layers=2,
+                         horizon=3, seed=63)
+        samples = make_windows(16, 6, 3, 2, seed=64)
+        if via == "TrainState":
+            cfg = TrainConfig(batch_size=8, max_epochs=4, seed=65)
+            state = train_epochs(TrainState.start(model, cfg), samples,
+                                 samples[:4], 1)
+            back = pickle.loads(pickle.dumps(state))
+            assert back.best_params.tobytes() == state.best_params.tobytes()
+            assert back.adam.m.tobytes() == state.adam.m.tobytes()
+            back = back.model
+        else:
+            back = pickle.loads(pickle.dumps(model))
+        assert back.flat.tobytes() == model.flat.tobytes()
+        for key, value in back.params.items():
+            assert np.shares_memory(value, back.flat), key
+        with pytest.raises(TypeError):
+            back.params["lstm0_b"] = np.zeros(16, np.float32)
+        args = samples.input, samples.target, samples.target_mask
+        loss, grad = back.loss_and_grads(*args)
+        want_loss, want_grad = model.loss_and_grads(*args)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+        back.params["lstm0_b"][...] += 0.5
+        changed = back.views(back.flat != model.flat)
+        for key, value in changed.items():
+            assert value.all() if key == "lstm0_b" else not value.any(), key
+        new_loss, new_grad = back.loss_and_grads(*args)
+        assert new_loss != loss
+        assert new_grad.tobytes() != grad.tobytes()
