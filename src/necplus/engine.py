@@ -24,6 +24,7 @@ import numpy as np
 from . import distributions, evaluation, kvtext, series, sampling
 from .errors import CheckpointError, ConfigError, TrainingFailureError, writing
 from .neural import (
+    ARCH,
     NetStack,
     TrainConfig,
     TrainState,
@@ -155,11 +156,15 @@ def read_data(data_dir: str | Path, config: NecConfig,
     return std, labels, stamps
 
 
-def _member_model(config: NecConfig, name: str) -> NetStack:
+def _member_arch(config: NecConfig, name: str) -> tuple:
+    """Member `name`'s stack under `config`: its `ARCH` values, in order."""
     spec = getattr(config, name)
     head = {"n": "normal", "e": "extreme", "c": "classifier"}[name]
-    return NetStack(head, input_dim=2, width=spec.hidden,
-                    n_layers=spec.layers, horizon=config.f, seed=spec.seed)
+    return head, 2, spec.hidden, spec.layers, config.f, spec.seed
+
+
+def _member_model(config: NecConfig, name: str) -> NetStack:
+    return NetStack(*_member_arch(config, name))
 
 
 def _section_starts(sections, h: int, f: int, n: int) -> np.ndarray:
@@ -561,10 +566,15 @@ def load_run(run_dir: str | Path) -> RunArtifacts:
     digest = config_hash(config)
     models = {}
     for name in MEMBERS:
-        model, meta = load_checkpoint(run_dir / f"{name}.ckpt")
+        path = run_dir / f"{name}.ckpt"
+        model, meta = load_checkpoint(path)
         if meta.get("extra", {}).get("config_hash") != digest:
             raise CheckpointError(
                 f"{name}.ckpt was trained under a different config (hash mismatch)")
+        for field, want in zip(ARCH, _member_arch(config, name), strict=True):
+            if getattr(model, field) != want:
+                raise CheckpointError(f"{path}: {field} {getattr(model, field)!r}, "
+                                      f"but the run config gives {want!r}")
         models[name] = model
     return RunArtifacts(config=config, gmm=gmm, transform=transform,
                         models=models)

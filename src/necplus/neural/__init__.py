@@ -1,4 +1,5 @@
 from .network import (
+    ARCH,
     NetStack,
     forward_members,
     load_checkpoint,
@@ -11,7 +12,7 @@ from .optimizers import Sgd, Adam
 from .training import TrainConfig, TrainLog, TrainState, train, train_epochs
 
 __all__ = [
-    "NetStack", "forward_members", "lstm_forward", "lstm_backward",
+    "ARCH", "NetStack", "forward_members", "lstm_forward", "lstm_backward",
     "save_checkpoint", "load_checkpoint", "masked_mse_loss", "classifier_loss", "Sgd", "Adam",
     "TrainConfig", "TrainLog", "TrainState", "train", "train_epochs",
 ]

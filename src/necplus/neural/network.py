@@ -37,15 +37,14 @@ training's forward does, bit for bit. The benchmark's tracer wraps
 `lstm_forward`/`lstm_backward`, depth-one adapters of the stored kernel, and
 `NetStack.forward`, which runs layer by layer through `lstm_forward`.
 
-The stored kernels write into a `StepBuffers` of one batch shape: the state
-rows, gates and cells the cache is made of, the reverse wavefront's chunk
-buffers, and the views of them that each step and chunk reads, built once. A
-training run (`train_epochs`) owns one for each shape it meets, the full
-batch and the epoch's last, partial one, and hands it to every batch of that
-shape through `NetStack.loss_and_grads`; no model or training state refers to
-it, so it ends with the run. A call given none builds fresh ones, so every
-caller runs the same code. A cache is valid until the next batch on the same
-buffers; the gradient is a new array, the caller's.
+A batch's cache, which the backward reads whole, is the `StepBuffers` of its
+shape. A training run (`train_epochs`) owns one for each shape it meets, the
+full batch and the epoch's last, partial one, and hands it to every batch of
+that shape through `NetStack.loss_and_grads`; no model or training state
+refers to it, so it ends with the run. A call given none builds fresh ones,
+so every caller runs the same code. A cache is valid until the next forward
+on it; the gradient is a new array, the caller's. `_wavefront_index` maps
+the LSTM parameters into the matrix and back.
 """
 
 from __future__ import annotations
@@ -154,17 +153,19 @@ def _gate_derivatives(gates, cells_prev, tanh_c, out):
 
 
 class StepBuffers:
-    """The arrays that the stored wavefront writes for batches of one shape,
-    B windows of T steps of D inputs through `depth` layers of `stacked`
-    units in all, and the views of them that its step loops read, built
-    once: the forward's part here, the reverse wavefront's (`reverse`) by the
-    first backward on them. Who keeps them, and for how long a cache in them
-    is valid, is in the module docstring."""
+    """The stored wavefront's cache for batches of one shape, B windows of T
+    steps of D inputs through `depth` layers of `stacked` units in all: the
+    state rows, gates and cells it writes, the matrix `w` and head
+    activations `fc` of the last forward, and the views that its step loops
+    read, built once; the reverse wavefront's part (`reverse`) is built by
+    the first backward on it."""
 
     def __init__(self, batch: int, steps: int, d_in: int, depth: int,
                  stacked: int, dtype):
         n_steps = steps + depth - 1
         self.shape = (batch, steps, d_in)
+        self.depth = depth
+        self.w = self.fc = None
         self.scale, self.shift = _gate_affine(stacked, batch, dtype)
         self.w_scaled = np.empty((stacked + d_in + depth, 4 * stacked), dtype)
         self.states = np.zeros((n_steps + 1, batch, stacked + d_in + depth), dtype)
@@ -238,18 +239,17 @@ class _ReverseBuffers:
 
 def _forward_steps(w, x, depth, buffers: StepBuffers | None = None):
     """The cache of `depth` layers run over x (B, T, D) as a wavefront of
-    S = T + depth - 1 steps that keeps each step, in `buffers` (fresh ones
-    when None).
+    S = T + depth - 1 steps that keeps each step: `buffers` (fresh ones when
+    None), written and returned.
 
     The state row [h_0 ... h_{L-1} | x_t | a_0 ... a_{L-1}] of step s times
     w, the unscaled `_wavefront_matrix`, with its columns scaled as
     `_gate_affine` says, gives every layer's pre-activations, layer l at
     time s - l; past T, x_t stays x_{T-1}, and nothing reads what those
     steps make. Each step is that one row product and `_lstm_step`, as in
-    `_forward_wavefront`. The cache holds the state rows
-    (S + 1, B, K), the activated gates (S, B, 4LW), the cells (S + 1, B, LW)
-    from cells[0] = 0, and w; all of them in w's dtype. Its arrays are the
-    buffers', so it is valid until the next batch on them.
+    `_forward_wavefront`. The cache holds the state rows `states`
+    (S + 1, B, K), the activated `gates` (S, B, 4LW), the `cells`
+    (S + 1, B, LW) from cells[0] = 0, all in w's dtype, and `w` itself.
     """
     if buffers is None:
         buffers = StepBuffers(*x.shape, depth, w.shape[1] // 4, w.dtype)
@@ -259,6 +259,7 @@ def _forward_steps(w, x, depth, buffers: StepBuffers | None = None):
             f"buffers for {buffers.shape} windows and a {buffers.w_scaled.shape} "
             f"{buffers.w_scaled.dtype} matrix, given {x.shape} windows and a "
             f"{w.shape} {w.dtype} matrix")
+    buffers.w = w
     w_scaled, scale, shift, work = (
         buffers.w_scaled, buffers.scale, buffers.shift, buffers.work)
     np.multiply(w, scale[0], out=w_scaled)
@@ -269,18 +270,14 @@ def _forward_steps(w, x, depth, buffers: StepBuffers | None = None):
         # np.matmul to it bit for bit
         np.dot(row, w_scaled, out=z)
         _lstm_step(z, (gi, gf, gg, go), c_prev, c, h, scale, shift, work)
-    return {"states": buffers.states, "gates": buffers.gates,
-            "cells": buffers.cells, "w": w}
+    return buffers
 
 
-def _backward_steps(cache, d_top, depth, buffers: StepBuffers | None = None):
-    """The gradient of `_forward_steps`' matrix w from d_top (B, n, W), the
-    gradient on the top layer's last n hidden states, reading the cache and
-    never writing it. No gradient on x_t is formed: nothing needs one.
-
-    `buffers` are the ones the cache was made in, whose reverse part this
-    writes; when None, a fresh reverse part is built for the cache. The
-    returned gradient is a new array, the caller's.
+def _backward_steps(cache, d_top):
+    """The gradient of `_forward_steps`' matrix w, a new array, from d_top
+    (B, n, W), the gradient on the top layer's last n hidden states; it
+    writes only the cache's reverse part. No gradient on x_t is formed:
+    nothing needs one.
 
     A chunk of BACKWARD_CHUNK steps at a time, the cached gates are copied
     once into slabs (4, chunk, B, LW), one contiguous slab per gate, where
@@ -314,14 +311,7 @@ def _backward_steps(cache, d_top, depth, buffers: StepBuffers | None = None):
     At h = 360 the carry flushed to zero 128 to 162 steps from the end in
     every case measured; at h = 24 every step ran.
     """
-    states, gates, cells, w = (
-        cache[k] for k in ("states", "gates", "cells", "w"))
-    if buffers is None:
-        reverse = _ReverseBuffers(states, gates, cells)
-    elif buffers.gates is gates:
-        reverse = buffers.reverse
-    else:
-        raise DimensionError("the cache was not made in these buffers")
+    gates, w, depth, reverse = cache.gates, cache.w, cache.depth, cache.reverse
     n_steps, batch, four_stacked = gates.shape
     stacked = four_stacked // 4
     top = slice(stacked - stacked // depth, stacked)
@@ -373,9 +363,10 @@ def lstm_forward(w_x, w_h, b, x):
     by name (`Target` "lstm_forward", whose hook reads all four arguments),
     and `bench/test_bench.py` expects its span inside `NetStack.forward`'s.
     """
-    w = _wavefront_matrix([(w_x, w_h, b)])
-    cache = _forward_steps(w, _as_batch(x, w_x.shape[1], w.dtype)[0], 1)
-    return cache["states"][1:, :, :w_h.shape[1]].transpose(1, 0, 2), cache
+    width, d_in = w_h.shape[1], w_x.shape[1]
+    w = _wavefront_matrix(np.concatenate([w_x.ravel(), w_h.ravel(), b]), 1, width, d_in)
+    cache = _forward_steps(w, _as_batch(x, d_in, w.dtype)[0], 1)
+    return cache.states[1:, :, :width].transpose(1, 0, 2), cache
 
 
 def lstm_backward(w_x, w_h, x, cache, d_hidden):
@@ -386,7 +377,7 @@ def lstm_backward(w_x, w_h, x, cache, d_hidden):
     it by name (`Target` "lstm_backward", whose hook reads the first three
     arguments); only that hook reads x.
     """
-    d_w = _backward_steps(cache, d_hidden, 1)
+    d_w = _backward_steps(cache, d_hidden)
     width = w_h.shape[1]
     return d_w[width:-1].T, d_w[:width].T, d_w[-1]
 
@@ -426,17 +417,23 @@ class NetStack:
         self.n_layers = int(n_layers)
         self.horizon = int(horizon)
         self.seed = int(seed)
+        for name in ("input_dim", "width", "n_layers", "horizon"):
+            if getattr(self, name) < 1:
+                raise DimensionError(f"{name} {getattr(self, name)} is not positive")
         if head_kind == "classifier":
             self.fc_sizes = [self.width, self.horizon]
         else:
             mid1 = max(self.horizon, self.width // 2)
             mid2 = max(self.horizon, self.width // 4)
             self.fc_sizes = [self.width, mid1, mid2, self.horizon]
-        sizes = {key: math.prod(shape) for key, shape in self.param_shapes().items()}
+        # each parameter's span of `flat` and shape, by key in `flat` order
+        self._layout, start = {}, 0
+        for key, shape in self.param_shapes().items():
+            self._layout[key] = slice(start, start + math.prod(shape)), shape
+            start += math.prod(shape)
         # the optimizer groups: SGD's LSTM layers, which come first, then Adam's head
-        n_recurrent = sum(n for key, n in sizes.items() if key.startswith("lstm"))
-        self.recurrent = slice(0, n_recurrent)
-        self.head = slice(n_recurrent, sum(sizes.values()))
+        n_recurrent = self._layout["fc0_w"][0].start
+        self.recurrent, self.head = slice(0, n_recurrent), slice(n_recurrent, start)
         if flat is not None and np.shape(flat) != (self.head.stop,):
             raise DimensionError(
                 f"parameters do not match a {head_kind} stack of width "
@@ -481,12 +478,8 @@ class NetStack:
         """A read-only mapping of every parameter's key to its view of
         `vector`, laid out as `flat`: of the parameters themselves as
         `params`, or of a gradient."""
-        views, start = {}, 0
-        for key, shape in self.param_shapes().items():
-            stop = start + math.prod(shape)
-            views[key] = vector[start:stop].reshape(shape)
-            start = stop
-        return MappingProxyType(views)
+        return MappingProxyType({key: vector[span].reshape(shape)
+                                 for key, (span, shape) in self._layout.items()})
 
     def _init_params(self, rng) -> None:
         """Biases zero; weights uniform in +-1/sqrt(fan_in), where an LSTM
@@ -520,13 +513,12 @@ class NetStack:
 
     def _forward_cached(self, x, buffers: StepBuffers | None = None):
         """(`forward(x)`, the cache `backward` reads): `_forward_steps` of
-        every layer in `buffers`, plus the head's activations as "fc"."""
+        every layer in `buffers`, with the head's activations as `fc`."""
         x, single = _as_batch(x, self.input_dim, self.dtype)
-        cache = _forward_steps(_wavefront_matrix(self._lstm_layers()), x,
-                               self.n_layers, buffers)
+        cache = _forward_steps(self._matrix(), x, self.n_layers, buffers)
         top = self.n_layers * self.width
-        cache["fc"] = self._head(cache["states"][-1, :, top - self.width:top])
-        out = cache["fc"][-1]
+        cache.fc = self._head(cache.states[-1, :, top - self.width:top])
+        out = cache.fc[-1]
         return (out[0] if single else out), cache
 
     def step_buffers(self, batch: int, steps: int) -> StepBuffers:
@@ -539,8 +531,10 @@ class NetStack:
         return (self.params[f"lstm{layer}_wx"], self.params[f"lstm{layer}_wh"],
                 self.params[f"lstm{layer}_b"])
 
-    def _lstm_layers(self):
-        return [self._lstm_params(layer) for layer in range(self.n_layers)]
+    def _matrix(self):
+        """This stack's `_wavefront_matrix`."""
+        return _wavefront_matrix(self.flat[self.recurrent], self.n_layers,
+                                 self.width, self.input_dim)
 
     def _head(self, last) -> list[np.ndarray]:
         """The FC head on the top layer's last hidden state (B, W): the
@@ -559,17 +553,15 @@ class NetStack:
 
     # -- backward ---------------------------------------------------------
 
-    def backward(self, cache, d_out,
-                 buffers: StepBuffers | None = None) -> np.ndarray:
+    def backward(self, cache, d_out) -> np.ndarray:
         """Backpropagate d_out (gradient w.r.t. the head output; for the
         classifier, w.r.t. the probabilities) into the parameters' gradient,
         one new vector laid out as `flat` (the caller's), reading the cache
-        of `_forward_cached` and never writing it. `buffers` are the ones
-        the cache was made in, or None for fresh ones.
+        of `_forward_cached` and writing only its reverse part.
 
         The LSTM part is the reverse wavefront `_backward_steps` from the
-        head's gradient on the top layer's last hidden state; each layer's
-        wx, wh and b are blocks of the gradient of the wavefront matrix.
+        head's gradient on the top layer's last hidden state, gathered from
+        the wavefront matrix's gradient through `_wavefront_index`.
         Two finiteness checks, one over the head's gradient before the
         wavefront runs and one over the wavefront matrix's gradient, raise
         NumericInstabilityError naming the part that failed. d_out is cast
@@ -579,7 +571,7 @@ class NetStack:
         d_out = np.atleast_2d(np.asarray(d_out, dtype=self.dtype))
         grad = np.empty_like(self.flat)
         grads = self.views(grad)
-        activations = cache["fc"]
+        activations = cache.fc
         n_fc = len(self.fc_sizes) - 1
         delta = d_out
         for i in reversed(range(n_fc)):
@@ -594,17 +586,11 @@ class NetStack:
         if not np.isfinite(grad[self.head]).all():
             raise NumericInstabilityError("non-finite gradient in the head")
         # delta is now the gradient w.r.t. the top layer's last hidden state
-        d_w = _backward_steps(cache, delta[:, None], self.n_layers,
-                              buffers=buffers)
+        d_w = _backward_steps(cache, delta[:, None])
         if not np.isfinite(d_w).all():
             raise NumericInstabilityError("non-finite gradient in the LSTM layers")
-        d_w = d_w.reshape(-1, 4, self.n_layers, self.width)
-        for layer in range(self.n_layers):
-            # the inverse of `_wavefront_matrix`'s writes
-            for key, rows in zip(("wx", "wh", "b"), _layer_rows(
-                    layer, self.n_layers, self.width, self.input_dim)):
-                block = grads[f"lstm{layer}_{key}"].reshape(4, self.width, -1)
-                block.transpose(2, 0, 1)[...] = d_w[rows, :, layer]
+        grad[self.recurrent] = d_w.reshape(-1)[
+            _wavefront_index(self.n_layers, self.width, self.input_dim)]
         return grad
 
     def loss(self, out, target, labels, alpha: float = 1.0, beta: float = 1.0):
@@ -624,20 +610,20 @@ class NetStack:
         """(loss, gradient) of one batch: forward + `loss` + `backward`, in
         `buffers` of its shape (`step_buffers`), which a training run keeps
         for all its batches of that shape, or in fresh ones when None. The
-        gradient is a new array, the caller's; the cache is the buffers'."""
+        gradient is a new array, the caller's; the cache is the buffers."""
         out, cache = self._forward_cached(x, buffers)
         loss, d_out = self.loss(out, target, labels, alpha, beta)
-        return loss, self.backward(cache, d_out, buffers)
+        return loss, self.backward(cache, d_out)
 
 
 # ---------------------------------------------------------------------------
 # Inference over several members
 
 
-def _wavefront_matrix(layers):
-    """The one matrix (K, 4LW), C-ordered, of a wavefront step of the L
-    layers' (w_x, w_h, b) of width W and input width D, for K = LW + D + L;
-    every wavefront, the stored and the streaming, multiplies by it.
+def _wavefront_matrix(vector, depth, width, d_in):
+    """The one matrix (K, 4LW), C-ordered, that every wavefront multiplies
+    by, of `depth` LSTM layers of width W and input width D, for K = LW + D
+    + L, from their parameters `vector` laid out as in a stack's `flat`.
 
     A row of the state it multiplies is [h_0 ... h_{L-1} | x_t | a_0 ...
     a_{L-1}]: every layer's hidden state, the input, and each layer's alive
@@ -645,31 +631,32 @@ def _wavefront_matrix(layers):
     columns are the gate blocks i, f, g, o, each split as [layer 0 ... layer
     L-1] of width W. Layer l's gates read its own hidden state through its
     w_h, the state of layer l - 1 (the input, for layer 0) through its w_x,
-    and a_l through its b; every other entry is zero. It takes the result
-    dtype of the arrays given.
+    and a_l through its b; every other entry is zero. It takes the dtype
+    of `vector`.
     """
-    depth = len(layers)
-    d_in, width = layers[0][0].shape[1], layers[0][1].shape[1]
     stacked = depth * width
-    w = np.zeros((stacked + d_in + depth, 4, depth, width),
-                 np.result_type(*[p for params in layers for p in params]))
-    for layer, (p_wx, p_wh, p_b) in enumerate(layers):
-        below, own, alive = _layer_rows(layer, depth, width, d_in)
-        w[below, :, layer] = p_wx.reshape(4, width, -1).transpose(2, 0, 1)
-        w[own, :, layer] = p_wh.reshape(4, width, -1).transpose(2, 0, 1)
-        w[alive, :, layer] = p_b.reshape(4, width)
+    w = np.zeros((stacked + d_in + depth) * 4 * stacked, vector.dtype)
+    w[_wavefront_index(depth, width, d_in)] = vector
     return w.reshape(stacked + d_in + depth, 4 * stacked)
 
 
-def _layer_rows(layer, depth, width, d_in):
-    """(below, own, alive): the rows of a wavefront state [h_0 ... h_{L-1} |
-    x | a_0 ... a_{L-1}] that layer `layer` reads through lstm{l}_wx,
-    lstm{l}_wh and lstm{l}_b."""
+@functools.lru_cache
+def _wavefront_index(depth, width, d_in):
+    """Where each LSTM parameter of a stack's `flat`, in its order, sits in
+    the flattened `_wavefront_matrix` (read-only): entry [kW + j, c] of
+    layer l's w_x, w_h or b (4W, n) is in column kLW + lW + j and in the row
+    of input c of layer l - 1 (x, for layer 0), of layer l or of a_l."""
     stacked = depth * width
-    below = (slice(stacked, stacked + d_in) if layer == 0
-             else slice((layer - 1) * width, layer * width))
-    own = slice(layer * width, (layer + 1) * width)
-    return below, own, stacked + d_in + layer
+    gate, unit = np.divmod(np.arange(4 * width)[:, None], width)
+    blocks = []
+    for layer in range(depth):
+        column = (gate * depth + layer) * width + unit
+        below = ((layer - 1) * width, width) if layer else (stacked, d_in)
+        for first, n in (below, (layer * width, width), (stacked + d_in + layer, 1)):
+            blocks.append(np.arange(first, first + n) * 4 * stacked + column)
+    index = np.concatenate(blocks, axis=None)
+    index.flags.writeable = False
+    return index
 
 
 def _forward_wavefront(stacks, x):
@@ -679,14 +666,15 @@ def _forward_wavefront(stacks, x):
 
     Step s runs layer l at time s - l (Appleyard, Kocisky & Blunsom 2016,
     arXiv:1604.01946): one batched product of each member's state rows
-    with its own scaled `_wavefront_matrix`, then `_lstm_step` over every
-    layer of every member at once. Each member's slice of the product is the
-    GEMM training's `_forward_steps` takes, so a member's output equals its
-    `_forward_cached` output bit for bit; the layer-by-layer `forward` sums
-    in another order, so it agrees to rounding. Layer l's alive input turns
-    1 at step l: before it, every input of the layer is zero, so its gates
-    are 1/2, 1/2, 0, 1/2 and its cell and hidden state stay exactly 0. The
-    state is a few rows per window, and no per-step array is kept.
+    with its own scaled matrix, `NetStack._matrix` as in training, then
+    `_lstm_step` over every layer of every member at once. Each member's
+    slice of the product is the GEMM training's `_forward_steps` takes, so
+    a member's output equals its `_forward_cached` output bit for bit; the
+    layer-by-layer `forward` sums in another order, so it agrees to
+    rounding. Layer l's alive input turns 1 at step l: before it, every
+    input of the layer is zero, so its gates are 1/2, 1/2, 0, 1/2 and its
+    cell and hidden state stay exactly 0. The state is a few rows per
+    window, and no per-step array is kept.
     """
     dtype = stacks[0].dtype
     x, single = _as_batch(x, stacks[0].input_dim, dtype)
@@ -695,7 +683,7 @@ def _forward_wavefront(stacks, x):
     stacked = depth * width
     scale, shift = (a.reshape(members, batch, -1)
                     for a in _gate_affine(stacked, members * batch, dtype))
-    w = np.stack([_wavefront_matrix(stack._lstm_layers()) for stack in stacks])
+    w = np.stack([stack._matrix() for stack in stacks])
     w *= scale[0, 0]
     state = np.zeros((members, batch, stacked + d_in + depth), dtype)
     hidden, x_t, alive = np.split(state, [stacked, stacked + d_in], axis=2)

@@ -19,7 +19,7 @@ import necplus
 from necplus import distributions, engine, evaluation, kvtext, sampling, series
 from necplus.cli import build_parser, main
 from necplus.errors import NecError
-from necplus.neural import load_checkpoint, save_checkpoint
+from necplus.neural import ARCH, NetStack, load_checkpoint, save_checkpoint
 from test_engine import assert_no_children, needs_fork, usable_cpus
 
 
@@ -713,6 +713,54 @@ class TestMalformedInput:
                                 f"(non-finite parameter {key})\n")
         assert captured.out == ""
         assert not (tmp_path / "forecast.csv").exists()
+
+    # re-saved with the run's config hash kept: a horizon that is not the
+    # config's f once raised a raw ValueError, and a width or head kind
+    # that is not the member's served
+    @pytest.mark.parametrize("field,value", [
+        ("horizon", 3), ("width", 5), ("n_layers", 2), ("head_kind", "classifier"),
+        ("seed", 7)])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_checkpoint_of_another_architecture_names_file_and_field(
+            self, pipeline, tmp_path, capsys, command, field, value):
+        _, csv, data, run, _ = pipeline
+        tampered = tmp_path / "run"
+        shutil.copytree(run, tampered)
+        ckpt = tampered / "n.ckpt"
+        model, meta = load_checkpoint(ckpt)
+        arch = {name: getattr(model, name) for name in ARCH}
+        save_checkpoint(ckpt, NetStack(**{**arch, field: value}), meta.get("extra"))
+        capsys.readouterr()
+        assert main(self._serving_argv(command, tampered, csv, data, tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: CheckpointError: {ckpt}: {field} {value!r}, "
+                                f"but the run config gives {arch[field]!r}\n")
+        assert captured.out == ""
+        assert not (tmp_path / "forecast.csv").exists()
+
+    # a header that declares no layer once made predict raise a raw IndexError
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_checkpoint_without_layers_is_corrupt(self, pipeline, tmp_path, capsys,
+                                                  command):
+        _, csv, data, run, _ = pipeline
+        tampered = tmp_path / "run"
+        shutil.copytree(run, tampered)
+        ckpt = tampered / "n.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes().replace(b'"n_layers": 1,', b'"n_layers": 0,'))
+        capsys.readouterr()
+        assert main(self._serving_argv(command, tampered, csv, data, tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: CheckpointError: {ckpt}: corrupt checkpoint "
+                                f"(n_layers 0 is not positive)\n")
+        assert captured.out == ""
+        assert not (tmp_path / "forecast.csv").exists()
+
+    @staticmethod
+    def _serving_argv(command, run, csv, data, tmp_path):
+        if command == "predict":
+            return ["predict", "--run-dir", str(run), "--input", str(csv),
+                    "--out", str(tmp_path / "forecast.csv")]
+        return ["evaluate", "--run-dir", str(run), "--data", str(data)]
 
     @pytest.mark.parametrize("value", ["0.0", "-1.0"])
     @pytest.mark.parametrize("command", ["train", "predict"])

@@ -105,15 +105,15 @@ def reference_lstm_backward(w_x, w_h, x, hidden, cache, d_hidden):
     return d_wx, d_wh, d_b, d_x
 
 
-def row_major_backward_steps(cache, d_top, depth, d_x=None, buffers=None):
+def row_major_backward_steps(cache, d_top):
     """`network._backward_steps` as it was before its gate slabs: tanh(c),
     dz and dc/dh formed on the column blocks of (chunk, B, 4LW) rows, and
     dh and dc flushed in two passes. Frozen here as the reference that the
     slab layout must equal bit for bit: both make the same GEMM calls and
-    apply the same ufuncs to the same values. It takes the kernel's
-    `buffers` argument and allocates its own."""
-    states, gates, cells, w = (
-        cache[k] for k in ("states", "gates", "cells", "w"))
+    apply the same ufuncs to the same values. It reads the kernel's cache
+    and allocates its own buffers."""
+    states, gates, cells, w, depth = (
+        cache.states, cache.gates, cache.cells, cache.w, cache.depth)
     n_steps, batch, four_stacked = gates.shape
     stacked = four_stacked // 4
     top = slice(stacked - stacked // depth, stacked)
@@ -154,8 +154,6 @@ def row_major_backward_steps(cache, d_top, depth, d_x=None, buffers=None):
             dc_next[np.abs(dc_next) < network.FLUSH_BELOW] = 0.0
         d_w += (states[lo:hi].reshape(-1, w.shape[0]).T
                 @ dz.reshape(-1, four_stacked))
-        if d_x is not None:
-            np.matmul(dz, w[stacked:-depth].T, out=d_x[lo:hi])
     return d_w
 
 
@@ -177,7 +175,7 @@ def backward_with_step_operands(model, x, d_out):
             return getattr(ufunc, method)(*plain, **kwargs)
 
     _, cache = model._forward_cached(x)
-    cache["w"] = cache["w"].view(StepOperands)
+    cache.w = cache.w.view(StepOperands)
     return model.views(model.backward(cache, d_out)), rows
 
 
@@ -374,7 +372,7 @@ class TestLstmForward:
             warnings.simplefilter("error")
             hidden, cache = lstm_forward(w_x, w_h, np.zeros(4 * width),
                                          np.ones((2, 3, 1)))
-        gates = cache["gates"]
+        gates = cache.gates
         sigmoid_cols = np.r_[0:2 * width, 3 * width:4 * width]
         expected = np.where(sign > 0, 1.0, 0.0)[sigmoid_cols]
         np.testing.assert_array_equal(
@@ -504,6 +502,50 @@ def trained_like_members(widths=(16, 16, 16), layers=(2, 2, 2), input_dim=2,
                 ("normal", "extreme", "classifier"), widths, layers))]
 
 
+def per_layer_rows(layer, depth, width, d_in):
+    """(below, own, alive): the rows of a wavefront state [h_0 ... h_{L-1} |
+    x | a_0 ... a_{L-1}] that layer `layer` reads through lstm{l}_wx,
+    lstm{l}_wh and lstm{l}_b."""
+    stacked = depth * width
+    below = (slice(stacked, stacked + d_in) if layer == 0
+             else slice((layer - 1) * width, layer * width))
+    own = slice(layer * width, (layer + 1) * width)
+    return below, own, stacked + d_in + layer
+
+
+def per_layer_wavefront_matrix(layers):
+    """`network._wavefront_matrix` of the layers' (w_x, w_h, b) as it was
+    before its index: each layer's blocks written into its rows, one layer
+    at a time. Frozen here as the reference the index's scatter must equal
+    bit for bit."""
+    depth = len(layers)
+    d_in, width = layers[0][0].shape[1], layers[0][1].shape[1]
+    stacked = depth * width
+    w = np.zeros((stacked + d_in + depth, 4, depth, width),
+                 np.result_type(*[p for params in layers for p in params]))
+    for layer, (p_wx, p_wh, p_b) in enumerate(layers):
+        below, own, alive = per_layer_rows(layer, depth, width, d_in)
+        w[below, :, layer] = p_wx.reshape(4, width, -1).transpose(2, 0, 1)
+        w[own, :, layer] = p_wh.reshape(4, width, -1).transpose(2, 0, 1)
+        w[alive, :, layer] = p_b.reshape(4, width)
+    return w.reshape(stacked + d_in + depth, 4 * stacked)
+
+
+def per_layer_gradient(stack, d_w):
+    """The LSTM part of the stack's gradient from the wavefront matrix's
+    gradient d_w, as `NetStack.backward` formed it before the index: the
+    inverse of `per_layer_wavefront_matrix`'s writes, key by key."""
+    grad = np.zeros(stack.flat.shape, d_w.dtype)
+    grads = stack.views(grad)
+    d_w = d_w.reshape(-1, 4, stack.n_layers, stack.width)
+    for layer in range(stack.n_layers):
+        for key, rows in zip(("wx", "wh", "b"), per_layer_rows(
+                layer, stack.n_layers, stack.width, stack.input_dim)):
+            block = grads[f"lstm{layer}_{key}"].reshape(4, stack.width, -1)
+            block.transpose(2, 0, 1)[...] = d_w[rows, :, layer]
+    return grad[stack.recurrent]
+
+
 class TestForwardMembers:
     # the wavefront sums each gate's input, recurrent and bias terms in one
     # product, the layer-by-layer forward in three: the outputs differ by
@@ -578,7 +620,7 @@ class TestForwardMembers:
         # its own hidden state and its bias times its alive input a_l
         depth = 3
         stack, = trained_like_members(widths=(width,), layers=(depth,))
-        w = network._wavefront_matrix(stack._lstm_layers())
+        w = network._wavefront_matrix(stack.flat[stack.recurrent], depth, width, 2)
         assert w.shape == (depth * width + 2 + depth, 4 * depth * width)
         assert w.flags.c_contiguous
         rng = np.random.default_rng(35)
@@ -592,6 +634,35 @@ class TestForwardMembers:
             want = w_x @ below + w_h @ hidden[layer] + alive[layer] * b
             np.testing.assert_allclose(z[:, layer], want.reshape(4, -1),
                                        rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("width", [3, 4, 5])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_index_is_the_per_layer_layout_bit_for_bit(self, monkeypatch, depth,
+                                                       width, dtype):
+        # the matrix is the parameter vector scattered through the index,
+        # and backward's LSTM gradient the matrix gradient gathered through
+        # it: both equal the frozen per-layer writes and their inverse
+        stack = perturbed(NetStack("normal", 2, width, depth, 4, seed=40
+                                   ).astype(dtype), np.random.default_rng(41))
+        index = network._wavefront_index(depth, width, 2)
+        want = per_layer_wavefront_matrix(
+            [stack._lstm_params(layer) for layer in range(depth)])
+        got = stack._matrix()
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert index.shape == (stack.recurrent.stop,) and not index.flags.writeable
+        assert len(np.unique(index)) == index.size
+        assert 0 <= index.min() and index.max() < want.size
+        rng = np.random.default_rng(42)
+        d_w = rng.normal(size=want.shape).astype(dtype)
+        monkeypatch.setattr(network, "_backward_steps", lambda cache, d_top: d_w.copy())
+        x = rng.normal(size=(3, 5, 2))
+        out, cache = stack._forward_cached(x)
+        grad = stack.backward(cache, np.ones_like(out))
+        assert grad.dtype == dtype
+        assert grad[stack.recurrent].tobytes() == per_layer_gradient(stack, d_w).tobytes()
 
     def test_peak_memory_does_not_grow_with_the_window(self):
         # the state is a few rows per window: no per-step array is kept
@@ -652,9 +723,7 @@ class TestBackward:
         out, cache = model._forward_cached(x)
 
         def arrays(cache):
-            found = []
-            for value in cache.values():
-                found += value if isinstance(value, list) else [value]
+            found = [cache.states, cache.gates, cache.cells, cache.w, *cache.fc]
             assert all(isinstance(a, np.ndarray) for a in found)
             return found
 
@@ -798,7 +867,7 @@ class TestBackward:
         target = rng.normal(size=(32, 72))
         labels = rng.uniform(size=(32, 72)) < 0.05
         cache = model._forward_cached(x)[1]
-        cached = sum(cache[k].nbytes for k in ("states", "gates", "cells"))
+        cached = sum(a.nbytes for a in (cache.states, cache.gates, cache.cells))
         del cache
         tracemalloc.start()
         try:
@@ -957,6 +1026,27 @@ class TestCheckpoints:
         for key in model.params:
             np.testing.assert_array_equal(back.params[key], model.params[key])
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["input_dim", "width", "n_layers", "horizon"])
+    def test_non_positive_dimension_is_refused(self, name, value):
+        arch = dict(head_kind="normal", input_dim=2, width=4, n_layers=1, horizon=3)
+        with pytest.raises(DimensionError, match=f"^{name} {value} is not positive$"):
+            NetStack(**{**arch, name: value})
+
+    @pytest.mark.parametrize("name", ["input_dim", "width", "n_layers", "horizon"])
+    def test_non_positive_dimension_in_the_header_is_corrupt(self, tmp_path, name):
+        arch = dict(head_kind="normal", input_dim=2, width=4, n_layers=1, horizon=3)
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(path, NetStack(**arch))
+        data = path.read_bytes()
+        field = f'"{name}": {arch[name]},'.encode()
+        assert data.count(field) == 1
+        # one digit for another: the header keeps its length
+        path.write_bytes(data.replace(field, f'"{name}": 0,'.encode()))
+        with pytest.raises(CheckpointError, match=(
+                rf"n.ckpt: corrupt checkpoint \({name} 0 is not positive\)$")):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope.ckpt")
@@ -1105,7 +1195,8 @@ class TestFloat32:
         for key, grad in model.views(grad).items():
             assert grad.dtype == np.float32, key
         _, cache = model._forward_cached(x)
-        for key, value in cache.items():
+        for key in ("states", "gates", "cells", "w", "fc"):
+            value = getattr(cache, key)
             for arr in value if isinstance(value, list) else [value]:
                 assert arr.dtype == np.float32, key
 
