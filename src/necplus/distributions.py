@@ -413,12 +413,10 @@ def load_gmm(path: str | Path) -> GmmModel:
         raise InvalidInputError(f"{path}: not a GMM model file")
     m = kvtext.get(pairs, "components", path, int)
 
-    def column(name):
-        return np.array([kvtext.get(pairs, f"{name}_{i}", path, float)
-                         for i in range(m)])
-
-    try:
-        return GmmModel(weights=column("weight"), means=column("mean"),
-                        variances=column("variance"))
+    weights, means, variances = (
+        np.array([kvtext.get(pairs, f"{name}_{i}", path, float) for i in range(m)])
+        for name in ("weight", "mean", "variance"))
+    try:  # GmmModel's errors do not name the file
+        return GmmModel(weights=weights, means=means, variances=variances)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None

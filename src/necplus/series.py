@@ -1,5 +1,6 @@
 """Raw-series ingestion, gap filling, the difference-standardize transform
-and its inverse, extreme labeling, and the preprocessed CSV both ways.
+and its inverse, extreme labeling, and the preprocessed CSV both ways, with
+its digest-checked binary copy.
 
 All operations are pure: they return new immutable value objects and never
 mutate their inputs.
@@ -10,6 +11,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
+import hashlib
 import math
 import mmap
 import os
@@ -42,6 +44,13 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _ROW_START_WIDTH = len("0001-01-01T00:00:00Z,")  # the same for every year
 _SERIES_HEADER = "timestamp,value"
 _PREPROCESSED_HEADER = "timestamp,std_value,is_extreme"
+_PREPROCESSED = "preprocessed.csv"
+_SIDECAR = "preprocessed.bin"  # see `_read_sidecar`
+_DIGEST_SIZE = hashlib.sha256().digest_size
+# The first and last epoch second whose `_format_timestamps` text
+# `_parse_timestamp` reads back: years 0001 to 9999.
+_STAMP_RANGE = ((1 - _EPOCH_ORDINAL) * 86400,
+                (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * 86400 - 1)
 
 
 @dataclass(frozen=True)
@@ -521,26 +530,76 @@ def write_series_csv(path: str | Path, series: RawSeries) -> None:
 def write_preprocessed(out_dir: str | Path, series: RawSeries, std: StandardizedSeries,
                        labels: np.ndarray, epsilon: float) -> None:
     """Emit `preprocessed.csv`, with the bool extreme `labels` of `std` at
-    `epsilon`, plus a `transform.meta` sidecar."""
+    `epsilon`, its binary copy `preprocessed.bin` (see `_read_sidecar`),
+    and a `transform.meta` sidecar."""
+    if not len(series) - 1 == len(std) == len(labels):
+        raise DimensionError(f"{len(series)} points for {len(std)} standardized "
+                             f"values and {len(labels)} labels")
     out_dir = Path(out_dir)
-    path = out_dir / "preprocessed.csv"
+    path, sidecar = out_dir / _PREPROCESSED, out_dir / _SIDECAR
+    stamps, flags = series.timestamps[1:], labels.astype(np.int8)
     rows = (f"{ts},{val!r},{ext}\n" for ts, val, ext in zip(
-        _format_timestamps(series.timestamps[1:]), std.values.tolist(),
-        labels.astype(np.int8).tolist()))
+        _format_timestamps(stamps), std.values.tolist(), flags.tolist()))
+    csv = (_PREPROCESSED_HEADER + "\n" + "".join(rows)).encode()
+    payload = b"".join([stamps[:1].astype("<i8").tobytes(),  # no rows: too short to use
+                        std.values.astype("<f8").tobytes(), flags.astype("u1").tobytes()])
+    digest = hashlib.sha256(csv)
+    digest.update(payload)
     with writing(path):
         out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(_PREPROCESSED_HEADER + "\n" + "".join(rows), encoding="utf-8")
+        path.write_bytes(csv)
+    with writing(sidecar):
+        sidecar.write_bytes(digest.digest() + payload)
     kvtext.write(out_dir / "transform.meta", transform_meta(std, epsilon))
+
+
+def _read_sidecar(path: Path, csv):
+    """What `_read_csv` makes of `preprocessed.csv`, whose bytes are `csv`,
+    from its binary copy, the file `path`; None if that is missing,
+    unreadable or not the copy of these bytes.
+
+    The copy is a 32-byte SHA-256 digest, then a payload: the first row's
+    epoch second as `<i8`, the n std values as `<f8` and the n labels as
+    `u1`. The digest is taken over `csv` and then the payload, so an edit
+    to either file, or a CSV written before copies were, leaves the CSV to
+    be parsed. The payload must also hold what the CSV parse would accept:
+    finite values, labels of 0 or 1 and stamps in years 0001-9999.
+    """
+    try:
+        blob = memoryview(path.read_bytes())
+    except OSError:
+        return None
+    digest, payload = blob[:_DIGEST_SIZE], blob[_DIGEST_SIZE:]
+    n, rest = divmod(len(payload) - 8, 9)
+    if n < 0 or rest:
+        return None
+    check = hashlib.sha256(csv)
+    check.update(payload)
+    if check.digest() != digest:
+        return None
+    first = int(np.frombuffer(payload, "<i8", 1)[0])
+    values = np.frombuffer(payload, "<f8", n, 8)
+    flags = np.frombuffer(payload, "u1", n, 8 + 8 * n)
+    low, high = _STAMP_RANGE
+    if not (np.isfinite(values).all() and (flags <= 1).all()
+            and low <= first and first + HOUR * (n - 1) <= high):
+        return None
+    return first + HOUR * np.arange(n, dtype=np.int64), (values, flags == 1)
 
 
 def read_preprocessed(in_dir: str | Path):
     """Read what `write_preprocessed` wrote: (standardized series, extreme
-    labels as a bool array, epsilon, the epoch seconds of each point). Rows
-    are read as `read_series_csv` reads them, and must be hourly."""
-    path = Path(in_dir) / "preprocessed.csv"
-    stamps, (values, labels) = _read_csv(path, _PREPROCESSED_HEADER, False,
-                                         _value_and_label)
-    std, epsilon = read_transform_meta(Path(in_dir) / "transform.meta", values)
+    labels as a bool array, epsilon, the epoch seconds of each point). The
+    rows come from the binary copy if it is the CSV's (`_read_sidecar`),
+    and are otherwise read as `read_series_csv` reads them, and must be
+    hourly."""
+    in_dir = Path(in_dir)
+    path = in_dir / _PREPROCESSED
+    with reading(path), _mapped(path) as data:
+        rows = _read_sidecar(in_dir / _SIDECAR, data)
+    stamps, (values, labels) = rows or _read_csv(path, _PREPROCESSED_HEADER, False,
+                                                 _value_and_label)
+    std, epsilon = read_transform_meta(in_dir / "transform.meta", values)
     return std, labels, epsilon, stamps
 
 

@@ -850,6 +850,52 @@ def with_bom(path, copy):
     return copy
 
 
+def text_files_before_the_binary_copy(csv, epsilon):
+    """`preprocessed.csv` and `transform.meta` of the raw series `csv` as
+    `preprocess` wrote them before it also wrote `preprocessed.bin`: the
+    same rows and keys, through `write_text`."""
+    raw = series.fill_gaps(series.read_series_csv(csv))
+    std = series.difference_standardize(raw)
+    labels = series.label_extremes(std, epsilon)
+    rows = (f"{ts},{val!r},{ext}\n" for ts, val, ext in zip(
+        series._format_timestamps(raw.timestamps[1:]), std.values.tolist(),
+        labels.astype(np.int8).tolist()))
+    return {"preprocessed.csv": ("timestamp,std_value,is_extreme\n" + "".join(rows)).encode(),
+            "transform.meta": kvtext.dumps(series.transform_meta(std, epsilon)).encode()}
+
+
+class TestSidecarWriters:
+    """Only `preprocess` writes `preprocessed.bin`: the commands that read a
+    data directory leave a stale one as it is, and make none where there is
+    none."""
+
+    @pytest.mark.parametrize("sidecar", ["stale", "absent"])
+    def test_readers_leave_it_as_it_is(self, pipeline, tmp_path, capsys, sidecar):
+        _, _, source, _, config = pipeline
+        data, run = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(source, data)
+        path = data / "preprocessed.bin"
+        if sidecar == "stale":
+            blob = bytearray(path.read_bytes())
+            blob[0] ^= 1  # a digest byte: the CSV is still read, as it is
+            path.write_bytes(bytes(blob))
+        else:
+            path.unlink()
+        before = path.read_bytes() if path.exists() else None
+        evaluate = ["evaluate", "--run-dir", str(run), "--split", "test", "--baseline"]
+        steps = [["fit-gmm", "--in-dir", str(data), "--components", "2", "--seed", "0"],
+                 ["train", "--config", str(config), "--data", str(data), "--out", str(run)],
+                 [*evaluate, "--data", str(data)],
+                 ["plotdata", "--run-dir", str(run), "--data", str(data), "--out",
+                  str(tmp_path / "plot.csv")]]
+        for argv in steps:
+            assert main(argv) == 0, argv
+            assert (path.read_bytes() if path.exists() else None) == before, argv[0]
+        out = capsys.readouterr().out
+        assert main([*evaluate, "--data", str(source)]) == 0
+        assert capsys.readouterr().out in out
+
+
 class TestByteOrderMark:
     """A text file that starts with a UTF-8 byte-order mark reads as the
     same file without it."""
@@ -860,8 +906,10 @@ class TestByteOrderMark:
         out = tmp_path / "data"
         assert main(["preprocess", "--input", str(bom_csv), "--out-dir", str(out),
                      "--epsilon", "1.5"]) == 0
-        for name in ("preprocessed.csv", "transform.meta"):
+        for name in ("preprocessed.csv", "transform.meta", "preprocessed.bin"):
             assert (out / name).read_bytes() == (data / name).read_bytes(), name
+        for name, text in text_files_before_the_binary_copy(csv, 1.5).items():
+            assert (data / name).read_bytes() == text, name
 
     def test_predict_writes_the_same_forecast(self, pipeline, tmp_path):
         _, csv, _, run, _ = pipeline

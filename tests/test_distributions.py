@@ -458,15 +458,27 @@ class TestSerialization:
         np.testing.assert_array_equal(back.means, model.means)
         np.testing.assert_array_equal(back.variances, model.variances)
 
-    @pytest.mark.parametrize("key", ["components", "mean_1"])
+    @pytest.mark.parametrize("key", ["components", "weight_0", "mean_1", "variance_1"])
     def test_gmm_missing_key_names_file_and_key(self, tmp_path, key):
         path = tmp_path / "gmm.model"
         save_gmm(path, GmmModel(np.array([0.5, 0.5]), np.array([0.0, 1.0]),
                                 np.array([1.0, 2.0])))
         path.write_text("".join(line for line in path.read_text().splitlines(True)
                                 if not line.startswith(key + " ")))
-        with pytest.raises(InvalidInputError, match=f"gmm.model: missing key '{key}'"):
+        with pytest.raises(InvalidInputError) as err:
             load_gmm(path)
+        assert str(err.value) == f"{path}: missing key '{key}'"
+
+    @pytest.mark.parametrize("key", ["components", "weight_1", "mean_0", "variance_0"])
+    def test_gmm_bad_value_names_file_and_key(self, tmp_path, key):
+        path = tmp_path / "gmm.model"
+        save_gmm(path, GmmModel(np.array([0.5, 0.5]), np.array([0.0, 1.0]),
+                                np.array([1.0, 2.0])))
+        path.write_text("".join(f"{key} x\n" if line.startswith(key + " ") else line
+                                for line in path.read_text().splitlines(True)))
+        with pytest.raises(InvalidInputError) as err:
+            load_gmm(path)
+        assert str(err.value) == f"{path}: bad value 'x' for key '{key}'"
 
     def test_gmm_bad_variance_names_file(self, tmp_path):
         path = tmp_path / "gmm.model"

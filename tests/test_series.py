@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from necplus import series
+from necplus import series, synth
 from necplus.errors import (
     BoundaryGapError,
     ConfigError,
@@ -503,6 +503,185 @@ class TestPreprocessedRows:
         with pytest.raises(InvalidInputError, match="preprocessed.csv:3: 1970-01-01T03:00:00Z "
                                                     "is not one hour after 1970-01-01T01:00:00Z"):
             read_preprocessed(tmp_path)
+
+
+def preprocessed_outcome(directory):
+    """What `read_preprocessed` made of a data directory, down to the bits
+    of every number, or the type and message of the error it raised."""
+    try:
+        std, labels, epsilon, stamps = read_preprocessed(directory)
+    except NecError as exc:
+        return type(exc).__name__, str(exc)
+    return (std.values.dtype, std.values.tobytes(), labels.dtype, labels.tobytes(),
+            epsilon, stamps.dtype, stamps.tobytes(), std.location, std.scale,
+            std.anchor, std.source_id)
+
+
+@pytest.fixture
+def csv_parses(monkeypatch):
+    """The paths `read_preprocessed` parses as CSV, in order."""
+    parsed = []
+    parse = series._read_csv
+
+    def spy(path, *args):
+        parsed.append(path)
+        return parse(path, *args)
+
+    monkeypatch.setattr(series, "_read_csv", spy)
+    return parsed
+
+
+def flip_byte(path, offset):
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 1
+    path.write_bytes(bytes(blob))
+
+
+def edit_row(path, row, edit):
+    """Rewrite data row `row` of the CSV `path` as `edit(row text)`."""
+    lines = path.read_bytes().split(b"\n")
+    lines[row + 1] = edit(lines[row + 1])
+    path.write_bytes(b"\n".join(lines))
+
+
+def same_length_digit(line):
+    """The row with the last digit of its value changed, the length kept."""
+    stamp, value, label = line.split(b",")
+    return b",".join([stamp, value[:-1] + (b"1" if value[-1:] != b"1" else b"2"), label])
+
+
+def remove_sidecar(directory):
+    sidecar = directory / "preprocessed.bin"
+    if sidecar.is_dir():
+        sidecar.rmdir()
+    else:
+        sidecar.unlink()
+
+
+def replace_with_directory(sidecar):
+    sidecar.unlink()
+    sidecar.mkdir()
+
+
+def cut(path, stop):
+    path.write_bytes(path.read_bytes()[:stop])
+
+
+# Each damages a data directory's sidecar or CSV; the sidecar's payload is
+# the first stamp (8 bytes), the values (8 each), then the labels (1 each).
+DAMAGES = {
+    "sidecar_missing": lambda d: (d / "preprocessed.bin").unlink(),
+    "sidecar_short_by_one": lambda d: cut(d / "preprocessed.bin", -1),
+    "sidecar_only_digest": lambda d: cut(d / "preprocessed.bin", 32),
+    "sidecar_empty": lambda d: cut(d / "preprocessed.bin", 0),
+    "sidecar_directory": lambda d: replace_with_directory(d / "preprocessed.bin"),
+    "digest_byte": lambda d: flip_byte(d / "preprocessed.bin", 7),
+    "first_stamp_byte": lambda d: flip_byte(d / "preprocessed.bin", 32),
+    "value_byte": lambda d: flip_byte(d / "preprocessed.bin", 32 + 8 + 8 * 3),
+    "label_byte": lambda d: flip_byte(d / "preprocessed.bin", -1),
+    "csv_cell_same_length": lambda d: edit_row(d / "preprocessed.csv", 10, same_length_digit),
+    "csv_bad_label": lambda d: edit_row(d / "preprocessed.csv", 1,
+                                        lambda line: line[:-1] + b"7"),
+    "csv_blanked_row": lambda d: edit_row(d / "preprocessed.csv", 100, lambda line: b""),
+    "csv_bom": lambda d: (d / "preprocessed.csv").write_bytes(
+        b"\xef\xbb\xbf" + (d / "preprocessed.csv").read_bytes()),
+}
+
+
+class TestPreprocessedSidecar:
+    """`preprocessed.bin` gives `read_preprocessed` exactly what parsing
+    `preprocessed.csv` gives, and is used only while it is the CSV's copy."""
+
+    @pytest.fixture(params=[(1, False), (1, True), (5, False), (5, True)],
+                    ids=["seed1", "seed1-gaps", "seed5", "seed5-gaps"])
+    def data(self, request, tmp_path):
+        seed, gaps = request.param
+        raw = synth.generate(seed, 2000, spike_rate=0.01)[0]
+        if gaps:
+            values = raw.values.copy()
+            values[[50, 700, 701]] = np.nan
+            values[1200:1230] = np.nan
+            raw = fill_gaps(RawSeries(raw.sensor_id, raw.timestamps, values))
+        std = difference_standardize(raw)
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5), 1.5)
+        return tmp_path
+
+    def test_gives_what_the_csv_gives(self, data, csv_parses):
+        with_sidecar = preprocessed_outcome(data)
+        assert csv_parses == []
+        remove_sidecar(data)
+        assert preprocessed_outcome(data) == with_sidecar
+        assert csv_parses == [data / "preprocessed.csv"]
+        assert with_sidecar[0] == np.float64 and with_sidecar[2] == np.bool_
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_a_stale_sidecar_leaves_the_csv_to_be_parsed(self, data, csv_parses, damage):
+        intact = preprocessed_outcome(data)
+        DAMAGES[damage](data)
+        read = preprocessed_outcome(data)
+        assert csv_parses == [data / "preprocessed.csv"]
+        if (data / "preprocessed.bin").exists():
+            remove_sidecar(data)
+        assert preprocessed_outcome(data) == read
+        # a CSV edit makes a line fail, named by number: the label's own, or
+        # the row after the blanked one
+        lineno = {"csv_bad_label": 3, "csv_blanked_row": 103}.get(damage)
+        if lineno:
+            assert read[0] == "InvalidInputError"
+            assert f"{data / 'preprocessed.csv'}:{lineno}: " in read[1]
+        # a byte-order mark or a damaged sidecar changes nothing read
+        assert (read == intact) == (lineno is None and damage != "csv_cell_same_length")
+
+    def test_a_missing_csv_is_named_with_the_sidecar_present(self, data):
+        (data / "preprocessed.csv").unlink()
+        read = preprocessed_outcome(data)
+        assert read[0] == "InvalidInputError" and str(data / "preprocessed.csv") in read[1]
+        remove_sidecar(data)
+        assert preprocessed_outcome(data) == read
+
+    @pytest.mark.parametrize("first", [datetime(1, 1, 1), datetime(9999, 12, 31, 19)])
+    def test_the_first_and_last_hours_a_stamp_can_name_are_read_from_the_copy(
+            self, tmp_path, csv_parses, first):
+        """Rows from the first hour of year 1, or to the last of year 9999."""
+        raw = RawSeries("r", epoch(first) + HOUR * np.arange(-1, 5), np.arange(6.0) ** 2)
+        std = difference_standardize(raw)
+        write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5), 1.5)
+        read = preprocessed_outcome(tmp_path)
+        assert csv_parses == []
+        remove_sidecar(tmp_path)
+        assert preprocessed_outcome(tmp_path) == read
+        assert csv_parses == [tmp_path / "preprocessed.csv"]
+
+    def test_lengths_must_agree(self, tmp_path):
+        raw = make_series([1.0, 2.0, 4.0, 3.0])
+        std = difference_standardize(raw)
+        with pytest.raises(DimensionError, match="4 points for 3 standardized values "
+                                                 "and 2 labels"):
+            write_preprocessed(tmp_path, raw, std, label_extremes(std, 1.5)[1:], 1.5)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["nan_value", "label_two", "after_year_9999",
+                                      "before_year_1"])
+    def test_a_copy_of_a_csv_that_does_not_parse_is_not_used(self, tmp_path, csv_parses,
+                                                             case):
+        """The digest matches, but the payload holds what the CSV parse
+        rejects: the parse runs, and raises its error naming the line."""
+        start = {"after_year_9999": epoch(datetime(9999, 12, 31, 22)),
+                 "before_year_1": epoch(datetime(1, 1, 1)) - 2 * HOUR}.get(case, 0)
+        raw = RawSeries("r", start + HOUR * np.arange(5), np.arange(5.0))
+        values = np.array([0.5, -1.0, 2.0, 0.25])
+        labels = np.array([0, 0, 1, 0])
+        if case == "nan_value":
+            values[2] = np.nan
+        if case == "label_two":
+            labels[2] = 2
+        std = series.StandardizedSeries(values, 0.0, 1.0, 4.0, "r")
+        write_preprocessed(tmp_path, raw, std, labels, 1.5)
+        read = preprocessed_outcome(tmp_path)
+        assert read[0] == "InvalidInputError" and "preprocessed.csv:" in read[1]
+        assert csv_parses == [tmp_path / "preprocessed.csv"]
+        remove_sidecar(tmp_path)
+        assert preprocessed_outcome(tmp_path) == read
 
 
 UTF8_CHARS = st.characters(exclude_categories=("Cs",))  # those UTF-8 can encode
